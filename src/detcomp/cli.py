@@ -60,22 +60,25 @@ def _env(name: str, cast, default):
     try:
         return cast(raw)
     except ValueError:
-        raise SystemExit(f"bad {ENV_PREFIX}{name}={raw!r}")
+        raise ValueError(f"bad {ENV_PREFIX}{name}={raw!r}") from None
 
 
 def build_limits(args) -> EngineLimits:
-    """Flag > environment > default, per knob."""
+    """Flag > environment > default, per knob; a bad or negative cap is an input error.
+
+    Flags are range-checked by argparse, so a negative value here came from
+    the environment.
+    """
     base = EngineLimits()
-    max_pairs = args.max_pairs if args.max_pairs is not None else _env(
-        "MAX_PAIRS", int, base.max_pairs)
-    max_basis = args.max_basis if args.max_basis is not None else _env(
-        "MAX_BASIS", int, base.max_basis)
-    max_degree = args.max_degree if args.max_degree is not None else _env(
-        "MAX_DEGREE", int, base.max_degree)
-    time_limit = args.time_limit if args.time_limit is not None else _env(
-        "TIME_LIMIT", float, base.time_limit)
-    return EngineLimits(max_pairs=max_pairs, max_basis=max_basis,
-                        max_degree=max_degree, time_limit=time_limit)
+    values = {}
+    for knob, cast in (("max_pairs", int), ("max_basis", int),
+                       ("max_degree", int), ("time_limit", float)):
+        flag = getattr(args, knob)
+        value = flag if flag is not None else _env(knob.upper(), cast, getattr(base, knob))
+        if value is not None and not value >= 0:
+            raise ValueError(f"{ENV_PREFIX}{knob.upper()} must be >= 0, got {value}")
+        values[knob] = value
+    return EngineLimits(**values)
 
 
 def parse_field(text: str) -> Field:
@@ -398,22 +401,34 @@ def cmd_cone_reduce(args) -> int:
 # -- argument wiring -------------------------------------------------------------
 
 
+def _at_least(cast, minimum):
+    """argparse type: cast the text, then reject values below minimum (or NaN)."""
+    def parse(text):
+        value = cast(text)
+        if not value >= minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text!r}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_common(sp, caps=True):
     sp.add_argument("--format", choices=("text", "json"), default="text",
                     help="output rendering (default text)")
     sp.add_argument("--deterministic", action="store_true",
                     help="strip wall-clock times from JSON output")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="upper bound on worker count; current engines are"
+    sp.add_argument("--jobs", type=_at_least(int, 1), default=1,
+                    help="upper bound on worker count (>= 1); current engines are"
                          " sequential, so this is an accepted bound, not a speedup")
     if caps:
-        sp.add_argument("--max-pairs", type=int, default=None,
+        count, seconds = _at_least(int, 0), _at_least(float, 0)
+        sp.add_argument("--max-pairs", type=count, default=None,
                         help=f"S-pair cap (env {ENV_PREFIX}MAX_PAIRS)")
-        sp.add_argument("--max-basis", type=int, default=None,
+        sp.add_argument("--max-basis", type=count, default=None,
                         help=f"basis-size cap (env {ENV_PREFIX}MAX_BASIS)")
-        sp.add_argument("--max-degree", type=int, default=None,
+        sp.add_argument("--max-degree", type=count, default=None,
                         help=f"S-polynomial degree cap (env {ENV_PREFIX}MAX_DEGREE)")
-        sp.add_argument("--time-limit", type=float, default=None,
+        sp.add_argument("--time-limit", type=seconds, default=None,
                         help=f"wall-clock cap in seconds (env {ENV_PREFIX}TIME_LIMIT)")
 
 

@@ -5,9 +5,25 @@ an internal keyed representation: a polynomial is a list of (exps, coeff)
 pairs in strictly descending order, basis elements are monic with cached
 leading-monomial data, and reduction runs over a dict accumulator driven by a
 lazy max-heap. Pair selection is the normal strategy (minimal lcm degree,
-deterministic tie-break); the Gebauer-Moeller product and chain criteria prune
-pairs and can be switched off to cross-check that the reduced basis does not
-change. Resource caps raise, they never truncate silently.
+deterministic tie-break); the Gebauer-Moeller product, M and chain criteria
+prune pairs and can be switched off to cross-check that the reduced basis does
+not change. Resource caps raise, they never truncate silently: they are
+checked after each seeded generator, before each S-pair, for each element of
+the final minimalize and inter-reduce passes, and every 1024 heap pops inside
+a reduction.
+
+The pair update (Gebauer & Moeller 1988) works on leading monomials packed
+into one int each, as in Monagan & Pearce's heap division (2011): one field of
+_FIELD bits per variable, x1 in the most significant field, and the top bit of
+every field a guard bit that stays clear. Comparing packed ints is then the
+same as comparing exponent tuples, so the pair queue keeps the order
+(lcm degree, lcm tuple, i, j) and every counter and basis matches the tuple
+form. Divisibility is one subtraction against the guard bits, the lcm one
+field-wise select, and the lcm degree one multiplication. Each live pair
+keeps its packed lcm, so the chain criterion rereads it instead of
+recomputing it, and the M-criterion tests a candidate only against the
+candidates already kept. A leading monomial whose degree does not fit a field
+raises ResourceCapError when it is packed; it never wraps.
 
 Verification is independent of the engine: naive_normal_form scans a plain
 dict for its maximal monomial and divides textbook-style, and
@@ -18,9 +34,11 @@ VERIFY_BASES so every basis computed through buchberger() is re-verified.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass, field as dc_field
 from heapq import heappush, heappop
 from itertools import combinations
+from operator import attrgetter
 
 from .fields import Field, FieldMismatchError, QQ
 from .poly import (
@@ -82,6 +100,12 @@ class GroebnerStats:
     basis_size: int
     max_degree_processed: int
     wall_time: float
+    # Gebauer-Moeller accounting: created = product + M + pushed onto the
+    # queue, and pushed = processed + chain once the queue has drained.
+    pairs_created: int = 0
+    pruned_product: int = 0
+    pruned_m: int = 0
+    pruned_chain: int = 0
 
 
 @dataclass(frozen=True)
@@ -113,16 +137,43 @@ def _mask(e) -> int:
     return m
 
 
-class _Elem:
-    __slots__ = ("lm", "lm_deg", "mask", "tail", "index")
+_FIELD = 16                          # bits per variable in a packed monomial
+_MAX_PACKED_DEGREE = (1 << (_FIELD - 1)) - 1  # every field keeps its guard bit
 
-    def __init__(self, terms, index):
+
+def _pack(e) -> int:
+    """Exponent tuple -> packed int, x1 in the most significant field.
+
+    The degree bound keeps every exponent, and the degree of any lcm of two
+    packed monomials, inside one field.
+    """
+    d = sum(e)
+    if d > _MAX_PACKED_DEGREE:
+        raise ResourceCapError(
+            "pair update",
+            f"leading monomial of degree {d} exceeds the packed limit {_MAX_PACKED_DEGREE}")
+    m = 0
+    for x in e:
+        m = (m << _FIELD) | x
+    return m
+
+
+class _Elem:
+    __slots__ = ("lm", "mask", "packed", "order", "tail")
+
+    def __init__(self, terms):
         # terms descending, monic
-        self.lm = terms[0][0]
-        self.lm_deg = sum(self.lm)
-        self.mask = _mask(self.lm)
+        lm = terms[0][0]
+        self.lm = lm
+        self.mask = _mask(lm)
+        self.packed = _pack(lm)
+        # divisor search order: degree, then the reversed exponents; as one
+        # packed int it sorts like (degree, _nkey(lm))
+        self.order = (sum(lm) << (len(lm) * _FIELD)) | _pack(lm[::-1])
         self.tail = terms[1:]
-        self.index = index
+
+
+_ORDER = attrgetter("order")
 
 
 def _poly_terms(p: Polynomial) -> list:
@@ -137,11 +188,12 @@ def _monic_terms(terms, field):
     return [(e, mul(c, inv)) for e, c in terms]
 
 
-def _reduce_terms(terms, reducers, field):
+def _reduce_terms(terms, reducers, field, deadline=None):
     """Full normal form of a term list modulo monic reducers.
 
     Returns the remainder as a descending term list. reducers must be sorted
-    in the order divisor search should try them (ascending lm degree).
+    in the order divisor search should try them (ascending lm degree). With a
+    deadline (a time.monotonic() value) it is checked every 1024 heap pops.
     """
     prime = field.char if field.char else None
     acc: dict = {}
@@ -163,8 +215,12 @@ def _reduce_terms(terms, reducers, field):
             else:
                 acc[e] = prev + c
     out = []
+    pops = 0
     while heap:
         _, e = heappop(heap)
+        pops += 1
+        if not pops & 1023 and deadline is not None and time.monotonic() > deadline:
+            raise ResourceCapError("reduction", f"time limit hit after {pops} heap pops")
         c = acc.pop(e, None)
         if not c:
             continue
@@ -223,18 +279,6 @@ def _spoly_terms(f: _Elem, g: _Elem, field):
     return terms
 
 
-def _insert_reducer(reducers, elem):
-    key = (elem.lm_deg, _nkey(elem.lm))
-    lo, hi = 0, len(reducers)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (reducers[mid].lm_deg, _nkey(reducers[mid].lm)) <= key:
-            lo = mid + 1
-        else:
-            hi = mid
-    reducers.insert(lo, elem)
-
-
 def buchberger(
     ideal: Ideal,
     limits: EngineLimits | None = None,
@@ -244,89 +288,101 @@ def buchberger(
     limits = limits or DEFAULT_LIMITS
     field = ideal.field
     start = time.monotonic()
+    deadline = None if limits.time_limit is None else start + limits.time_limit
+
+    # Packed-monomial constants for this ring (see the module docstring).
+    n = len(ideal.vars)
+    value_bits = _FIELD - 1
+    ones = sum(1 << (k * _FIELD) for k in range(n))  # a 1 in every field
+    guards = ones << value_bits
+    deg_shift = max(n - 1, 0) * _FIELD  # x * ones sums every field into the top one
+    field_mask = (1 << _FIELD) - 1
 
     basis: list[_Elem] = []
     reducers: list[_Elem] = []
-    heap: list = []  # (lcm_deg, lcm, i, j)
-    live: set = set()
+    heap: list = []  # (lcm_deg, packed lcm, i, j)
+    live: dict = {}  # (i, j) -> packed lcm of the pairs still pending
     pairs_processed = 0
     zero_reductions = 0
     max_degree_processed = 0
+    pairs_created = pruned_product = pruned_m = pruned_chain = 0
 
     def check_caps(stage: str):
         if pairs_processed > limits.max_pairs:
             raise ResourceCapError(stage, f"pair limit {limits.max_pairs} hit")
         if len(basis) > limits.max_basis:
             raise ResourceCapError(stage, f"basis size limit {limits.max_basis} hit")
-        if limits.time_limit is not None and time.monotonic() - start > limits.time_limit:
+        if deadline is not None and time.monotonic() > deadline:
             raise ResourceCapError(stage, f"time limit {limits.time_limit}s hit")
 
     def add_element(terms):
         """Gebauer-Moeller update with the new monic element."""
-        elem = _Elem(terms, len(basis))
-        t = elem.index
+        nonlocal pairs_created, pruned_product, pruned_m, pruned_chain
+        elem = _Elem(terms)
+        t = len(basis)
+        lm = elem.packed
+        lm_g = lm | guards
+        # lcms[i] = lcm(lm_i, lm): guard bits of lm_g - lm_i mark the fields
+        # where lm is the larger exponent; widen them to field masks.
+        lcms = []
+        for g in basis:
+            sel = (lm_g - g.packed) & guards
+            sel -= sel >> value_bits
+            lcms.append((lm & sel) | (g.packed & ~sel))
+        pairs_created += t
         if use_criteria:
-            cand = []
-            for g in basis:
-                lcm = mono_lcm(elem.lm, g.lm)
-                cand.append((sum(lcm), lcm, g.index))
-            cand.sort()
-            kept: list = []
-            dropped = [False] * len(cand)
-            for a, (deg_a, lcm_a, ia) in enumerate(cand):
-                drop = False
-                for b, (deg_b, lcm_b, ib) in enumerate(cand):
-                    if a == b or dropped[b]:
-                        continue
-                    if deg_b > deg_a:
-                        break  # sorted; no divisor beyond this point
-                    if mono_divides(lcm_b, lcm_a):
-                        if lcm_b == lcm_a and b > a:
-                            continue  # equal lcm: the earlier entry yields
-                        drop = True
+            # chain criterion on the pending pairs: the new lm divides their
+            # lcm, and neither lcm with the new element equals it
+            doomed = []
+            for key, lcm in live.items():
+                if ((lcm | guards) - lm) & guards == guards:
+                    i, j = key
+                    if lcms[i] != lcm and lcms[j] != lcm:
+                        doomed.append(key)
+            for key in doomed:
+                del live[key]
+            pruned_chain += len(doomed)
+            # M-criterion: in (degree, lcm, i) order, a candidate survives
+            # unless the lcm of a candidate kept before it divides its own
+            cand = sorted((((lcm * ones) >> deg_shift) & field_mask, lcm, i)
+                          for i, lcm in enumerate(lcms))
+            kept = []
+            kept_lcms = []
+            for c in cand:
+                lcm_g = c[1] | guards
+                for other in kept_lcms:
+                    if (lcm_g - other) & guards == guards:
                         break
-                dropped[a] = drop
-                if not drop:
-                    kept.append((deg_a, lcm_a, ia))
+                else:
+                    kept.append(c)
+                    kept_lcms.append(c[1])
+            pruned_m += t - len(kept)
             for deg_l, lcm, i in kept:
-                g = basis[i]
-                if mono_mul(elem.lm, g.lm) == lcm:
-                    continue  # product criterion: coprime leading monomials
-                live.add((i, t))
-                heappush(heap, (deg_l, lcm, i, t))
-            # chain criterion against pending old pairs
-            for (i, j) in list(live):
-                if j == t:
+                if not basis[i].mask & elem.mask:
+                    pruned_product += 1  # coprime leading monomials
                     continue
-                gi, gj = basis[i], basis[j]
-                lcm_ij = mono_lcm(gi.lm, gj.lm)
-                if (
-                    mono_divides(elem.lm, lcm_ij)
-                    and mono_lcm(gi.lm, elem.lm) != lcm_ij
-                    and mono_lcm(gj.lm, elem.lm) != lcm_ij
-                ):
-                    live.discard((i, j))
+                live[(i, t)] = lcm
+                heappush(heap, (deg_l, lcm, i, t))
         else:
-            for g in basis:
-                lcm = mono_lcm(elem.lm, g.lm)
-                live.add((g.index, t))
-                heappush(heap, (sum(lcm), lcm, g.index, t))
+            for i, lcm in enumerate(lcms):
+                live[(i, t)] = lcm
+                heappush(heap, (((lcm * ones) >> deg_shift) & field_mask, lcm, i, t))
         basis.append(elem)
-        _insert_reducer(reducers, elem)
+        insort(reducers, elem, key=_ORDER)
 
     # seed with the reduced nonzero generators
     for g in ideal.generators:
         if g.is_zero():
             continue
-        red = _reduce_terms(_poly_terms(g), reducers, field)
+        red = _reduce_terms(_poly_terms(g), reducers, field, deadline)
         if red:
             add_element(_monic_terms(red, field))
+        check_caps("seeding")
 
     while heap:
         deg_l, lcm, i, j = heappop(heap)
-        if (i, j) not in live:
+        if live.pop((i, j), None) is None:
             continue
-        live.discard((i, j))
         pairs_processed += 1
         if deg_l > max_degree_processed:
             max_degree_processed = deg_l
@@ -334,25 +390,29 @@ def buchberger(
             raise ResourceCapError("pair processing", f"degree limit {limits.max_degree} hit at {deg_l}")
         check_caps("pair processing")
         spoly = _spoly_terms(basis[i], basis[j], field)
-        red = _reduce_terms(spoly, reducers, field)
+        red = _reduce_terms(spoly, reducers, field, deadline)
         if red:
             add_element(_monic_terms(red, field))
         else:
             zero_reductions += 1
 
     # minimalize: keep only elements whose lm no other kept lm divides
-    order = sorted(basis, key=lambda g: (g.lm_deg, _nkey(g.lm)))
     kept: list[_Elem] = []
-    for g in order:
-        if any(mono_divides(k.lm, g.lm) for k in kept):
-            continue
-        kept.append(g)
-    # inter-reduce tails
+    for g in sorted(basis, key=_ORDER):
+        check_caps("minimalize")
+        packed_g = g.packed | guards
+        for k in kept:
+            if (packed_g - k.packed) & guards == guards:
+                break
+        else:
+            kept.append(g)
+    # inter-reduce tails; kept is already in divisor search order
     final_terms = []
     for g in kept:
+        check_caps("inter-reduce")
         others = [k for k in kept if k is not g]
         terms = [(g.lm, field.one)] + list(g.tail)
-        red = _reduce_terms(terms, sorted(others, key=lambda k: (k.lm_deg, _nkey(k.lm))), field)
+        red = _reduce_terms(terms, others, field, deadline)
         final_terms.append(_monic_terms(red, field))
     final_terms.sort(key=lambda ts: mono_key(ts[0][0]))
     polys = tuple(Polynomial(ideal.vars, field, tuple(ts)) for ts in final_terms)
@@ -362,6 +422,10 @@ def buchberger(
         basis_size=len(polys),
         max_degree_processed=max_degree_processed,
         wall_time=time.monotonic() - start,
+        pairs_created=pairs_created,
+        pruned_product=pruned_product,
+        pruned_m=pruned_m,
+        pruned_chain=pruned_chain,
     )
     result = GroebnerBasis(ideal.vars, field, polys, stats)
     if VERIFY_BASES and polys:
@@ -377,8 +441,8 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise FieldMismatchError("polynomial and basis must share one ring")
     if p.is_zero() or not gb.polys:
         return p
-    elems = [_Elem(list(g.terms), i) for i, g in enumerate(gb.polys)]
-    elems.sort(key=lambda g: (g.lm_deg, _nkey(g.lm)))
+    elems = [_Elem(list(g.terms)) for g in gb.polys]
+    elems.sort(key=_ORDER)
     red = _reduce_terms(list(p.terms), elems, gb.field)
     return Polynomial(p.vars, p.field, tuple(red))
 

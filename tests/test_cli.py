@@ -295,10 +295,9 @@ def test_environment_caps_and_flag_precedence(capsys, monkeypatch):
     rc, _, _ = run(capsys, ["codim", "--poly", "det2", "--max-pairs", "100000"])
     assert rc == 0
     monkeypatch.setenv("DETCOMP_MAX_PAIRS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["codim", "--poly", "det2"])
-    assert "DETCOMP_MAX_PAIRS" in str(exc.value.code)
-    capsys.readouterr()
+    rc, _, err = run(capsys, ["codim", "--poly", "det2"])
+    assert rc == 2
+    assert "DETCOMP_MAX_PAIRS" in err
 
 
 def test_deterministic_output_is_reproducible(capsys):
@@ -316,3 +315,38 @@ def test_jobs_flag_is_accepted(capsys):
     rc, out, _ = run(capsys, ["parse", "--poly", "x", "--jobs", "4"])
     assert rc == 0
     assert out.strip() == "x"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5", "two"])
+def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", "--poly", "x", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--max-pairs", "--max-basis", "--max-degree", "--time-limit"])
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_negative_cap_flag_is_a_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--poly", "perm3", "--field", "Fp:32003", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["MAX_PAIRS", "MAX_BASIS", "MAX_DEGREE", "TIME_LIMIT"])
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_negative_cap_environment_is_an_input_error(capsys, monkeypatch, name, value):
+    monkeypatch.setenv("DETCOMP_" + name, value)
+    rc, _, err = run(capsys, ["certify", "--poly", "perm3", "--field", "Fp:32003"])
+    assert rc == 2
+    assert "DETCOMP_" + name in err
+    # a valid flag still takes precedence over the environment
+    flag = "--" + name.lower().replace("_", "-")
+    rc, _, _ = run(capsys, ["certify", "--poly", "perm3", "--field", "Fp:32003", flag, "100000"])
+    assert rc == 0
+
+
+def test_zero_caps_are_valid_and_hit(capsys):
+    rc, _, err = run(capsys, ["certify", "--poly", "perm3", "--field", "Fp:32003", "--time-limit", "0"])
+    assert rc == 3 and "resource cap" in err

@@ -1,9 +1,14 @@
 """Groebner engine: reduced bases, normal forms, dimension, resource caps."""
 
+import hashlib
 import itertools
+import pathlib
+import random
 
 import pytest
 
+from detcomp import groebner
+from detcomp.cli import main
 from detcomp.fields import QQ, Fp
 from detcomp.groebner import (
     EngineLimits,
@@ -19,7 +24,9 @@ from detcomp.groebner import (
     normal_form,
     staircase_dimension,
 )
+from detcomp.matmap import perm_polynomial
 from detcomp.poly import Polynomial, poly_ring, random_polynomial, varset
+from detcomp.singularity import jacobian_ideal
 
 XY = varset("x", "y")
 XYZ = varset("x", "y", "z")
@@ -278,6 +285,54 @@ def test_time_cap_raises():
         buchberger(ideal("x^2 - y", "x^3 - z", "y^3 - x"), limits=limits)
 
 
+def test_caps_hold_while_seeding():
+    with pytest.raises(ResourceCapError) as ei:
+        buchberger(ideal("x^2 - y"), limits=EngineLimits(time_limit=0.0))
+    assert ei.value.stage == "seeding"
+    with pytest.raises(ResourceCapError) as ei:
+        buchberger(ideal("x^2 - y", "x*y - z"), limits=EngineLimits(max_basis=1))
+    assert ei.value.stage == "seeding" and "basis size limit" in str(ei.value)
+
+
+def test_time_cap_holds_inside_one_reduction():
+    """A single generator with 1365 terms: the deadline is read after 1024 pops."""
+    big = P("w + x + y + z + 1", varset("w", "x", "y", "z"), Fp(32003)) ** 11
+    assert len(big.terms) > 1024
+    with pytest.raises(ResourceCapError) as ei:
+        buchberger(Ideal.of(big), limits=EngineLimits(time_limit=0.0))
+    assert ei.value.stage == "reduction"
+    assert len(buchberger(Ideal.of(big)).polys) == 1
+
+
+def test_time_cap_reaches_every_phase(monkeypatch):
+    """A clock that ticks one second per reading walks the cap through each phase.
+
+    With time_limit = t - 0.5 the t-th cap check after the start fires, so
+    the stages hit as t grows are the phases in the order they run.
+    """
+    monkeypatch.setattr(groebner.time, "monotonic", lambda: float(next(clock)))
+    gens = ("x^2 - y", "x^3 - z")
+    stages = []
+    for t in itertools.count(1):
+        clock = itertools.count()
+        try:
+            buchberger(ideal(*gens), limits=EngineLimits(time_limit=t - 0.5))
+        except ResourceCapError as exc:
+            if not stages or stages[-1] != exc.stage:
+                stages.append(exc.stage)
+            continue
+        break
+    assert stages == ["seeding", "pair processing", "minimalize", "inter-reduce"]
+
+
+def test_packed_monomial_degree_is_capped():
+    assert len(buchberger(ideal("x^32767 - y", vars=XY)).polys) == 1
+    for text in ("x^32768 - y", "x^20000*y^20000 - 1"):
+        with pytest.raises(ResourceCapError) as ei:
+            buchberger(ideal(text, vars=XY))
+        assert ei.value.stage == "pair update" and "packed limit" in str(ei.value)
+
+
 def test_stats_populated():
     gb = buchberger(ideal("x^2 - y", "x^3 - z"))
     s = gb.stats
@@ -285,3 +340,121 @@ def test_stats_populated():
     assert s.pairs_processed >= 1
     assert s.wall_time >= 0.0
     assert s.max_degree_processed >= 2
+
+
+# --------------------------------------------------------------- pinned work
+#
+# Counters and reduced bases recorded from the engine before its pair update
+# was rewritten on packed monomials. The pair update may change how the
+# criteria are evaluated, never which pairs survive them or the order in which
+# they are processed, so these values must repeat exactly.
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def work(gb):
+    s = gb.stats
+    return (s.pairs_processed, s.zero_reductions, s.basis_size, s.max_degree_processed)
+
+
+def assert_pair_accounting(gb, plain=None):
+    """created = product + M + pushed, and pushed = processed + chain."""
+    s = gb.stats
+    pushed = s.pairs_created - s.pruned_product - s.pruned_m
+    assert pushed == s.pairs_processed + s.pruned_chain
+    if plain is not None:
+        s = plain.stats
+        assert s.pairs_created == s.pairs_processed
+        assert s.pruned_product == s.pruned_m == s.pruned_chain == 0
+
+
+def basis_digest(gb):
+    text = "\n".join(str(p) for p in gb.polys)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+PINNED_FIELDS = (Fp(7), Fp(101), Fp(32003), QQ)
+
+
+def pinned_random_ideal(k):
+    rng = random.Random(7000 + k)
+    n = 4 + k % 2
+    vs = varset(*(f"x{i}" for i in range(n)))
+    field = PINNED_FIELDS[k % 4]
+    gens = [random_polynomial(vs, field, rng, degree=2 + (k % 3 == 0), terms=3 + k % 3)
+            for _ in range(n - 1 + k % 2)]
+    return Ideal.of(*(g for g in gens if not g.is_zero()))
+
+
+# k -> (work with criteria, (pairs, zeros) without criteria, basis digest)
+PINNED_RANDOM = {
+    0: ((4, 2, 3, 4), (10, 8), "188f315afb225f05"),
+    1: ((5, 2, 5, 2), (28, 25), "ab3fcc704d2012bc"),
+    2: ((2, 1, 4, 4), (6, 5), "261ad8730780ab35"),
+    3: ((52, 30, 15, 4), (351, 329), "5e31ae0ab14fd727"),
+    4: ((2, 1, 4, 3), (6, 5), "c8aef2f74330e475"),
+    5: ((0, 0, 1, 0), (3, 3), "6b86b273ff34fce1"),
+    6: ((21, 13, 11, 6), (55, 47), "c02d745c3408ec99"),
+    7: ((9, 5, 6, 3), (36, 32), "07fe30d21ed61477"),
+    8: ((2, 1, 4, 3), (6, 5), "57fcd79219b1c213"),
+    9: ((2, 2, 1, 3), (10, 10), "6b86b273ff34fce1"),
+    10: ((8, 5, 4, 4), (15, 12), "9467ee62b0c7cdae"),
+    11: ((46, 33, 16, 5), (153, 140), "ab1958f9363316a8"),
+    12: ((0, 0, 1, 0), (1, 1), "6b86b273ff34fce1"),
+    13: ((36, 22, 8, 3), (171, 157), "f2420ceaed8ce4c2"),
+    14: ((2, 1, 3, 3), (6, 5), "f28ec47da121e5f1"),
+    15: ((50, 32, 15, 4), (253, 235), "3c7382e1a0a761f1"),
+    16: ((0, 0, 1, 0), (0, 0), "6b86b273ff34fce1"),
+    17: ((17, 12, 7, 3), (45, 40), "f7037045413a52c2"),
+    18: ((2, 1, 4, 4), (6, 5), "b21207412fd17000"),
+    19: ((43, 30, 15, 3), (153, 140), "9889075b10f8c4eb"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_RANDOM))
+def test_pinned_random_ideal_work(k):
+    want_work, want_plain, want_digest = PINNED_RANDOM[k]
+    idl = pinned_random_ideal(k)
+    gb = buchberger(idl)
+    plain = buchberger(idl, use_criteria=False)
+    assert work(gb) == want_work
+    assert work(plain)[:2] == want_plain
+    assert_pair_accounting(gb, plain)
+    assert basis_digest(gb) == basis_digest(plain) == want_digest
+
+
+@pytest.mark.parametrize("field", [Fp(32003), QQ], ids=["Fp32003", "Q"])
+def test_pinned_perm3_work(field):
+    gb = buchberger(jacobian_ideal(perm_polynomial(3, field)))
+    assert work(gb) == (86, 71, 24, 5)
+    assert basis_digest(gb) == "8a4971806dde0a68"
+    assert_pair_accounting(gb)
+    s = gb.stats
+    assert min(s.pruned_product, s.pruned_m, s.pruned_chain) > 0
+
+
+def test_pinned_perm4_slice_work(monkeypatch):
+    """perm4 with x11 = 0 over F_32003: the benchmark's certify instance.
+
+    The basis is compared with the digest recorded from the engine before
+    its pair update was rewritten. The S-pair oracle accepts that basis, but
+    needs 5 to 7 minutes of CPU for its 130k pairs, so it is switched off for
+    this single basis only.
+    """
+    monkeypatch.setattr(groebner, "VERIFY_BASES", False)
+    F = Fp(32003)
+    f = perm_polynomial(4, F)
+    images = [Polynomial.zero(f.vars, F) if v == "x11" else Polynomial.variable(f.vars, F, i)
+              for i, v in enumerate(f.vars)]
+    gb = buchberger(jacobian_ideal(f.substitute_affine(images)))
+    assert work(gb) == (4128, 3633, 510, 10)
+    assert basis_digest(gb) == "428b8fffcb67a672"
+    assert_pair_accounting(gb)
+
+
+def test_golden_perm3_certificate_json(capsys):
+    rc = main(["certify", "--poly", "perm3", "--field", "Fp:32003",
+               "--format", "json", "--deterministic"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == (DATA / "certify_perm3_Fp32003.json").read_text()
