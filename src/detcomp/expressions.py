@@ -100,9 +100,9 @@ def abp_to_determinant(abp: ABP) -> AffineMatrixMap:
 
     Classical conversion: the sink is merged into the source, every other
     vertex gets 1 on the diagonal, and an edge u -> v places its label at
-    (u, v). The determinant then equals the path-sum up to a global sign,
-    which is fixed by rescaling the source row; the result is re-verified
-    against the path-sum before returning.
+    (u, v). The determinant then equals the path-sum up to a global sign.
+    It is computed once and compared with the path-sum; a sign mismatch is
+    fixed by negating the source row, which negates the determinant exactly.
     """
     vars, field = abp.vars, abp.field
     index = {}
@@ -124,10 +124,9 @@ def abp_to_determinant(abp: ABP) -> AffineMatrixMap:
     det = symbolic_det(mapping, algorithm="auto")
     if det == target:
         return mapping
-    if det == target.scale(field.neg(field.one)):
-        flipped = mapping.scale_row(0, field.neg(field.one))
-        if symbolic_det(flipped, algorithm="auto") == target:
-            return flipped
+    if det == -target:
+        # negating one row negates the determinant exactly
+        return mapping.scale_row(0, field.neg(field.one))
     raise RuntimeError("conversion sign could not be normalized; the path-sum was not reproduced")
 
 
@@ -217,8 +216,8 @@ class ParamTemplate:
     def size(self) -> int:
         return len(self.entries)
 
-    def determinant(self, cap: int = 8) -> Polynomial:
-        return symbolic_det(self.entries, algorithm="auto", cap=cap)
+    def determinant(self) -> Polynomial:
+        return symbolic_det(self.entries, algorithm="auto")
 
     def instantiate(self, assignment: dict) -> AffineMatrixMap:
         """Substitute parameter values (name -> field value) into the grid."""
@@ -269,7 +268,6 @@ def extract_coefficient_equations(
     template: ParamTemplate,
     target: Polynomial,
     monomial_filter=None,
-    cap: int = 8,
 ) -> list:
     """Equations the target imposes on the template's parameters.
 
@@ -283,7 +281,7 @@ def extract_coefficient_equations(
         raise FieldMismatchError("target must live over the template's main ring")
     field = template.field
     nm = len(template.main_vars)
-    det = template.determinant(cap=cap)
+    det = template.determinant()
     buckets: dict = {}
     for e, c in det.terms:
         buckets.setdefault(e[:nm], {})[e[nm:]] = c

@@ -5,6 +5,14 @@ with constant part C and linear part Z. Determinants are computed exactly by
 one of two independent algorithms: memoized Laplace expansion (default, capped
 size) and the division-free Berkowitz method (uncapped). Both return the same
 canonical Polynomial, which the tests cross-check.
+
+symbolic_det(algorithm="auto") chooses by work, not by size. A bit-mask walk
+over the row subsets the Laplace expansion would reach counts its polynomial
+products, with no polynomial arithmetic, and stops once the count passes the
+O(m^4) product count of Berkowitz or LAPLACE_MAX_PRODUCTS. Laplace runs when
+it stays within both: every matrix up to 8x8 and sparse ones of any size,
+such as the 15x15 Grenet expression of perm4. Dense matrices from 9x9 up go
+to Berkowitz.
 """
 
 from __future__ import annotations
@@ -16,9 +24,12 @@ from typing import Sequence
 
 from . import linalg
 from .fields import Field, FieldMismatchError, QQ
-from .poly import ArityError, Polynomial, VarSet, mono_key, mono_str
+from .poly import Polynomial, VarSet, mono_key, mono_str, point_values
 
 LAPLACE_DEFAULT_CAP = 8
+# Most products symbolic_det(auto) lets Laplace-memo make, whatever Berkowitz
+# would cost; it bounds the chooser's walk and Laplace's memo of subsets.
+LAPLACE_MAX_PRODUCTS = 1 << 18
 
 
 class DeterminantSizeError(ValueError):
@@ -76,8 +87,25 @@ class AffineMatrixMap:
         return AffineMatrixMap(self.vars, self.field, tuple(rows))
 
     def evaluate(self, point: Sequence) -> list:
-        """Raw value matrix L(point)."""
-        return [[p.evaluate(point).value for p in row] for row in self.entries]
+        """Raw value matrix L(point).
+
+        The point is converted once per call. Every entry has degree <= 1, so
+        its value is its constant plus one coefficient-times-coordinate product
+        per variable term.
+        """
+        field = self.field
+        vals = point_values(self.vars, field, point)
+        p = field.char
+        rows = []
+        for row in self.entries:
+            out = []
+            for entry in row:
+                total = field.zero
+                for e, c in entry.terms:
+                    total += c * vals[e.index(1)] if 1 in e else c
+                out.append(total % p if p else total)
+            rows.append(out)
+        return rows
 
     def scale_row(self, i: int, c) -> "AffineMatrixMap":
         rows = [tuple(row) for row in self.entries]
@@ -166,20 +194,63 @@ def det_berkowitz(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return -det if m % 2 == 1 else det
 
 
+def berkowitz_products(m: int) -> int:
+    """Polynomial products det_berkowitz makes on an m x m grid, about m^4 / 4."""
+    # step k: k - 1 rounds of a row product and a matrix-vector product,
+    # (k - 1)^2 k in all, then k (k + 3) / 2 for the Toeplitz product
+    return sum((k - 1) ** 2 * k + k * (k + 3) // 2 for k in range(2, m + 1))
+
+
+def laplace_is_cheaper(grid: Sequence[Sequence[Polynomial]]) -> bool:
+    """Whether det_laplace_memo makes at most berkowitz_products(m) products.
+
+    Walks, as bit masks and level by level, the row subsets that
+    det_laplace_memo reaches: a subset expands along column m - |S| into one
+    product per row of S with a nonzero entry there. Products by the empty
+    minor 1 in the last column are free and not counted. The walk does no
+    polynomial arithmetic and stops as soon as the count passes the bound, or
+    LAPLACE_MAX_PRODUCTS, so its time and the subsets it holds stay below
+    that many. A dense m x m grid makes m 2^(m-1) - m products, within the
+    bound up to m = 8 and past it from 9.
+    """
+    m = len(grid)
+    limit = min(berkowitz_products(m), LAPLACE_MAX_PRODUCTS)
+    columns = [sum(1 << i for i in range(m) if not grid[i][j].is_zero()) for j in range(m - 1)]
+    level = {(1 << m) - 1}
+    products = 0
+    for column in columns:
+        below = set()
+        for mask in level:
+            rows = mask & column
+            products += rows.bit_count()
+            if products > limit:
+                return False
+            while rows:
+                low = rows & -rows
+                below.add(mask ^ low)
+                rows ^= low
+        level = below
+    return True
+
+
 def symbolic_det(
     mapping: AffineMatrixMap | Sequence[Sequence[Polynomial]],
     algorithm: str = "laplace-memo",
     cap: int = LAPLACE_DEFAULT_CAP,
 ) -> Polynomial:
-    """Exact determinant of a polynomial matrix; both algorithms agree."""
+    """Exact determinant of a polynomial matrix; both algorithms agree.
+
+    cap bounds the size of an explicit "laplace-memo" request. "auto" runs
+    Laplace-memo at any size when laplace_is_cheaper says so, else Berkowitz.
+    """
     grid = mapping.entries if isinstance(mapping, AffineMatrixMap) else mapping
     if algorithm == "laplace-memo":
         return det_laplace_memo(grid, cap=cap)
     if algorithm == "berkowitz":
         return det_berkowitz(grid)
     if algorithm == "auto":
-        if len(grid) <= cap:
-            return det_laplace_memo(grid, cap=cap)
+        if laplace_is_cheaper(grid):
+            return det_laplace_memo(grid, cap=len(grid))
         return det_berkowitz(grid)
     raise ValueError(f"unknown determinant algorithm {algorithm!r}")
 
@@ -309,13 +380,12 @@ def verify_expression(
     mode: str = "exact",
     trials: int = 100,
     seed: int = 0,
-    cap: int = LAPLACE_DEFAULT_CAP,
 ) -> VerificationReport:
     """Check det(L(x)) == f(x), exactly or by Schwartz-Zippel sampling."""
     if mapping.vars != target.vars or mapping.field != target.field:
         raise FieldMismatchError("map and target must share one ring")
     if mode == "exact":
-        det = symbolic_det(mapping, algorithm="auto", cap=cap)
+        det = symbolic_det(mapping, algorithm="auto")
         diff = det - target
         if diff.is_zero():
             return VerificationReport(mode="exact", ok=True)

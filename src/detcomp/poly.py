@@ -90,6 +90,21 @@ def mono_key(e: Monomial):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
+def point_values(vars: VarSet, field: Field, point: Sequence) -> list:
+    """Raw values of a point of the ring's affine space, one per variable."""
+    if len(point) != len(vars):
+        raise ArityError(f"point of length {len(point)} for {len(vars)} variables")
+    vals = []
+    for x in point:
+        if isinstance(x, FieldElement):
+            if x.field != field:
+                raise FieldMismatchError(f"{field} vs {x.field}")
+            vals.append(x.value)
+        else:
+            vals.append(field.of(x))
+    return vals
+
+
 def mono_str(e: Monomial, vars: VarSet) -> str:
     parts = []
     for name, exp in zip(vars, e):
@@ -340,17 +355,8 @@ class Polynomial:
 
     def evaluate(self, point: Sequence) -> FieldElement:
         """Exact evaluation at a point over this polynomial's field."""
-        if len(point) != len(self.vars):
-            raise ArityError(f"point of length {len(point)} for {len(self.vars)} variables")
         field = self.field
-        vals = []
-        for x in point:
-            if isinstance(x, FieldElement):
-                if x.field != field:
-                    raise FieldMismatchError(f"{field} vs {x.field}")
-                vals.append(x.value)
-            else:
-                vals.append(field.of(x))
+        vals = point_values(self.vars, field, point)
         if isinstance(field, type(QQ)):
             total = Fraction(0)
             for e, c in self.terms:

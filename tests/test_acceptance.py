@@ -105,7 +105,7 @@ def test_criterion_04_grenet_pipeline():
 
 
 def test_criterion_04_optional_size_15():
-    with budget(600):
+    with budget(30):
         mapping = abp_to_determinant(grenet_abp(4))
         assert mapping.size == 15
         assert verify_expression(mapping, perm_polynomial(4), mode="exact").ok

@@ -2,6 +2,7 @@
 
 import pytest
 
+from detcomp import expressions
 from detcomp.expressions import (
     ABP,
     ParamTemplate,
@@ -16,7 +17,7 @@ from detcomp.expressions import (
 )
 from detcomp.fields import QQ, FieldMismatchError, Fp
 from detcomp.groebner import ResourceCapError
-from detcomp.matmap import perm_polynomial, symbolic_det, verify_expression
+from detcomp.matmap import det_berkowitz, perm_polynomial, symbolic_det, verify_expression
 from detcomp.poly import Polynomial, varset
 
 SIX_EQUATIONS = (
@@ -181,6 +182,26 @@ def test_abp_to_determinant_random_agrees_with_path_sum(rng):
         assert symbolic_det(mapping) == abp.path_sum()
         checked += 1
     assert checked == 12
+
+
+def test_abp_sign_fix_negates_source_row_with_one_determinant(monkeypatch):
+    """source -x-> v -y-> sink converts to [[0, x], [y, 1]], determinant -x*y."""
+    vs = varset("x", "y")
+    x, y = (Polynomial.variable(vs, QQ, i) for i in range(2))
+    zero, one = Polynomial.zero(vs, QQ), Polynomial.const(vs, QQ, 1)
+    abp = ABP(vs, QQ, (("s",), ("v",), ("t",)), ((0, 0, 0, x), (1, 0, 0, y)))
+    assert abp.path_sum() == x * y
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return symbolic_det(*args, **kwargs)
+
+    monkeypatch.setattr(expressions, "symbolic_det", counted)
+    mapping = abp_to_determinant(abp)
+    assert len(calls) == 1
+    assert mapping.entries == ((zero, -x), (y, one))
+    assert det_berkowitz(mapping.entries) == abp.path_sum()
 
 
 def test_grenet_determinant_sizes_and_exactness():

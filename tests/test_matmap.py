@@ -1,25 +1,30 @@
 """Affine matrix maps: determinants, rank normalization, verification."""
 
+import time
 import warnings
 from itertools import permutations
 
 import pytest
 
-from detcomp import linalg
-from detcomp.expressions import catalog_get
-from detcomp.fields import QQ, FieldMismatchError, Fp
+from detcomp import linalg, matmap
+from detcomp.expressions import abp_to_determinant, catalog_get, grenet_abp
+from detcomp.fields import QQ, FieldElement, FieldMismatchError, Fp
 from detcomp.matmap import (
     AffineMatrixMap,
     DeterminantSizeError,
     FieldTooSmallError,
+    berkowitz_products,
+    det_berkowitz,
+    det_laplace_memo,
     generic_det_polynomial,
     generic_matrix_map,
+    laplace_is_cheaper,
     perm_polynomial,
     rank_and_normalize,
     symbolic_det,
     verify_expression,
 )
-from detcomp.poly import Polynomial, random_polynomial, varset
+from detcomp.poly import ArityError, Polynomial, random_polynomial, varset
 
 
 def parse_map(rows, vars, field=QQ):
@@ -39,6 +44,34 @@ def random_map(vars, field, m, rng):
         for _ in range(m)
     ]
     return AffineMatrixMap.from_rows(vars, field, rows)
+
+
+def dense_grid(m, rng):
+    """m x m grid over F_32003 in x, y; every entry a + b*x + c*y with a, b, c != 0."""
+    F = Fp(32003)
+    V = varset("x", "y")
+    return [
+        [
+            Polynomial.from_dict(V, F, {e: rng.randrange(1, F.char) for e in ((0, 0), (1, 0), (0, 1))})
+            for _ in range(m)
+        ]
+        for _ in range(m)
+    ]
+
+
+def sparse_map(vars, field, m, density, rng):
+    """Random nonzero diagonal plus off-diagonal entries kept with probability density."""
+    zero = Polynomial.zero(vars, field)
+    rows = [
+        [
+            random_polynomial(vars, field, rng, degree=1, terms=2)
+            if i == j or rng.random() < density else zero
+            for j in range(m)
+        ]
+        for i in range(m)
+    ]
+    return AffineMatrixMap.from_rows(vars, field, rows)
+
 
 
 # ------------------------------------------------------------- construction
@@ -67,6 +100,41 @@ def test_structure_accessors():
     assert L.evaluate([1, 1]) == [[QQ.of(6), QQ.of(1)], [QQ.of(1), QQ.of(0)]]
     lin = L.linear_part()
     assert all(p.constant_term() == QQ.zero for row in lin.entries for p in row)
+
+
+def test_evaluate_matches_entrywise_polynomial_evaluation(rng):
+    vars = varset("x", "y", "z")
+    for field in (QQ, Fp(32003)):
+        for m in (1, 3, 5):
+            L = random_map(vars, field, m, rng)
+            for point in (
+                [field.sample(rng, 101) for _ in vars],
+                [rng.randint(-50, 50) for _ in vars],
+                ["1/3", 0, FieldElement(field, field.of(7))],
+            ):
+                got = L.evaluate(point)
+                want = [[p.evaluate(point).value for p in row] for row in L.entries]
+                assert got == want
+                assert [[type(v) for v in row] for row in got] == [[type(v) for v in row] for row in want]
+    # the zero entry evaluates to the field's zero, a Fraction over Q
+    zero = AffineMatrixMap.from_rows(vars, QQ, [[Polynomial.zero(vars, QQ)]]).evaluate([1, 2, 3])
+    assert zero == [[QQ.zero]] and type(zero[0][0]) is type(QQ.zero)
+
+
+def test_evaluate_raises_what_polynomial_evaluate_raises(rng):
+    vars = varset("x", "y", "z")
+    for field, foreign in ((QQ, Fp(7)), (Fp(32003), Fp(7)), (Fp(7), QQ)):
+        L = random_map(vars, field, 3, rng)
+        entry = L.entries[0][0]
+        for point, error in (
+            ([1, 2], ArityError),
+            ([1, 2, 3, 4], ArityError),
+            ([1, FieldElement(foreign, foreign.of(1)), 3], FieldMismatchError),
+        ):
+            with pytest.raises(error):
+                entry.evaluate(point)
+            with pytest.raises(error):
+                L.evaluate(point)
 
 
 # ------------------------------------------------------------- determinants
@@ -129,6 +197,82 @@ def test_laplace_cap_and_berkowitz_fallback():
     assert symbolic_det(L, algorithm="auto", cap=6) == Polynomial.parse("x^7", vars=vars)
     with pytest.raises(ValueError):
         symbolic_det(L, algorithm="gauss")
+
+
+def test_berkowitz_products_counts_berkowitz_work(rng, monkeypatch):
+    """The chooser's bound is the number of products det_berkowitz really makes."""
+    products = []
+    real_mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append(1) or real_mul(a, b))
+    for m in range(1, 8):
+        products.clear()
+        det_berkowitz(dense_grid(m, rng))
+        assert len(products) == berkowitz_products(m)
+
+
+def test_auto_chooses_by_laplace_work(rng, monkeypatch):
+    # dense grids: m 2^(m-1) - m Laplace products, within Berkowitz's count up to 8x8
+    for m in range(1, 9):
+        assert laplace_is_cheaper(dense_grid(m, rng))
+    for m in (9, 10, 12):
+        assert not laplace_is_cheaper(dense_grid(m, rng))
+    grenet = abp_to_determinant(grenet_abp(4))
+    assert grenet.size == 15
+    assert laplace_is_cheaper(grenet.entries)
+
+    class Ran(Exception):
+        pass
+
+    def refuse(name):
+        def run(grid, *args, **kwargs):
+            raise Ran(name)
+        return run
+
+    # both algorithms raise their own name, so only the routing runs
+    monkeypatch.setattr(matmap, "det_berkowitz", refuse("berkowitz"))
+    monkeypatch.setattr(matmap, "det_laplace_memo", refuse("laplace"))
+    with pytest.raises(Ran, match="laplace"):
+        symbolic_det(grenet, algorithm="auto")
+    with pytest.raises(Ran, match="berkowitz"):
+        symbolic_det(dense_grid(10, rng), algorithm="auto")
+
+
+def test_auto_chooser_bounds_hostile_input(monkeypatch):
+    """Dense 40x40 and 100x100 patterns stop the subset walk at its bound, before any arithmetic."""
+    vars = varset("x")
+    x_plus_1 = Polynomial.parse("x + 1", vars=vars)
+
+    def no_arithmetic(*args):
+        raise AssertionError("the chooser did polynomial arithmetic")
+
+    for name in ("__mul__", "__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(Polynomial, name, no_arithmetic)
+    for m in (40, 100):
+        grid = [[x_plus_1] * m for _ in range(m)]
+        start = time.monotonic()
+        assert not laplace_is_cheaper(grid)
+        assert time.monotonic() - start < 10
+
+
+def test_grenet_15_laplace_matches_numeric_det(rng):
+    for field in (QQ, Fp(32003)):
+        mapping = abp_to_determinant(grenet_abp(4, field))
+        det = det_laplace_memo(mapping.entries, cap=mapping.size)
+        assert det == perm_polynomial(4, field)
+        for _ in range(5):
+            point = [field.sample(rng, 1000) for _ in mapping.vars]
+            assert det.evaluate(point).value == linalg.mat_det(field, mapping.evaluate(point))
+
+
+def test_laplace_and_berkowitz_agree_on_sparse_maps_auto_routes_to_laplace(rng):
+    vars = varset("x", "y", "z")
+    field = Fp(32003)
+    for m in (9, 10, 11, 12):
+        L = sparse_map(vars, field, m, 0.15, rng)
+        assert laplace_is_cheaper(L.entries)
+        laplace = symbolic_det(L, algorithm="auto")
+        assert not laplace.is_zero()
+        assert laplace == det_berkowitz(L.entries)
 
 
 # -------------------------------------------------------- rank normalization
