@@ -1,56 +1,50 @@
 """Buchberger engine, normal forms, and Krull dimension via staircases.
 
-Monomial order is degrevlex throughout (see poly.mono_key). The engine keeps
-an internal keyed representation: a polynomial is a list of (exps, coeff)
-pairs in strictly descending order, basis elements are monic with cached
-leading-monomial data, and reduction runs over a dict accumulator driven by a
-lazy max-heap. Pair selection is the normal strategy (minimal lcm degree,
-deterministic tie-break); the Gebauer-Moeller product, M and chain criteria
-prune pairs and can be switched off to cross-check that the reduced basis does
-not change. Resource caps raise, they never truncate silently: they are
-checked after each seeded generator, before each S-pair, for each element of
-the final minimalize and inter-reduce passes, and every 1024 heap pops inside
-a reduction.
+Monomial order is degrevlex throughout (see poly.mono_key). Inside the engine
+a polynomial is a descending list of (exps, coeff) pairs, basis elements are
+monic with cached leading-monomial data, and reduction runs over a dict driven
+by a lazy max-heap. Pairs are chosen by the normal strategy (minimal lcm
+degree, deterministic tie-break); the Gebauer-Moeller product, M and chain
+criteria prune them and can be switched off to check that the reduced basis
+does not change. Resource caps raise, never truncate: they are checked after
+each seeded generator, before each S-pair, per element of the final
+minimalize and inter-reduce passes, and every 1024 heap pops of a reduction.
 
-The pair update (Gebauer & Moeller 1988) works on leading monomials packed
-into one int each, as in Monagan & Pearce's heap division (2011): one field of
-_FIELD bits per variable, x1 in the most significant field, and the top bit of
-every field a guard bit that stays clear. Comparing packed ints is then the
-same as comparing exponent tuples, so the pair queue keeps the order
-(lcm degree, lcm tuple, i, j) and every counter and basis matches the tuple
-form. Divisibility is one subtraction against the guard bits, the lcm one
-field-wise select, and the lcm degree one multiplication. Each live pair
-keeps its packed lcm, so the chain criterion rereads it instead of
-recomputing it, and the M-criterion tests a candidate only against the
-candidates already kept. A leading monomial whose degree does not fit a field
-raises ResourceCapError when it is packed; it never wraps.
+The pair update (Gebauer & Moeller 1988) packs each leading monomial into one
+int, as in Monagan & Pearce's heap division (2011): _FIELD bits per variable,
+x1 most significant, the top bit of every field a guard bit kept clear.
+Packed ints compare like exponent tuples, so the pair queue order (lcm
+degree, lcm, i, j), every counter and every basis match the tuple form.
+Divisibility is one subtraction against the guard bits, the lcm a field-wise
+select, the lcm degree one multiplication. Live pairs keep their packed lcm
+for the chain criterion, and the M-criterion tests a candidate only against
+the candidates already kept. A leading monomial whose degree overflows a
+field raises ResourceCapError; it never wraps.
 
-Verification is independent of the engine: naive_normal_form scans a plain
-dict for its maximal monomial and divides textbook-style, and
-is_groebner_basis re-reduces every S-polynomial that way. Tests flip
-VERIFY_BASES so every basis computed through buchberger() is re-verified.
+Verification shares no code with the engine (its reducer, basis elements or
+packed monomials). naive_normal_form divides textbook-style: the largest term
+of a plain dict comes off a heap, and divisors are tried in list order.
+groebner_failure_witness builds each S-polynomial from the two tails and
+stops at its first irreducible term, which no later step can cancel. It skips
+pairs with coprime leading monomials: their S-polynomial has a standard
+representation by the pair itself (Buchberger's first criterion), a theorem
+that needs nothing the engine computed. A list that is not a Groebner basis
+has a failing non-coprime pair; once one fails, the coprime pairs before it
+are checked, so the witness is the first failing pair in combinations order.
+Tests flip VERIFY_BASES so every basis from buchberger() is re-verified.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import insort
-from dataclasses import dataclass, field as dc_field
-from heapq import heappush, heappop
+from dataclasses import dataclass
+from heapq import heapify, heappush, heappop
 from itertools import combinations
 from operator import attrgetter
 
-from .fields import Field, FieldMismatchError, QQ
-from .poly import (
-    ArityError,
-    Polynomial,
-    VarSet,
-    mono_div,
-    mono_divides,
-    mono_key,
-    mono_lcm,
-    mono_mul,
-)
+from .fields import Field, FieldMismatchError
+from .poly import Polynomial, VarSet, mono_div, mono_key, mono_lcm, mono_mul
 
 VERIFY_BASES = False  # tests enable this; every computed basis is re-verified
 
@@ -176,10 +170,6 @@ class _Elem:
 _ORDER = attrgetter("order")
 
 
-def _poly_terms(p: Polynomial) -> list:
-    return list(p.terms)
-
-
 def _monic_terms(terms, field):
     inv = field.inv(terms[0][1])
     if inv == field.one:
@@ -198,22 +188,12 @@ def _reduce_terms(terms, reducers, field, deadline=None):
     prime = field.char if field.char else None
     acc: dict = {}
     heap: list = []
-    if prime:
-        for e, c in terms:
-            prev = acc.get(e)
-            if prev is None:
-                acc[e] = c % prime
-                heappush(heap, (_nkey(e), e))
-            else:
-                acc[e] = (prev + c) % prime
-    else:
-        for e, c in terms:
-            prev = acc.get(e)
-            if prev is None:
-                acc[e] = c
-                heappush(heap, (_nkey(e), e))
-            else:
-                acc[e] = prev + c
+    for e, c in terms:
+        prev = acc.get(e)
+        if prev is None:
+            prev = 0
+            heappush(heap, (_nkey(e), e))
+        acc[e] = (prev + c) % prime if prime else prev + c
     out = []
     pops = 0
     while heap:
@@ -279,11 +259,8 @@ def _spoly_terms(f: _Elem, g: _Elem, field):
     return terms
 
 
-def buchberger(
-    ideal: Ideal,
-    limits: EngineLimits | None = None,
-    use_criteria: bool = True,
-) -> GroebnerBasis:
+def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
+               use_criteria: bool = True) -> GroebnerBasis:
     """Reduced degrevlex Groebner basis of the ideal."""
     limits = limits or DEFAULT_LIMITS
     field = ideal.field
@@ -374,7 +351,7 @@ def buchberger(
     for g in ideal.generators:
         if g.is_zero():
             continue
-        red = _reduce_terms(_poly_terms(g), reducers, field, deadline)
+        red = _reduce_terms(g.terms, reducers, field, deadline)
         if red:
             add_element(_monic_terms(red, field))
         check_caps("seeding")
@@ -417,16 +394,10 @@ def buchberger(
     final_terms.sort(key=lambda ts: mono_key(ts[0][0]))
     polys = tuple(Polynomial(ideal.vars, field, tuple(ts)) for ts in final_terms)
     stats = GroebnerStats(
-        pairs_processed=pairs_processed,
-        zero_reductions=zero_reductions,
-        basis_size=len(polys),
-        max_degree_processed=max_degree_processed,
-        wall_time=time.monotonic() - start,
-        pairs_created=pairs_created,
-        pruned_product=pruned_product,
-        pruned_m=pruned_m,
-        pruned_chain=pruned_chain,
-    )
+        pairs_processed=pairs_processed, zero_reductions=zero_reductions,
+        basis_size=len(polys), max_degree_processed=max_degree_processed,
+        wall_time=time.monotonic() - start, pairs_created=pairs_created,
+        pruned_product=pruned_product, pruned_m=pruned_m, pruned_chain=pruned_chain)
     result = GroebnerBasis(ideal.vars, field, polys, stats)
     if VERIFY_BASES and polys:
         failure = groebner_failure_witness(result)
@@ -441,9 +412,8 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise FieldMismatchError("polynomial and basis must share one ring")
     if p.is_zero() or not gb.polys:
         return p
-    elems = [_Elem(list(g.terms)) for g in gb.polys]
-    elems.sort(key=_ORDER)
-    red = _reduce_terms(list(p.terms), elems, gb.field)
+    elems = sorted((_Elem(g.terms) for g in gb.polys), key=_ORDER)
+    red = _reduce_terms(p.terms, elems, gb.field)
     return Polynomial(p.vars, p.field, tuple(red))
 
 
@@ -454,55 +424,83 @@ def contains(p: Polynomial, gb: GroebnerBasis) -> bool:
 # -- independent verification ------------------------------------------------
 
 
-def naive_normal_form(p: Polynomial, basis) -> Polynomial:
-    """Textbook division: scan a dict for its max monomial, divide, repeat.
+def _divisors(polys) -> list:
+    """(lm, support mask, 1/lc, tail) of each polynomial, in list order."""
+    return [(g.leading_monomial(), sum(1 << i for i, x in enumerate(g.terms[0][0]) if x),
+             g.field.inv(g.leading_coefficient()), g.terms[1:]) for g in polys]
 
-    Shares no code with the engine reducer; used to re-verify bases.
-    """
-    field = p.field
-    zero = field.zero
-    work = dict(p.terms)
-    remainder: dict = {}
-    heads = [(g.leading_monomial(), g.leading_coefficient(), list(g.terms)[1:]) for g in basis if not g.is_zero()]
-    while work:
-        e = max(work, key=mono_key)
-        c = work.pop(e)
-        if c == zero:
+
+def _divide(work: dict, divisors, p: int, full: bool) -> dict:
+    """Textbook division of the terms in work, which it consumes; returns the
+    remainder, or with full=False its first term. Cancelled terms are skipped
+    when popped, and coefficients are reduced mod p (0 for Q) only then."""
+    heap = [(-sum(e), e[::-1], e) for e in work]  # mono_key negated: a max-heap
+    heapify(heap)
+    remainder = {}
+    while heap:
+        e = heappop(heap)[2]
+        c = work.pop(e) % p if p else work.pop(e)
+        if not c:
             continue
-        hit = None
-        for lm, lc, tail in heads:
-            if mono_divides(lm, e):
-                hit = (lm, lc, tail)
-                break
-        if hit is None:
-            remainder[e] = c
-            continue
-        lm, lc, tail = hit
-        factor = field.div(c, lc)
-        shift = mono_div(e, lm)
-        for te, tc in tail:
-            ne = mono_mul(te, shift)
-            val = field.sub(work.get(ne, zero), field.mul(factor, tc))
-            if val == zero:
-                work.pop(ne, None)
+        absent = ~sum(1 << i for i, x in enumerate(e) if x)
+        for lm, mask, inv, tail in divisors:
+            if mask & absent:
+                continue
+            for x, y in zip(lm, e):
+                if x > y:
+                    break
             else:
-                work[ne] = val
+                break
+        else:
+            remainder[e] = c
+            if full:
+                continue
+            return remainder
+        c = c * inv % p if p else c * inv
+        shift = tuple([y - x for x, y in zip(lm, e)])
+        for te, tc in tail:
+            ne = tuple([x + y for x, y in zip(te, shift)])
+            old = work.get(ne)
+            if old is None:
+                old = 0
+                heappush(heap, (-sum(ne), ne[::-1], ne))
+            work[ne] = old - c * tc
+    return remainder
+
+
+def naive_normal_form(p: Polynomial, basis) -> Polynomial:
+    """Full remainder of textbook division by basis, tried in list order."""
+    divisors = _divisors([g for g in basis if not g.is_zero()])
+    remainder = _divide(dict(p.terms), divisors, p.field.char, full=True)
     return Polynomial.from_dict(p.vars, p.field, remainder)
 
 
 def groebner_failure_witness(gb: GroebnerBasis):
-    """None if every S-polynomial reduces to zero; else a witness pair."""
-    polys = gb.polys
-    field = gb.field
-    for a, b in combinations(range(len(polys)), 2):
-        f, g = polys[a], polys[b]
-        lf, lg = f.leading_monomial(), g.leading_monomial()
-        lcm = mono_lcm(lf, lg)
-        mf = Polynomial.from_dict(gb.vars, field, {mono_div(lcm, lf): field.div(field.one, f.leading_coefficient())})
-        mg = Polynomial.from_dict(gb.vars, field, {mono_div(lcm, lg): field.div(field.one, g.leading_coefficient())})
-        s = mf * f - mg * g
-        if not naive_normal_form(s, polys).is_zero():
-            return (a, b)
+    """None if every S-polynomial reduces to zero; else the first failing pair
+    in combinations order (see the module docstring)."""
+    p = gb.field.char
+    divisors = _divisors(gb.polys)
+
+    def fails(a, b):
+        # S = lcm/lm_f * f/lc_f - lcm/lm_g * g/lc_g; the leading terms cancel
+        lf, _, kf, tf = divisors[a]
+        lg, _, kg, tg = divisors[b]
+        sf = tuple([y - x if y > x else 0 for x, y in zip(lf, lg)])
+        sg = tuple([x - y if x > y else 0 for x, y in zip(lf, lg)])
+        work = {tuple([x + y for x, y in zip(e, sf)]): c * kf for e, c in tf}
+        for e, c in tg:
+            e = tuple([x + y for x, y in zip(e, sg)])
+            work[e] = work.get(e, 0) - c * kg
+        return bool(_divide(work, divisors, p, full=False))
+
+    def coprime(a, b):
+        return not divisors[a][1] & divisors[b][1]
+
+    pairs = range(len(divisors))
+    for a, b in combinations(pairs, 2):
+        if not coprime(a, b) and fails(a, b):
+            return next(pair for pair in combinations(pairs, 2)
+                        if pair == (a, b) or coprime(*pair) and fails(*pair))
     return None
 
 

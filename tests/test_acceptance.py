@@ -131,11 +131,11 @@ def test_criterion_06_fermat_cubic_five_variables():
 
 
 def test_criterion_07_codimension_law_sampling():
-    with budget(900):
+    with budget(15):
         rep = sample_codim(n=5, m=3, p=101, trials=50, seed=0)
         assert rep.violations == ()
         assert rep.law_bound == 4
-    with budget(900):
+    with budget(2):
         rep = sample_codim(n=3, m=3, p=101, trials=50, seed=0)
         at_three = dict(rep.histogram).get(3, 0)
         assert at_three >= 0.9 * rep.trials

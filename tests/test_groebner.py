@@ -1,11 +1,13 @@
 """Groebner engine: reduced bases, normal forms, dimension, resource caps."""
 
+import functools
 import hashlib
 import itertools
 import pathlib
 import random
 
 import pytest
+from conftest import stretch
 
 from detcomp import groebner
 from detcomp.cli import main
@@ -186,6 +188,21 @@ def test_naive_reducer_agrees_on_groebner_input(rng):
     for _ in range(15):
         f = random_polynomial(XYZ, Fp(5), rng, degree=3, terms=4)
         assert normal_form(f, gb) == naive_normal_form(f, list(gb.polys))
+
+
+@pytest.mark.parametrize("field, want, want_reversed", [
+    (QQ, "1/2*y^3 + 1/4*y^2 - y*z", "3/2*x*z - y*z + 9*z^2"),
+    (Fp(7), "4*y^3 + 2*y^2 + 6*y*z", "5*x*z + 6*y*z + 2*z^2"),
+], ids=["Q", "F7"])
+def test_naive_normal_form_full_remainder_on_non_groebner_list(field, want, want_reversed):
+    """Textbook division returns the whole remainder, and on a list that is
+    not a Groebner basis the remainder depends on the divisor order.
+    Recorded from the dict-scanning reducer the heap-driven one replaced."""
+    divisors = [P("2*x^2 - y", field=field), P("x*y - 3*z", field=field)]
+    f = P("x^4 + x^2*y^2 - y*z", field=field)
+    assert naive_normal_form(f, divisors) == P(want, field=field)
+    assert naive_normal_form(f, divisors[::-1]) == P(want_reversed, field=field)
+    assert naive_normal_form(f, [Polynomial.zero(XYZ, field)] + divisors) == P(want, field=field)
 
 
 # --------------------------------------------------- triviality and points
@@ -433,23 +450,36 @@ def test_pinned_perm3_work(field):
     assert min(s.pruned_product, s.pruned_m, s.pruned_chain) > 0
 
 
-def test_pinned_perm4_slice_work(monkeypatch):
-    """perm4 with x11 = 0 over F_32003: the benchmark's certify instance.
-
-    The basis is compared with the digest recorded from the engine before
-    its pair update was rewritten. The S-pair oracle accepts that basis, but
-    needs 5 to 7 minutes of CPU for its 130k pairs, so it is switched off for
-    this single basis only.
-    """
-    monkeypatch.setattr(groebner, "VERIFY_BASES", False)
+def perm4_slice_basis():
+    """perm4 with x11 = 0 over F_32003: the benchmark's certify instance."""
     F = Fp(32003)
     f = perm_polynomial(4, F)
     images = [Polynomial.zero(f.vars, F) if v == "x11" else Polynomial.variable(f.vars, F, i)
               for i, v in enumerate(f.vars)]
-    gb = buchberger(jacobian_ideal(f.substitute_affine(images)))
+    return buchberger(jacobian_ideal(f.substitute_affine(images)))
+
+
+def test_pinned_perm4_slice_work(monkeypatch):
+    """The perm4 slice basis against the digest recorded from the engine
+    before its pair update was rewritten.
+
+    The S-pair oracle accepts that basis, but needs about 42 s of CPU for its
+    130k pairs, so it is switched off here and runs in the opt-in
+    test_perm4_slice_basis_reverified.
+    """
+    monkeypatch.setattr(groebner, "VERIFY_BASES", False)
+    gb = perm4_slice_basis()
     assert work(gb) == (4128, 3633, 510, 10)
     assert basis_digest(gb) == "428b8fffcb67a672"
     assert_pair_accounting(gb)
+
+
+@stretch
+def test_perm4_slice_basis_reverified(monkeypatch):
+    monkeypatch.setattr(groebner, "VERIFY_BASES", False)
+    gb = perm4_slice_basis()
+    assert basis_digest(gb) == "428b8fffcb67a672"
+    assert is_groebner_basis(gb)
 
 
 def test_golden_perm3_certificate_json(capsys):
@@ -458,3 +488,65 @@ def test_golden_perm3_certificate_json(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out == (DATA / "certify_perm3_Fp32003.json").read_text()
+
+
+# ------------------------------------------------------------ oracle mutations
+#
+# Reduced bases corrupted by dropping one element or by adding 1 to one tail
+# coefficient. Every witness was recorded from the S-pair oracle before it
+# skipped coprime pairs and stopped at the first irreducible term. In the
+# "coprime" cases the first failing pair has coprime leading monomials, so
+# the witness comes from the pass over the pairs the first pass skipped.
+
+
+@functools.lru_cache(maxsize=None)
+def mutation_basis(name):
+    if name.startswith("perm3"):
+        field = Fp(32003) if name == "perm3_Fp32003" else QQ
+        return buchberger(jacobian_ideal(perm_polynomial(3, field)))
+    return buchberger(pinned_random_ideal(int(name.removeprefix("random"))))
+
+
+def corrupted(gb, drop=None, bump=None):
+    polys = list(gb.polys)
+    if drop is not None:
+        del polys[drop]
+    if bump is not None:
+        k, t = bump
+        terms = list(polys[k].terms)
+        e, c = terms[t]
+        terms[t] = (e, gb.field.add(c, gb.field.one))
+        assert terms[t][1] != gb.field.zero
+        polys[k] = Polynomial(gb.vars, gb.field, tuple(terms))
+    return GroebnerBasis(gb.vars, gb.field, tuple(polys), gb.stats)
+
+
+# basis (random6 over F_32003, random11 over Q, random13 over F_101), dropped
+# element, bumped (element, tail term), recorded witness, witness coprime
+MUTATIONS = [
+    ("perm3_Fp32003", 0, None, (0, 5), False),
+    ("perm3_Fp32003", 15, None, (2, 12), False),
+    ("perm3_Fp32003", None, (1, 1), (1, 7), False),
+    ("perm3_Fp32003", None, (6, 1), (3, 6), False),
+    ("perm3_Q", 20, None, (6, 19), False),
+    ("perm3_Q", None, (1, 1), (1, 7), False),
+    ("random6", 5, None, (0, 2), True),
+    ("random6", 10, None, (3, 8), False),
+    ("random6", None, (3, 2), (0, 3), True),
+    ("random11", 10, None, (0, 3), False),
+    ("random11", None, (8, 3), (0, 8), False),
+    ("random11", None, (6, 5), (0, 4), True),
+    ("random13", 0, None, None, False),
+    ("random13", None, (0, 3), None, False),
+    ("random13", None, (3, 1), (0, 3), True),
+]
+
+
+@pytest.mark.parametrize("name, drop, bump, want, coprime", MUTATIONS)
+def test_oracle_witness_on_corrupted_basis(name, drop, bump, want, coprime):
+    gb = corrupted(mutation_basis(name), drop, bump)
+    assert groebner_failure_witness(gb) == want
+    assert is_groebner_basis(gb) == (want is None)
+    if want is not None:
+        a, b = (gb.polys[i].leading_monomial() for i in want)
+        assert all(x == 0 or y == 0 for x, y in zip(a, b)) == coprime

@@ -1,7 +1,14 @@
 """Polynomial text grammar: accepted forms, error positions, inference."""
 
+import pathlib
+import re
+import time
+
 import pytest
 
+from detcomp import parsing
+from detcomp.cli import main
+from detcomp.expressions import CATALOG_NAMES, catalog_get
 from detcomp.fields import QQ, Fp
 from detcomp.parsing import PolynomialSyntaxError, infer_varset, parse_polynomial
 from detcomp.poly import Polynomial, varset
@@ -74,3 +81,54 @@ def test_exponent_must_be_integer_literal():
 
 def test_classmethod_alias_matches_function():
     assert Polynomial.parse("x^2 - y", vars=XY) == parse_polynomial("x^2 - y", XY)
+
+
+SUM16 = "(" + " + ".join(f"x{i}" for i in range(1, 17)) + ")"
+
+
+@pytest.mark.parametrize("text", [
+    SUM16 + "^200",
+    SUM16 + "^123456789012345678901234567890",
+    "*".join([SUM16] * 5),
+], ids=["power", "huge-exponent", "product"])
+def test_hostile_expansion_is_refused_before_expanding(text):
+    start = time.process_time()
+    with pytest.raises(PolynomialSyntaxError, match="expansion may exceed"):
+        parse_polynomial(text)
+    assert time.process_time() - start < 1.0
+
+
+def test_expansion_cap_uses_the_term_count_bound(monkeypatch):
+    monkeypatch.setattr(parsing, "MAX_EXPANSION_TERMS", 10)
+    assert len(parse_polynomial("(x + y)^9", XY).terms) == 10
+    with pytest.raises(PolynomialSyntaxError) as ei:
+        parse_polynomial("(x + y)^10", XY)
+    assert (ei.value.line, ei.value.column) == (1, 9)
+    # a single term, or a factor with one term, never grows the term count
+    assert parse_polynomial("x^1000 * (x + y)^9", XY).degree() == 1009
+    # 16 products, but only C(1 + 6, 1) = 7 monomials of degree <= 6 in x
+    quartic = "(x^3 + x^2 + x + 1)"
+    assert len(parse_polynomial(quartic + "*" + quartic, varset("x")).terms) == 7
+    # C(2 + 3, 2) = 10 after three factors, min(30, C(2 + 4, 2)) = 15 after four
+    assert len(parse_polynomial("(x + y + 1)*(x + y + 1)*(x + y + 1)", XY).terms) == 10
+    with pytest.raises(PolynomialSyntaxError):
+        parse_polynomial("(x + y + 1)*(x + y + 1)*(x + y + 1)*(x + y + 1)", XY)
+
+
+def test_hostile_expansion_exits_two_in_the_cli(capsys):
+    start = time.process_time()
+    assert main(["parse", "--poly", SUM16 + "^200"]) == 2
+    assert "expansion may exceed" in capsys.readouterr().err
+    assert time.process_time() - start < 1.0
+
+
+def test_catalog_and_readme_polynomials_parse():
+    for name in CATALOG_NAMES:
+        mapping, target = catalog_get(name)
+        assert parse_polynomial(str(target), target.vars) == target
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    examples = (re.findall(r'parse_polynomial\("([^"]+)"\)', readme)
+                + re.findall(r'--poly "([^"]+)"', readme))
+    assert len(examples) >= 2
+    for text in examples:
+        assert not parse_polynomial(text).is_zero()
