@@ -1,25 +1,32 @@
 """Buchberger engine, normal forms, and Krull dimension via staircases.
 
 Monomial order is degrevlex throughout (see poly.mono_key). Inside the engine
-a polynomial is a descending list of (exps, coeff) pairs, basis elements are
+a polynomial is a descending list of (key, coeff) pairs, basis elements are
 monic with cached leading-monomial data, and reduction runs over a dict driven
-by a lazy max-heap. Pairs are chosen by the normal strategy (minimal lcm
-degree, deterministic tie-break); the Gebauer-Moeller product, M and chain
+by a lazy min-heap of keys. Pairs are chosen by the normal strategy (minimal
+lcm degree, deterministic tie-break); the Gebauer-Moeller product, M and chain
 criteria prune them and can be switched off to check that the reduced basis
 does not change. Resource caps raise, never truncate: they are checked after
 each seeded generator, before each S-pair, per element of the final
 minimalize and inter-reduce passes, and every 1024 heap pops of a reduction.
 
-The pair update (Gebauer & Moeller 1988) packs each leading monomial into one
-int, as in Monagan & Pearce's heap division (2011): _FIELD bits per variable,
-x1 most significant, the top bit of every field a guard bit kept clear.
-Packed ints compare like exponent tuples, so the pair queue order (lcm
-degree, lcm, i, j), every counter and every basis match the tuple form.
-Divisibility is one subtraction against the guard bits, the lcm a field-wise
-select, the lcm degree one multiplication. Live pairs keep their packed lcm
-for the chain criterion, and the M-criterion tests a candidate only against
-the candidates already kept. A leading monomial whose degree overflows a
-field raises ResourceCapError; it never wraps.
+Engine terms are (key, coeff) pairs, as in Monagan & Pearce's heap division
+(2011). A key packs a monomial into one int: 17-bit fields (_KEY_FIELD), x_n
+most significant, under _KEY_BASE - degree. A smaller key is a larger
+monomial, keys add like exponents (a shift is one addition), and the heap
+compares ints. Each field's top bit is a guard kept clear, so divisibility is
+a support-mask test and one subtraction; reduction exponents, at most an
+S-pair's lcm degree 2 * _MAX_PACKED_DEGREE, stay below the guard. Terms are
+packed once, on seeding or normal_form input (a larger degree raises
+ResourceCapError), and unpacked once, into the result's Polynomials.
+
+The pair update (Gebauer & Moeller 1988) packs each leading monomial in
+16-bit lex order (_FIELD, x1 most significant, with guard bits), which
+compares like exponent tuples: the pair queue order (lcm degree, lcm, i, j),
+every counter and every basis match the tuple form. The lcm is a field-wise
+select, the lcm degree one multiplication; live pairs keep it for the chain
+criterion, and the M-criterion tests a candidate only against the candidates
+already kept. A leading monomial past _MAX_PACKED_DEGREE raises.
 
 Verification shares no code with the engine (its reducer, basis elements or
 packed monomials). naive_normal_form divides textbook-style: the largest term
@@ -31,7 +38,8 @@ representation by the pair itself (Buchberger's first criterion), a theorem
 that needs nothing the engine computed. A list that is not a Groebner basis
 has a failing non-coprime pair; once one fails, the coprime pairs before it
 are checked, so the witness is the first failing pair in combinations order.
-Tests flip VERIFY_BASES so every basis from buchberger() is re-verified.
+Both reject polynomials from another ring, as normal_form does. Tests flip
+VERIFY_BASES so every basis from buchberger() is re-verified.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from itertools import combinations
 from operator import attrgetter
 
 from .fields import Field, FieldMismatchError
-from .poly import Polynomial, VarSet, mono_div, mono_key, mono_lcm, mono_mul
+from .poly import Polynomial, VarSet
 
 VERIFY_BASES = False  # tests enable this; every computed basis is re-verified
 
@@ -118,29 +126,20 @@ class GroebnerBasis:
         return len(self.polys) == 1 and self.polys[0].degree() == 0
 
 
-def _nkey(e):
-    """Heap key: smaller nkey = larger monomial in degrevlex."""
-    return (-sum(e), tuple(reversed(e)))
-
-
 def _mask(e) -> int:
-    m = 0
-    for i, x in enumerate(e):
-        if x:
-            m |= 1 << i
-    return m
+    return sum(1 << i for i, x in enumerate(e) if x)
 
 
 _FIELD = 16                          # bits per variable in a packed monomial
 _MAX_PACKED_DEGREE = (1 << (_FIELD - 1)) - 1  # every field keeps its guard bit
+_KEY_FIELD = _FIELD + 1              # bits per variable in a term key
+_MAX_TERM_DEGREE = 2 * _MAX_PACKED_DEGREE  # lcm degree of two leading monomials
+_KEY_BASE = 1 << _KEY_FIELD          # top field of a key: _KEY_BASE - degree
 
 
 def _pack(e) -> int:
-    """Exponent tuple -> packed int, x1 in the most significant field.
-
-    The degree bound keeps every exponent, and the degree of any lcm of two
-    packed monomials, inside one field.
-    """
+    """Leading monomial -> lex-packed int for the pair update; the degree
+    bound keeps every exponent, and any lcm's degree, inside one field."""
     d = sum(e)
     if d > _MAX_PACKED_DEGREE:
         raise ResourceCapError(
@@ -152,18 +151,42 @@ def _pack(e) -> int:
     return m
 
 
-class _Elem:
-    __slots__ = ("lm", "mask", "packed", "order", "tail")
+def _term_keys(terms, stage: str) -> list:
+    """(exps, coeff) terms -> (term key, coeff) terms, in the same order."""
+    out = []
+    for e, c in terms:
+        d = sum(e)
+        if d > _MAX_TERM_DEGREE:
+            raise ResourceCapError(
+                stage, f"term of degree {d} exceeds the packed limit {_MAX_TERM_DEGREE}")
+        k = _KEY_BASE - d
+        for x in reversed(e):
+            k = (k << _KEY_FIELD) | x
+        out.append((k, c))
+    return out
 
-    def __init__(self, terms):
-        # terms descending, monic
-        lm = terms[0][0]
-        self.lm = lm
+
+def _exps(k: int, n: int) -> tuple:
+    """Term key -> exponent tuple of n variables."""
+    return tuple([(k >> s) & (_KEY_BASE - 1) for s in range(0, n * _KEY_FIELD, _KEY_FIELD)])
+
+
+def _guards(n: int) -> int:
+    """The guard bit of each of the n exponent fields of a term key."""
+    return sum(1 << (s + _KEY_FIELD - 1) for s in range(0, n * _KEY_FIELD, _KEY_FIELD))
+
+
+class _Elem:
+    __slots__ = ("key", "mask", "packed", "order", "tail")
+
+    def __init__(self, terms, n):
+        # terms descending term keys, monic
+        self.key = terms[0][0]
+        lm = _exps(self.key, n)
         self.mask = _mask(lm)
         self.packed = _pack(lm)
-        # divisor search order: degree, then the reversed exponents; as one
-        # packed int it sorts like (degree, _nkey(lm))
-        self.order = (sum(lm) << (len(lm) * _FIELD)) | _pack(lm[::-1])
+        # divisor search order: degree, then the reversed exponents
+        self.order = (sum(lm) << (n * _FIELD)) | _pack(lm[::-1])
         self.tail = terms[1:]
 
 
@@ -175,88 +198,53 @@ def _monic_terms(terms, field):
     if inv == field.one:
         return list(terms)
     mul = field.mul
-    return [(e, mul(c, inv)) for e, c in terms]
+    return [(k, mul(c, inv)) for k, c in terms]
 
 
-def _reduce_terms(terms, reducers, field, deadline=None):
-    """Full normal form of a term list modulo monic reducers.
-
-    Returns the remainder as a descending term list. reducers must be sorted
-    in the order divisor search should try them (ascending lm degree). With a
-    deadline (a time.monotonic() value) it is checked every 1024 heap pops.
-    """
-    prime = field.char if field.char else None
+def _reduce_terms(terms, reducers, field, guards, deadline=None):
+    """Descending remainder of a term-key list by monic reducers, tried in list
+    order (ascending lm degree); guards is _guards(n). Coefficients are reduced
+    mod p when popped; a deadline (time.monotonic()) is read every 1024 pops."""
+    prime = field.char
     acc: dict = {}
-    heap: list = []
-    for e, c in terms:
-        prev = acc.get(e)
-        if prev is None:
-            prev = 0
-            heappush(heap, (_nkey(e), e))
-        acc[e] = (prev + c) % prime if prime else prev + c
+    for k, c in terms:
+        acc[k] = acc.get(k, 0) + c
+    heap = list(acc)
+    heapify(heap)
+    ones = guards >> (_KEY_FIELD - 1)
+    sentinel = 1 << (guards.bit_length() + _KEY_FIELD - 1)  # field n's guard bit
     out = []
     pops = 0
     while heap:
-        _, e = heappop(heap)
+        k = heappop(heap)
         pops += 1
         if not pops & 1023 and deadline is not None and time.monotonic() > deadline:
             raise ResourceCapError("reduction", f"time limit hit after {pops} heap pops")
-        c = acc.pop(e, None)
+        # a popped key is never pushed again: reduction only adds smaller terms
+        c = acc.pop(k) % prime if prime else acc.pop(k)
         if not c:
             continue
-        emask = _mask(e)
-        red = None
+        # g divides the term iff its support is inside the term's and no field
+        # of k - g.key borrows its guard bit. The support: guards that survive
+        # a -1 per field, read off bin() every 17 digits after a sentinel bit n.
+        kg = k | guards
+        absent = ~int(bin((kg - ones) & guards | sentinel)[2::_KEY_FIELD], 2)
         for g in reducers:
-            if g.mask & ~emask:
-                continue
-            lm = g.lm
-            ok = True
-            for a, b in zip(lm, e):
-                if a > b:
-                    ok = False
-                    break
-            if ok:
-                red = g
+            if not g.mask & absent and (kg - g.key) & guards == guards:
                 break
-        if red is None:
-            out.append((e, c))
-            continue
-        shift = tuple(x - y for x, y in zip(e, red.lm))
-        if prime:
-            for te, tc in red.tail:
-                ne = tuple(x + y for x, y in zip(te, shift))
-                prev = acc.get(ne)
-                if prev is None:
-                    acc[ne] = -c * tc % prime
-                    heappush(heap, (_nkey(ne), ne))
-                else:
-                    acc[ne] = (prev - c * tc) % prime
         else:
-            for te, tc in red.tail:
-                ne = tuple(x + y for x, y in zip(te, shift))
-                prev = acc.get(ne)
-                if prev is None:
-                    acc[ne] = -c * tc
-                    heappush(heap, (_nkey(ne), ne))
-                else:
-                    nc = prev - c * tc
-                    if nc:
-                        acc[ne] = nc
-                    else:
-                        del acc[ne]
+            out.append((k, c))
+            continue
+        shift = k - g.key
+        for tk, tc in g.tail:
+            tk += shift
+            prev = acc.get(tk)
+            if prev is None:
+                acc[tk] = -c * tc
+                heappush(heap, tk)
+            else:
+                acc[tk] = prev - c * tc
     return out
-
-
-def _spoly_terms(f: _Elem, g: _Elem, field):
-    lcm = mono_lcm(f.lm, g.lm)
-    sf = mono_div(lcm, f.lm)
-    sg = mono_div(lcm, g.lm)
-    neg = field.neg
-    terms = [(mono_mul(f.lm, sf), field.one)]
-    terms += [(mono_mul(e, sf), c) for e, c in f.tail]
-    terms.append((mono_mul(g.lm, sg), neg(field.one)))
-    terms += [(mono_mul(e, sg), neg(c)) for e, c in g.tail]
-    return terms
 
 
 def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
@@ -274,6 +262,9 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
     guards = ones << value_bits
     deg_shift = max(n - 1, 0) * _FIELD  # x * ones sums every field into the top one
     field_mask = (1 << _FIELD) - 1
+    key_guards = _guards(n)
+    key_top = n * _KEY_FIELD
+    key_low = (1 << key_top) - 1
 
     basis: list[_Elem] = []
     reducers: list[_Elem] = []
@@ -295,7 +286,7 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
     def add_element(terms):
         """Gebauer-Moeller update with the new monic element."""
         nonlocal pairs_created, pruned_product, pruned_m, pruned_chain
-        elem = _Elem(terms)
+        elem = _Elem(terms, n)
         t = len(basis)
         lm = elem.packed
         lm_g = lm | guards
@@ -351,7 +342,7 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
     for g in ideal.generators:
         if g.is_zero():
             continue
-        red = _reduce_terms(g.terms, reducers, field, deadline)
+        red = _reduce_terms(_term_keys(g.terms, "pair update"), reducers, field, key_guards, deadline)
         if red:
             add_element(_monic_terms(red, field))
         check_caps("seeding")
@@ -366,8 +357,14 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
         if limits.max_degree is not None and deg_l > limits.max_degree:
             raise ResourceCapError("pair processing", f"degree limit {limits.max_degree} hit at {deg_l}")
         check_caps("pair processing")
-        spoly = _spoly_terms(basis[i], basis[j], field)
-        red = _reduce_terms(spoly, reducers, field, deadline)
+        # S-polynomial from the two tails, the lcm's key a field-wise select
+        f, g = basis[i], basis[j]
+        sel = ((f.key | key_guards) - g.key) & key_guards
+        sel -= sel >> (_KEY_FIELD - 1)
+        lcm = ((_KEY_BASE - deg_l) << key_top) | (f.key & sel) | (g.key & key_low & ~sel)
+        sf, sg = lcm - f.key, lcm - g.key
+        spoly = [(k + sf, c) for k, c in f.tail] + [(k + sg, -c) for k, c in g.tail]
+        red = _reduce_terms(spoly, reducers, field, key_guards, deadline)
         if red:
             add_element(_monic_terms(red, field))
         else:
@@ -388,11 +385,11 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
     for g in kept:
         check_caps("inter-reduce")
         others = [k for k in kept if k is not g]
-        terms = [(g.lm, field.one)] + list(g.tail)
-        red = _reduce_terms(terms, others, field, deadline)
+        red = _reduce_terms([(g.key, field.one)] + g.tail, others, field, key_guards, deadline)
         final_terms.append(_monic_terms(red, field))
-    final_terms.sort(key=lambda ts: mono_key(ts[0][0]))
-    polys = tuple(Polynomial(ideal.vars, field, tuple(ts)) for ts in final_terms)
+    final_terms.sort(key=lambda ts: ts[0][0], reverse=True)  # ascending leading monomials
+    polys = tuple(Polynomial(ideal.vars, field, tuple([(_exps(k, n), c) for k, c in ts]))
+                  for ts in final_terms)
     stats = GroebnerStats(
         pairs_processed=pairs_processed, zero_reductions=zero_reductions,
         basis_size=len(polys), max_degree_processed=max_degree_processed,
@@ -412,9 +409,10 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise FieldMismatchError("polynomial and basis must share one ring")
     if p.is_zero() or not gb.polys:
         return p
-    elems = sorted((_Elem(g.terms) for g in gb.polys), key=_ORDER)
-    red = _reduce_terms(p.terms, elems, gb.field)
-    return Polynomial(p.vars, p.field, tuple(red))
+    n = len(p.vars)
+    elems = sorted((_Elem(_term_keys(g.terms, "normal form"), n) for g in gb.polys), key=_ORDER)
+    red = _reduce_terms(_term_keys(p.terms, "normal form"), elems, gb.field, _guards(n))
+    return Polynomial(p.vars, p.field, tuple([(_exps(k, n), c) for k, c in red]))
 
 
 def contains(p: Polynomial, gb: GroebnerBasis) -> bool:
@@ -424,10 +422,12 @@ def contains(p: Polynomial, gb: GroebnerBasis) -> bool:
 # -- independent verification ------------------------------------------------
 
 
-def _divisors(polys) -> list:
-    """(lm, support mask, 1/lc, tail) of each polynomial, in list order."""
+def _divisors(polys, vars, field) -> list:
+    """(lm, support mask, 1/lc, tail) of each nonzero polynomial, in list order."""
+    if any(g.vars != vars or g.field != field for g in polys):
+        raise FieldMismatchError("polynomial and divisors must share one ring")
     return [(g.leading_monomial(), sum(1 << i for i, x in enumerate(g.terms[0][0]) if x),
-             g.field.inv(g.leading_coefficient()), g.terms[1:]) for g in polys]
+             g.field.inv(g.leading_coefficient()), g.terms[1:]) for g in polys if g.terms]
 
 
 def _divide(work: dict, divisors, p: int, full: bool) -> dict:
@@ -470,7 +470,7 @@ def _divide(work: dict, divisors, p: int, full: bool) -> dict:
 
 def naive_normal_form(p: Polynomial, basis) -> Polynomial:
     """Full remainder of textbook division by basis, tried in list order."""
-    divisors = _divisors([g for g in basis if not g.is_zero()])
+    divisors = _divisors(list(basis), p.vars, p.field)
     remainder = _divide(dict(p.terms), divisors, p.field.char, full=True)
     return Polynomial.from_dict(p.vars, p.field, remainder)
 
@@ -479,7 +479,7 @@ def groebner_failure_witness(gb: GroebnerBasis):
     """None if every S-polynomial reduces to zero; else the first failing pair
     in combinations order (see the module docstring)."""
     p = gb.field.char
-    divisors = _divisors(gb.polys)
+    divisors = _divisors(gb.polys, gb.vars, gb.field)
 
     def fails(a, b):
         # S = lcm/lm_f * f/lc_f - lcm/lm_g * g/lc_g; the leading terms cancel

@@ -151,7 +151,10 @@ def det_laplace_memo(grid: Sequence[Sequence[Polynomial]], cap: int = LAPLACE_DE
         memo[rowmask] = total
         return total
 
-    return solve((1 << m) - 1)
+    try:
+        return solve((1 << m) - 1)
+    finally:
+        del solve  # it refers to itself; freed now, memo and all, not by the cycle collector
 
 
 def det_berkowitz(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:

@@ -131,7 +131,7 @@ def test_criterion_06_fermat_cubic_five_variables():
 
 
 def test_criterion_07_codimension_law_sampling():
-    with budget(15):
+    with budget(12):
         rep = sample_codim(n=5, m=3, p=101, trials=50, seed=0)
         assert rep.violations == ()
         assert rep.law_bound == 4

@@ -27,7 +27,15 @@ from detcomp.groebner import (
     staircase_dimension,
 )
 from detcomp.matmap import perm_polynomial
-from detcomp.poly import Polynomial, poly_ring, random_polynomial, varset
+from detcomp.poly import (
+    Polynomial,
+    mono_divides,
+    mono_key,
+    mono_mul,
+    poly_ring,
+    random_polynomial,
+    varset,
+)
 from detcomp.singularity import jacobian_ideal
 
 XY = varset("x", "y")
@@ -344,10 +352,179 @@ def test_time_cap_reaches_every_phase(monkeypatch):
 
 def test_packed_monomial_degree_is_capped():
     assert len(buchberger(ideal("x^32767 - y", vars=XY)).polys) == 1
-    for text in ("x^32768 - y", "x^20000*y^20000 - 1"):
+    for text in ("x^32768 - y", "x^20000*y^20000 - 1", "x^70000 - y", "x^65537*y - 1"):
         with pytest.raises(ResourceCapError) as ei:
             buchberger(ideal(text, vars=XY))
         assert ei.value.stage == "pair update" and "packed limit" in str(ei.value)
+    # a generator term above the leading-monomial limit is fine if it reduces away
+    assert [str(p) for p in buchberger(ideal("x", "x^40000 - y", vars=XY)).polys] == ["y", "x"]
+    gb = buchberger(ideal("y^2", vars=XY))
+    with pytest.raises(ResourceCapError) as ei:
+        normal_form(P("x^70000 + y", XY), gb)
+    assert ei.value.stage == "normal form" and "packed limit" in str(ei.value)
+    assert normal_form(P("x^30000*y^35534 + x^65533*y", XY), gb) == P("x^65533*y", XY)
+
+
+# ----------------------------------------------------------- packed term keys
+
+
+def headroom_monomials(n, rng):
+    """Seeded monomials of n variables and degree at most the term-key limit:
+    small ones with many degree ties, and ones with an exponent in 32768..65534."""
+    limit = groebner._MAX_TERM_DEGREE
+    monos = [(0,) * n]
+    for i in range(90):
+        e = [rng.randint(0, 3) for _ in range(n)]
+        if n and i % 3 == 1:
+            e[rng.randrange(n)] = rng.randint(32768, limit - sum(e))
+        elif n and i % 3 == 2:  # a random degree split at random cuts
+            d = rng.randint(0, limit)
+            cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+            e = [b - a for a, b in zip([0] + cuts, cuts + [d])]
+        monos.append(tuple(e))
+    return monos
+
+
+def keys_of(monos):
+    return [k for k, _ in groebner._term_keys([(e, 1) for e in monos], "test")]
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 16])
+def test_term_keys_round_trip_and_order(n):
+    monos = headroom_monomials(n, random.Random(8100 + n))
+    assert max(max(e, default=0) for e in monos) >= (32768 if n else 0)
+    keys = keys_of(monos)
+    assert [groebner._exps(k, n) for k in keys] == monos
+    # a smaller key is a larger monomial
+    by_key = [groebner._exps(k, n) for k in sorted(keys)]
+    assert by_key == sorted(monos, key=mono_key, reverse=True)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 16])
+def test_term_key_shift_is_the_product(n):
+    """key(t) + key(lm * s) - key(lm) = key(t * s): how reduction moves a tail term."""
+    rng = random.Random(8200 + n)
+    monos = headroom_monomials(n, rng)
+    limit = groebner._MAX_TERM_DEGREE
+    checked = 0
+    for _ in range(300):
+        lm, s, t = (rng.choice(monos) for _ in range(3))
+        if sum(lm) + sum(s) > limit or sum(t) + sum(s) > limit:
+            continue
+        k_lm, k_lms, k_t, k_ts = keys_of([lm, mono_mul(lm, s), t, mono_mul(t, s)])
+        assert k_t + (k_lms - k_lm) == k_ts
+        checked += 1
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 16])
+def test_guard_bit_divisor_test_matches_mono_divides(n):
+    """One reduction step by a single monic reducer x^a, on terms whose
+    exponents reach 32768..65534: the term reduces to zero iff a divides it."""
+    rng = random.Random(8300 + n)
+    monos = headroom_monomials(n, rng)
+    guards = groebner._guards(n)
+    field = Fp(7)
+    seen = {True: 0, False: 0}
+    for e in monos:
+        half = tuple(x // 2 for x in e)
+        bumped = tuple(x + (i == rng.randrange(max(n, 1))) for i, x in enumerate(half))
+        small = tuple(rng.randint(0, 2) for _ in range(n))
+        j = min(range(n), key=e.__getitem__, default=0)
+        past = tuple(x + 1 if i == j else 0 for i, x in enumerate(e))  # n > 0: never divides
+        for a in (half, bumped, small, past, e):
+            if sum(a) > groebner._MAX_PACKED_DEGREE:
+                continue
+            elem = groebner._Elem(groebner._term_keys([(a, 1)], "test"), n)
+            rem = groebner._reduce_terms(groebner._term_keys([(e, 3)], "test"), [elem],
+                                         field, guards)
+            want = mono_divides(a, e)
+            assert rem == ([] if want else [(keys_of([e])[0], 3)])
+            seen[want] += 1
+    assert seen[True] >= 40 and (seen[False] >= 30 or n == 0)
+
+
+def headroom_ideal(k):
+    """3 variables, binomial generators with exponents 8000..16000: S-pairs
+    carry exponents past 32767, where a 16-bit key field would lose its guard."""
+    rng = random.Random(5100 + k)
+    field = (Fp(32003), Fp(101), QQ)[k % 3]
+
+    def mono():
+        e = [0, 0, 0]
+        for i in rng.sample(range(3), rng.randint(1, 2)):
+            e[i] = rng.randint(8000, 16000)
+        return tuple(e)
+
+    gens = []
+    for _ in range(2 + k % 2):
+        terms = [(mono(), rng.randint(1, 50)),
+                 (mono() if rng.random() < 0.7 else (0, 0, 0), -rng.randint(1, 50))]
+        gens.append(Polynomial.from_terms(XYZ, field, terms))
+    return Ideal.of(*gens)
+
+
+# k -> (with criteria, without): basis digest, or the stage of the cap hit
+# under max_pairs=200. Recorded from the engine that reduced on exponent tuples.
+HEADROOM = {
+    0: ("a98417b456885966", "a98417b456885966"), 1: ("ff867cdccb2eb268", "ff867cdccb2eb268"),
+    2: ("973e025021e9d06f", "973e025021e9d06f"), 3: ("pair processing", "pair processing"),
+    4: ("b94b4736e5837e41", "b94b4736e5837e41"), 5: ("fc5603faeb1af694", "fc5603faeb1af694"),
+    6: ("fc45ccf81f74bb21", "fc45ccf81f74bb21"), 7: ("pair update", "pair update"),
+    8: ("8be76db554b8fe63", "8be76db554b8fe63"), 9: ("384e5bdff5ec6e52", "384e5bdff5ec6e52"),
+    10: ("85589bacc3521ffb", "85589bacc3521ffb"), 11: ("4d51e99d7b69f2bd", "4d51e99d7b69f2bd"),
+    12: ("a57e22269912cb65", "a57e22269912cb65"), 13: ("7b15645450eee6a6", "7b15645450eee6a6"),
+    14: ("295eb3938713be1b", "295eb3938713be1b"), 15: ("ef16a1f887e1535e", "pair processing"),
+    16: ("pair update", "pair update"), 17: ("0bd22c4cf23f236b", "0bd22c4cf23f236b"),
+    18: ("pair update", "pair update"), 19: ("6a11eb1e40c395c6", "6a11eb1e40c395c6"),
+    20: ("8ee5d31c64e09474", "8ee5d31c64e09474"), 21: ("688b7cdaa375f42e", "688b7cdaa375f42e"),
+    22: ("00c7b9641f03394e", "00c7b9641f03394e"), 23: ("5ea0a41baef88204", "5ea0a41baef88204"),
+    24: ("5f56f074128924d1", "5f56f074128924d1"), 25: ("3def5ef071a79e97", "pair processing"),
+    26: ("pair update", "pair update"), 27: ("817ab83a9f773b50", "817ab83a9f773b50"),
+    28: ("442ea8bfa50304cc", "442ea8bfa50304cc"), 29: ("520012296daf1bdf", "pair processing"),
+    30: ("975d99a61722fc66", "975d99a61722fc66"), 31: ("dafed2b996dd7eec", "pair processing"),
+    32: ("3f9ec502c6933315", "3f9ec502c6933315"), 33: ("6bcc7f0338428284", "6bcc7f0338428284"),
+    34: ("97ef50f58717f057", "97ef50f58717f057"), 35: ("1ad871401bf37698", "pair processing"),
+    36: ("pair update", "pair update"), 37: ("49d7b4462b852784", "49d7b4462b852784"),
+    38: ("aaf12b2d87a7b5fb", "aaf12b2d87a7b5fb"), 39: ("6b2e57129bddeed5", "6b2e57129bddeed5"),
+    40: ("df4eae66c303eab5", "df4eae66c303eab5"), 41: ("6de52095367354bd", "6de52095367354bd"),
+    42: ("825f904a41bab50d", "825f904a41bab50d"), 43: ("6b86b273ff34fce1", "pair processing"),
+    44: ("36a887bd88145376", "36a887bd88145376"), 45: ("pair update", "pair update"),
+    46: ("7cd9fa6c09a61589", "7cd9fa6c09a61589"), 47: ("91b593ab0c1cfb76", "pair processing"),
+    48: ("5cbb1b2f86d149af", "5cbb1b2f86d149af"), 49: ("437f3dbebbc18d4b", "437f3dbebbc18d4b"),
+    50: ("2fb5e15c6d342dfe", "2fb5e15c6d342dfe"), 51: ("c9d8f61cb81492ae", "pair processing"),
+    52: ("f852346f28ec0f64", "f852346f28ec0f64"), 53: ("b1be4b183d704a9d", "pair processing"),
+    54: ("pair update", "pair update"), 55: ("2e9cc554e2d3e20b", "2e9cc554e2d3e20b"),
+    56: ("pair update", "pair update"), 57: ("b0e6e049ed288927", "b0e6e049ed288927"),
+    58: ("3a0ed3a0f0935c10", "3a0ed3a0f0935c10"), 59: ("pair update", "pair update"),
+}
+
+
+def test_high_exponent_ideals_match_tuple_engine():
+    for k, want in HEADROOM.items():
+        got = []
+        for use_criteria in (True, False):
+            try:
+                gb = buchberger(headroom_ideal(k), limits=EngineLimits(max_pairs=200),
+                                use_criteria=use_criteria)
+            except ResourceCapError as exc:
+                got.append(exc.stage)
+            else:
+                got.append(basis_digest(gb))
+        assert tuple(got) == want, k
+
+
+def test_oracle_rejects_polynomials_from_another_ring():
+    from detcomp.fields import FieldMismatchError
+
+    f = P("x*y + y", XY)
+    for divisor in (P("y - z"), P("y", XY, Fp(7)), Polynomial.zero(XYZ, QQ)):
+        with pytest.raises(FieldMismatchError):
+            naive_normal_form(f, [divisor])  # zip once cut (x, y) against (x, y, z)
+    assert naive_normal_form(f, [P("y", XY)]).is_zero()
+    gb = buchberger(ideal("x^2 - y", "x*y - 1", vars=XY))
+    with pytest.raises(FieldMismatchError):
+        groebner_failure_witness(GroebnerBasis(XY, QQ, gb.polys + (P("y - z"),), gb.stats))
 
 
 def test_stats_populated():
