@@ -25,7 +25,7 @@ from .expressions import (
     grenet_abp,
 )
 from .fields import Field, Fp, QQ, field_tag
-from .groebner import EngineLimits, ResourceCapError, buchberger, staircase_dimension
+from .groebner import EngineLimits, ResourceCapError
 from .jsonio import (
     dump_matrix_map,
     load_matrix_map,
@@ -47,7 +47,6 @@ from .singularity import (
     analyze_expression,
     certify_lower_bound,
     check_avoids_singular_locus,
-    jacobian_ideal,
 )
 
 ENV_PREFIX = "DETCOMP_"
@@ -179,28 +178,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_codim(args) -> int:
-    import time as _time
-
     field = parse_field(args.field)
     f = resolve_poly(args.poly, args.vars, field)
-    limits = build_limits(args)
-    start = _time.monotonic()
-    n = len(f.vars)
-    gb = buchberger(jacobian_ideal(f), limits=limits)
-    dim = staircase_dimension(gb.leading_monomials(), n)
-    empty = dim < 0
-    codim = n + 1 if empty else n - dim
+    cert = certify_lower_bound(f, limits=build_limits(args))
+    n, codim, empty = len(f.vars), cert.codim, cert.singular_locus_empty
     payload = {
         "poly": str(f),
         "field": field_tag(field),
         "vars": list(f.vars),
         "n": n,
         "codim": codim,
-        "dim": dim,
+        "dim": -1 if empty else n - codim,
         "singular_locus_empty": empty,
     }
     if not args.deterministic:
-        payload["wall_time"] = _time.monotonic() - start
+        payload["wall_time"] = cert.wall_time
     text = f"codim(Sing(f)) = {codim}" + (" (singular locus empty)" if empty else "")
     emit(args, payload, text)
     return 0
@@ -417,9 +409,6 @@ def _add_common(sp, caps=True):
                     help="output rendering (default text)")
     sp.add_argument("--deterministic", action="store_true",
                     help="strip wall-clock times from JSON output")
-    sp.add_argument("--jobs", type=_at_least(int, 1), default=1,
-                    help="upper bound on worker count (>= 1); current engines are"
-                         " sequential, so this is an accepted bound, not a speedup")
     if caps:
         count, seconds = _at_least(int, 0), _at_least(float, 0)
         sp.add_argument("--max-pairs", type=count, default=None,
@@ -459,7 +448,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--map", required=True, help="matrix-map JSON file or catalog:<name>")
     _add_poly(sp, with_vars=False)
     sp.add_argument("--mode", choices=("exact", "probabilistic"), default="exact")
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_at_least(int, 1), default=100)
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp, caps=False)
     sp.set_defaults(handler=cmd_verify)
@@ -485,7 +474,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--map", required=True)
     _add_poly(sp, with_vars=False)
     sp.add_argument("--mode", choices=("exact", "probabilistic"), default="exact")
-    sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--trials", type=_at_least(int, 1), default=1000)
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
     sp.set_defaults(handler=cmd_avoid_check)
@@ -525,7 +514,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="enumerate size-m expressions over a prime field")
     _add_poly(sp)
     sp.add_argument("--size", type=int, required=True)
-    sp.add_argument("--max-found", type=int, default=1)
+    sp.add_argument("--max-found", type=_at_least(int, 1), default=1)
     sp.add_argument("--max-candidates", type=int, default=DEFAULT_CANDIDATE_CAP)
     _add_common(sp, caps=False)
     sp.set_defaults(handler=cmd_search)

@@ -154,7 +154,7 @@ def sample_codim(n: int, m: int, p: int, trials: int, seed: int = 0,
     for t in range(trials):
         rng = random.Random(seed * SEED_STRIDE + t)
         mapping = _random_linear_map(n, m, field, rng)
-        det = symbolic_det(mapping, algorithm="auto")
+        det = symbolic_det(mapping)
         if det.is_zero():
             degenerate += 1
             continue

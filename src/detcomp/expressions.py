@@ -121,7 +121,7 @@ def abp_to_determinant(abp: ABP) -> AffineMatrixMap:
         grid[u][v] = grid[u][v] + label
     mapping = AffineMatrixMap(vars, field, tuple(tuple(row) for row in grid))
     target = abp.path_sum()
-    det = symbolic_det(mapping, algorithm="auto")
+    det = symbolic_det(mapping)
     if det == target:
         return mapping
     if det == -target:
@@ -217,7 +217,7 @@ class ParamTemplate:
         return len(self.entries)
 
     def determinant(self) -> Polynomial:
-        return symbolic_det(self.entries, algorithm="auto")
+        return symbolic_det(self.entries)
 
     def instantiate(self, assignment: dict) -> AffineMatrixMap:
         """Substitute parameter values (name -> field value) into the grid."""

@@ -28,22 +28,6 @@ def mat_copy(a: Matrix) -> Matrix:
     return [row[:] for row in a]
 
 
-def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(field, rows, cols)
-    for i in range(rows):
-        arow = a[i]
-        orow = out[i]
-        for k in range(inner):
-            c = arow[k]
-            if c == field.zero:
-                continue
-            brow = b[k]
-            for j in range(cols):
-                orow[j] = field.add(orow[j], field.mul(c, brow[j]))
-    return out
-
-
 def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (R, pivot_columns)."""
     m = mat_copy(a)
@@ -94,33 +78,6 @@ def mat_det(field: Field, a: Matrix):
                 f = field.mul(m[i][c], inv)
                 m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[c])]
     return det
-
-
-def mat_inverse(field: Field, a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [row[:] + [field.one if i == j else field.zero for j in range(n)] for i, row in enumerate(a)]
-    r, pivots = rref(field, aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
-
-
-def kernel_basis(field: Field, a: Matrix) -> list[list]:
-    """Basis of the right kernel {v : a v = 0}."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if cols == 0:
-        return []
-    r, pivots = rref(field, a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero] * cols
-        v[fc] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(r[i][fc])
-        basis.append(v)
-    return basis
 
 
 def random_matrix(field: Field, rows: int, cols: int, rng, size: int = 101) -> Matrix:

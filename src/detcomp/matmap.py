@@ -2,17 +2,17 @@
 
 An AffineMatrixMap is a square grid of degree <= 1 polynomials L(x) = C + Z(x)
 with constant part C and linear part Z. Determinants are computed exactly by
-one of two independent algorithms: memoized Laplace expansion (default, capped
-size) and the division-free Berkowitz method (uncapped). Both return the same
-canonical Polynomial, which the tests cross-check.
+one of two independent algorithms: memoized Laplace expansion (size-capped
+when requested by name) and the division-free Berkowitz method (uncapped).
+Both return the same canonical Polynomial, which the tests cross-check.
 
-symbolic_det(algorithm="auto") chooses by work, not by size. A bit-mask walk
-over the row subsets the Laplace expansion would reach counts its polynomial
-products, with no polynomial arithmetic, and stops once the count passes the
-O(m^4) product count of Berkowitz or LAPLACE_MAX_PRODUCTS. Laplace runs when
-it stays within both: every matrix up to 8x8 and sparse ones of any size,
-such as the 15x15 Grenet expression of perm4. Dense matrices from 9x9 up go
-to Berkowitz.
+symbolic_det's default, algorithm="auto", chooses by work, not by size. A
+bit-mask walk over the row subsets the Laplace expansion would reach counts
+its polynomial products, with no polynomial arithmetic, and stops once the
+count passes the O(m^4) product count of Berkowitz or LAPLACE_MAX_PRODUCTS.
+Laplace runs when it stays within both: every matrix up to 7x7 and sparse
+ones of any size, such as the 15x15 Grenet expression of perm4. Dense
+matrices from 8x8 up go to Berkowitz.
 """
 
 from __future__ import annotations
@@ -174,15 +174,16 @@ def det_berkowitz(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
         # diagonal entries of the Toeplitz matrix: 1, -a, -R C, -R A C, ...
         diags = [one, -a]
         vec = col
-        for _ in range(k - 1):
+        for step in range(k - 1):
+            if step:
+                vec = [
+                    sum((grid[i][j] * vec[j] for j in range(k - 1)), Polynomial.zero(some.vars, some.field))
+                    for i in range(k - 1)
+                ]
             s = Polynomial.zero(some.vars, some.field)
             for r, c in zip(row, vec):
                 s = s + r * c
             diags.append(-s)
-            vec = [
-                sum((grid[i][j] * vec[j] for j in range(k - 1)), Polynomial.zero(some.vars, some.field))
-                for i in range(k - 1)
-            ]
         out = []
         for i in range(k + 1):
             s = Polynomial.zero(some.vars, some.field)
@@ -199,9 +200,10 @@ def det_berkowitz(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
 
 def berkowitz_products(m: int) -> int:
     """Polynomial products det_berkowitz makes on an m x m grid, about m^4 / 4."""
-    # step k: k - 1 rounds of a row product and a matrix-vector product,
-    # (k - 1)^2 k in all, then k (k + 3) / 2 for the Toeplitz product
-    return sum((k - 1) ** 2 * k + k * (k + 3) // 2 for k in range(2, m + 1))
+    # step k: k - 1 row products of k - 1 products each, with k - 2
+    # matrix-vector products of (k - 1)^2 between them, (k - 1)^3 in all,
+    # then k (k + 3) / 2 for the Toeplitz product
+    return sum((k - 1) ** 3 + k * (k + 3) // 2 for k in range(2, m + 1))
 
 
 def laplace_is_cheaper(grid: Sequence[Sequence[Polynomial]]) -> bool:
@@ -214,7 +216,7 @@ def laplace_is_cheaper(grid: Sequence[Sequence[Polynomial]]) -> bool:
     polynomial arithmetic and stops as soon as the count passes the bound, or
     LAPLACE_MAX_PRODUCTS, so its time and the subsets it holds stay below
     that many. A dense m x m grid makes m 2^(m-1) - m products, within the
-    bound up to m = 8 and past it from 9.
+    bound up to m = 7 and past it from 8.
     """
     m = len(grid)
     limit = min(berkowitz_products(m), LAPLACE_MAX_PRODUCTS)
@@ -238,17 +240,16 @@ def laplace_is_cheaper(grid: Sequence[Sequence[Polynomial]]) -> bool:
 
 def symbolic_det(
     mapping: AffineMatrixMap | Sequence[Sequence[Polynomial]],
-    algorithm: str = "laplace-memo",
-    cap: int = LAPLACE_DEFAULT_CAP,
+    algorithm: str = "auto",
 ) -> Polynomial:
     """Exact determinant of a polynomial matrix; both algorithms agree.
 
-    cap bounds the size of an explicit "laplace-memo" request. "auto" runs
-    Laplace-memo at any size when laplace_is_cheaper says so, else Berkowitz.
+    "auto" runs Laplace-memo at any size when laplace_is_cheaper says so,
+    else Berkowitz. An explicit "laplace-memo" request keeps its size cap.
     """
     grid = mapping.entries if isinstance(mapping, AffineMatrixMap) else mapping
     if algorithm == "laplace-memo":
-        return det_laplace_memo(grid, cap=cap)
+        return det_laplace_memo(grid)
     if algorithm == "berkowitz":
         return det_berkowitz(grid)
     if algorithm == "auto":
@@ -388,7 +389,7 @@ def verify_expression(
     if mapping.vars != target.vars or mapping.field != target.field:
         raise FieldMismatchError("map and target must share one ring")
     if mode == "exact":
-        det = symbolic_det(mapping, algorithm="auto")
+        det = symbolic_det(mapping)
         diff = det - target
         if diff.is_zero():
             return VerificationReport(mode="exact", ok=True)
@@ -401,6 +402,8 @@ def verify_expression(
         )
     if mode != "probabilistic":
         raise ValueError(f"unknown mode {mode!r}")
+    if trials < 1:
+        raise ValueError(f"probabilistic verification needs trials >= 1, got {trials}")
 
     import random
 

@@ -64,21 +64,9 @@ def varset(*names: str) -> VarSet:
     return VarSet(tuple(names))
 
 
-def mono_degree(e: Monomial) -> int:
-    return sum(e)
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
+# Uncalled in src/; kept because bench/tracing.py rebinds both by name.
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(b: Monomial, a: Monomial) -> Monomial:
-    """b / a; caller guarantees divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -214,9 +202,6 @@ class Polynomial:
         """True for 0 and for polynomials whose terms share one degree."""
         degs = {sum(e) for e, _ in self.terms}
         return len(degs) <= 1
-
-    def graded_part(self, d: int) -> "Polynomial":
-        return Polynomial(self.vars, self.field, tuple(t for t in self.terms if sum(t[0]) == d))
 
     def graded_parts(self) -> dict:
         parts: dict = {}

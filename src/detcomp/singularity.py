@@ -50,10 +50,7 @@ def jacobian_ideal(f: Polynomial) -> Ideal:
 
 def codim_sing(f: Polynomial, limits: EngineLimits | None = None) -> int:
     """Codimension of Sing(f) in affine n-space; n + 1 when Sing(f) is empty."""
-    n = len(f.vars)
-    gb = buchberger(jacobian_ideal(f), limits=limits)
-    dim = staircase_dimension(gb.leading_monomials(), n)
-    return n + 1 if dim < 0 else n - dim
+    return certify_lower_bound(f, limits).codim
 
 
 @dataclass(frozen=True)
@@ -333,7 +330,7 @@ def check_avoids_singular_locus(
         minors = []
         for i in range(m):
             for j in range(m):
-                minors.append(symbolic_det(_minor_map(mapping, i, j), algorithm="auto"))
+                minors.append(symbolic_det(_minor_map(mapping, i, j)))
         minors = [p for p in minors if not p.is_zero()]
         if not minors:
             # every (m-1)-minor vanishes identically: rank <= m-2 everywhere
@@ -520,7 +517,7 @@ def analyze_expression(mapping: AffineMatrixMap, f: Polynomial) -> AnalysisRepor
             codim_upper_bound=dim_im,
         )
 
-    det = symbolic_det(norm.normalized, algorithm="auto")
+    det = symbolic_det(norm.normalized)
     parts = tuple(sorted((deg, p) for deg, p in det.graded_parts().items()))
     window = (max(0, m - r), m)
     forced = tuple(k for k in range(window[0], window[1] + 1) if k != d)

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, output contracts, configuration."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -11,6 +12,8 @@ from detcomp.matmap import AffineMatrixMap
 from detcomp.poly import Polynomial, varset
 
 pytest.importorskip("jsonschema")
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(capsys, argv, schema=None):
@@ -311,13 +314,47 @@ def test_deterministic_output_is_reproducible(capsys):
     assert "wall_time" in timed
 
 
-def test_jobs_flag_is_accepted(capsys):
-    rc, out, _ = run(capsys, ["parse", "--poly", "x", "--jobs", "4"])
-    assert rc == 0
-    assert out.strip() == "x"
+# byte-exact outputs recorded from the CLI; the second codim has an empty
+# singular locus (dim -1, codim n + 1)
+GOLDEN = [
+    ("codim_perm3_Fp32003.json", "codim",
+     ["codim", "--poly", "perm3", "--field", "Fp:32003"], 0),
+    ("codim_xy_plus_1.json", "codim", ["codim", "--poly", "x*y + 1"], 0),
+    ("avoid_check_cubic_5x5.json", "avoidance",
+     ["avoid-check", "--map", "catalog:cubic_5x5", "--poly", "cubic"], 1),
+    ("bertini_n3_m3_t5.json", "sample",
+     ["bertini", "--n", "3", "--m", "3", "--trials", "5"], 0),
+]
 
 
-@pytest.mark.parametrize("jobs", ["0", "-5", "two"])
+@pytest.mark.parametrize("name, schema, argv, code", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_json_outputs(capsys, name, schema, argv, code):
+    rc, out, _ = run(capsys, argv + ["--format", "json", "--deterministic"], schema=schema)
+    assert rc == code
+    assert out == (DATA / name).read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--map", "catalog:quadric_2x2", "--poly", "x^2 + y*z + x",
+     "--mode", "probabilistic", "--trials", "0"],
+    ["verify", "--map", "catalog:quadric_2x2", "--poly", "x^2 + y*z + x",
+     "--mode", "probabilistic", "--trials", "-3"],
+    ["avoid-check", "--map", "catalog:cubic_5x5", "--poly", "cubic",
+     "--mode", "probabilistic", "--trials", "0"],
+    ["search", "--poly", "x*y", "--vars", "x,y", "--field", "Fp:2",
+     "--size", "2", "--max-found", "0"],
+])
+def test_counts_below_one_are_a_usage_error(capsys, argv):
+    flag = argv[-2]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5", "two", "4"])
 def test_jobs_below_one_is_a_usage_error(capsys, jobs):
     with pytest.raises(SystemExit) as exc:
         main(["parse", "--poly", "x", "--jobs", jobs])

@@ -31,7 +31,6 @@ from detcomp.poly import (
     Polynomial,
     mono_divides,
     mono_key,
-    mono_mul,
     poly_ring,
     random_polynomial,
     varset,
@@ -40,6 +39,16 @@ from detcomp.singularity import jacobian_ideal
 
 XY = varset("x", "y")
 XYZ = varset("x", "y", "z")
+
+
+def mono_mul(a, b):
+    """Reference exponent-tuple product, for checking the packed term keys."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_div(b, a):
+    """Reference exponent-tuple quotient b / a; the caller guarantees divisibility."""
+    return tuple(y - x for x, y in zip(a, b))
 
 
 def P(text, vars=XYZ, field=QQ):
@@ -72,7 +81,7 @@ def test_twisted_cubic_style_basis_f7():
     polys = list(gb.polys)
     field = gb.field
     for f, g in itertools.combinations(polys, 2):
-        from detcomp.poly import mono_div, mono_lcm
+        from detcomp.poly import mono_lcm
 
         lf, lg = f.leading_monomial(), g.leading_monomial()
         lcm = mono_lcm(lf, lg)

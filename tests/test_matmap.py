@@ -192,9 +192,13 @@ def test_laplace_cap_and_berkowitz_fallback():
     ]
     L = AffineMatrixMap(vars, QQ, tuple(rows))
     with pytest.raises(DeterminantSizeError):
-        symbolic_det(L, algorithm="laplace-memo", cap=6)
+        det_laplace_memo(L.entries, cap=6)
     assert symbolic_det(L, algorithm="berkowitz") == Polynomial.parse("x^7", vars=vars)
-    assert symbolic_det(L, algorithm="auto", cap=6) == Polynomial.parse("x^7", vars=vars)
+    assert symbolic_det(L, algorithm="auto") == Polynomial.parse("x^7", vars=vars)
+    # an explicit Laplace request keeps det_laplace_memo's own cap
+    nine = [[one] * 9 for _ in range(9)]
+    with pytest.raises(DeterminantSizeError):
+        symbolic_det(nine, algorithm="laplace-memo")
     with pytest.raises(ValueError):
         symbolic_det(L, algorithm="gauss")
 
@@ -204,17 +208,17 @@ def test_berkowitz_products_counts_berkowitz_work(rng, monkeypatch):
     products = []
     real_mul = Polynomial.__mul__
     monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append(1) or real_mul(a, b))
-    for m in range(1, 8):
+    for m in range(1, 10):
         products.clear()
         det_berkowitz(dense_grid(m, rng))
         assert len(products) == berkowitz_products(m)
 
 
 def test_auto_chooses_by_laplace_work(rng, monkeypatch):
-    # dense grids: m 2^(m-1) - m Laplace products, within Berkowitz's count up to 8x8
-    for m in range(1, 9):
+    # dense grids: m 2^(m-1) - m Laplace products, within Berkowitz's count up to 7x7
+    for m in range(1, 8):
         assert laplace_is_cheaper(dense_grid(m, rng))
-    for m in (9, 10, 12):
+    for m in (8, 9, 10, 12):
         assert not laplace_is_cheaper(dense_grid(m, rng))
     grenet = abp_to_determinant(grenet_abp(4))
     assert grenet.size == 15
@@ -233,8 +237,9 @@ def test_auto_chooses_by_laplace_work(rng, monkeypatch):
     monkeypatch.setattr(matmap, "det_laplace_memo", refuse("laplace"))
     with pytest.raises(Ran, match="laplace"):
         symbolic_det(grenet, algorithm="auto")
-    with pytest.raises(Ran, match="berkowitz"):
-        symbolic_det(dense_grid(10, rng), algorithm="auto")
+    for m in (8, 10):
+        with pytest.raises(Ran, match="berkowitz"):
+            symbolic_det(dense_grid(m, rng))
 
 
 def test_auto_chooser_bounds_hostile_input(monkeypatch):
@@ -453,6 +458,15 @@ def test_verify_expression_probabilistic():
     assert report.ok
     assert report.trials == 40
     assert report.failure_bound is not None and report.failure_bound < 1e-20
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_probabilistic_needs_a_trial(trials):
+    """With no trial run, a wrong target must not come back ok."""
+    mapping, target = catalog_get("quadric_2x2")
+    wrong = target + Polynomial.variable(mapping.vars, mapping.field, 0)
+    with pytest.raises(ValueError, match="trials >= 1"):
+        verify_expression(mapping, wrong, mode="probabilistic", trials=trials)
 
 
 def test_probabilistic_catches_perturbation():
