@@ -17,6 +17,7 @@ import sys
 
 from .expressions import (
     CATALOG_NAMES,
+    MONOMIAL_FILTERS,
     abp_to_determinant,
     catalog_get,
     cubic_case_analysis,
@@ -25,7 +26,7 @@ from .expressions import (
     grenet_abp,
 )
 from .fields import Field, Fp, QQ, field_tag
-from .groebner import EngineLimits, ResourceCapError
+from .groebner import DEFAULT_LIMITS, EngineLimits, ResourceCapError
 from .jsonio import (
     dump_matrix_map,
     load_matrix_map,
@@ -62,13 +63,12 @@ def _env(name: str, cast, default):
         raise ValueError(f"bad {ENV_PREFIX}{name}={raw!r}") from None
 
 
-def build_limits(args) -> EngineLimits:
-    """Flag > environment > default, per knob; a bad or negative cap is an input error.
+def build_limits(args, base: EngineLimits = DEFAULT_LIMITS) -> EngineLimits:
+    """Flag > environment > base, per knob; a bad or negative cap is an input error.
 
     Flags are range-checked by argparse, so a negative value here came from
     the environment.
     """
-    base = EngineLimits()
     values = {}
     for knob, cast in (("max_pairs", int), ("max_basis", int),
                        ("max_degree", int), ("time_limit", float)):
@@ -257,33 +257,25 @@ def cmd_catalog(args) -> int:
         emit(args, payload, "\n".join(CATALOG_NAMES))
         return 0
     field = parse_field(args.field)
-    mapping, target = catalog_get(args.name, field)
-    report = verify_expression(mapping, target, mode="exact")
+    mapping, target = catalog_get(args.name, field)  # raises unless verified exactly
     payload = {
         "name": args.name,
         "target": str(target),
-        "verified": report.ok,
+        "verified": True,
         "map": dump_matrix_map(mapping),
     }
     if args.out:
         write_json(args.out, dump_matrix_map(mapping))
-    emit(args, payload,
-         f"{args.name}: size {mapping.size}, det = {target}, exact: {report.ok}")
-    return 0 if report.ok else 1
+    emit(args, payload, f"{args.name}: size {mapping.size}, det = {target}, exact: True")
+    return 0
 
 
 def cmd_coeff_eqs(args) -> int:
     field = parse_field(args.field)
     template, target = cubic_rank3_template(
         field, include_lower_coeffs=args.template == "cubic_rank3_full")
-    if args.filter == "deg3":
-        monomial_filter = lambda e: sum(e) == 3
-    elif args.filter == "deg3-x1":
-        monomial_filter = lambda e: sum(e) == 3 and e[0] == 1
-    else:
-        monomial_filter = None
-    equations = extract_coefficient_equations(template, target,
-                                              monomial_filter=monomial_filter)
+    equations = extract_coefficient_equations(
+        template, target, monomial_filter=MONOMIAL_FILTERS[args.filter])
     names = tuple(template.main_vars)
     payload = {
         "template": args.template,
@@ -345,12 +337,7 @@ def cmd_dc(args) -> int:
     f = resolve_poly(args.poly, args.vars, field)
     result = dc_exact(f, args.m_max, max_candidates=args.max_candidates)
     payload = result.to_json()
-    payload["witness"] = None
-    if result.value is not None:
-        spec = SearchSpec(f, result.value, max_candidates=args.max_candidates)
-        for witness in search_expressions(spec):
-            payload["witness"] = dump_matrix_map(witness)
-            break
+    payload["witness"] = None if result.witness is None else dump_matrix_map(result.witness)
     emit(args, payload, f"dc = {result.render()}")
     if result.capped_at is not None:
         return 3
@@ -358,13 +345,11 @@ def cmd_dc(args) -> int:
 
 
 def cmd_bertini(args) -> int:
-    from .explore import sample_codim
+    from .explore import SAMPLE_TIME_LIMIT, sample_codim
 
-    sample_limits = None
-    if args.time_limit is not None:
-        sample_limits = EngineLimits(time_limit=args.time_limit)
+    limits = build_limits(args, EngineLimits(time_limit=SAMPLE_TIME_LIMIT))
     report = sample_codim(args.n, args.m, args.p, args.trials, seed=args.seed,
-                          sample_limits=sample_limits)
+                          sample_limits=limits)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report.to_csv())
@@ -466,7 +451,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("analyze", help="structural analysis of a verified expression")
     sp.add_argument("--map", required=True)
     _add_poly(sp, with_vars=False)
-    _add_common(sp)
+    _add_common(sp, caps=False)
     sp.set_defaults(handler=cmd_analyze)
 
     sp = sub.add_parser("avoid-check",
@@ -497,7 +482,7 @@ def make_parser() -> argparse.ArgumentParser:
                         help="coefficient equations of the rank-3 cubic template")
     sp.add_argument("--template", choices=("cubic_rank3", "cubic_rank3_full"),
                     default="cubic_rank3")
-    sp.add_argument("--filter", choices=("deg3", "deg3-x1", "none"), default="deg3-x1")
+    sp.add_argument("--filter", choices=tuple(MONOMIAL_FILTERS), default="deg3-x1")
     sp.add_argument("--field", default="Q")
     _add_common(sp, caps=False)
     sp.set_defaults(handler=cmd_coeff_eqs)

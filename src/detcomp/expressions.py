@@ -505,17 +505,16 @@ class CaseAnalysisReport:
     def render_text(self) -> str:
         lines = ["six displayed equations (canonical order):"]
         lines += [f"  {s}" for s in self.six_equations]
-        lines.append("six-equation system:")
-        for v in self.six_verdicts:
-            lines.append(f"  {v.case}: {v.status}" + (f" ({v.detail})" if v.detail else ""))
-        if self.full_verdicts:
-            lines.append(f"full degree-3 system ({self.full_equation_count} equations):")
-            for v in self.full_verdicts:
-                lines.append(f"  {v.case}: {v.status}" + (f" ({v.detail})" if v.detail else ""))
-        if self.complete_verdicts:
-            lines.append(f"complete system, all degrees ({self.complete_equation_count} equations):")
-            for v in self.complete_verdicts:
-                lines.append(f"  {v.case}: {v.status}" + (f" ({v.detail})" if v.detail else ""))
+        for title, verdicts in (
+            ("six-equation system", self.six_verdicts),
+            (f"full degree-3 system ({self.full_equation_count} equations)", self.full_verdicts),
+            (f"complete system, all degrees ({self.complete_equation_count} equations)",
+             self.complete_verdicts),
+        ):
+            if verdicts:
+                lines.append(f"{title}:")
+                lines += [f"  {v.case}: {v.status}" + (f" ({v.detail})" if v.detail else "")
+                          for v in verdicts]
         lines.append(f"alpha = beta = gamma = 0 substitution: {'infeasible' if self.abg_zero_infeasible else 'not decided'}")
         lines.append(f"claim under test: {self.claim}")
         lines.append(f"  six-equation system matches: {self.six_matches_claim}")
@@ -531,6 +530,9 @@ def _deg3(e):
 
 def _deg3_x1(e):
     return sum(e) == 3 and e[0] == 1
+
+
+MONOMIAL_FILTERS = {"deg3": _deg3, "deg3-x1": _deg3_x1, "none": None}
 
 
 def _case_verdicts(residuals, params, field, limits) -> list:
@@ -581,29 +583,25 @@ def cubic_case_analysis(
     only this system is equivalent to det = target).
     """
     field = QQ
-    six_template, target = cubic_rank3_template(field, include_lower_coeffs=False)
-    six_eqs = extract_coefficient_equations(six_template, target, monomial_filter=_deg3_x1)
-    six_res = [eq.residual() for eq in six_eqs]
-    six_verdicts = _case_verdicts(six_res, six_template.param_vars, field, limits)
-
-    full_template, _ = cubic_rank3_template(field, include_lower_coeffs=True)
-    full_eqs: list = []
-    full_verdicts: list = []
-    if include_full:
-        full_eqs = extract_coefficient_equations(full_template, target, monomial_filter=_deg3)
-        full_res = [eq.residual() for eq in full_eqs]
-        full_verdicts = _case_verdicts(full_res, full_template.param_vars, field, limits)
-
-    complete_eqs: list = []
-    complete_verdicts: list = []
-    if include_complete:
-        complete_eqs = extract_coefficient_equations(full_template, target)
-        complete_res = [eq.residual() for eq in complete_eqs]
-        complete_verdicts = _case_verdicts(complete_res, full_template.param_vars, field, limits)
+    systems = {}  # name -> (equations, residuals, verdicts)
+    for name, monomial_filter, wanted in (
+        ("six", _deg3_x1, True),
+        ("full", _deg3, include_full),
+        ("complete", None, include_complete),
+    ):
+        if not wanted:
+            continue  # so a template is built only when its system runs
+        template, target = cubic_rank3_template(field, include_lower_coeffs=name != "six")
+        eqs = extract_coefficient_equations(template, target, monomial_filter=monomial_filter)
+        res = [eq.residual() for eq in eqs]
+        systems[name] = (eqs, res, tuple(_case_verdicts(res, template.param_vars, field, limits)))
+    six_eqs, six_res, six_verdicts = systems["six"]
+    full_eqs, _, full_verdicts = systems.get("full", ((), (), ()))
+    complete_eqs, _, complete_verdicts = systems.get("complete", ((), (), ()))
 
     # structural sanity: with alpha = beta = gamma all zero, the xy^2 equation
     # reads 0 = 1, so the six equations admit no such solution
-    params = six_template.param_vars
+    params = six_res[0].vars
     images = [Polynomial.variable(params, field, i) for i in range(len(params))]
     for name in ("alpha", "beta", "gamma"):
         images[params.index(name)] = Polynomial.zero(params, field)
@@ -623,14 +621,14 @@ def cubic_case_analysis(
 
     return CaseAnalysisReport(
         six_equations=tuple(eq.render() for eq in six_eqs),
-        six_verdicts=tuple(six_verdicts),
+        six_verdicts=six_verdicts,
         full_equation_count=len(full_eqs),
-        full_verdicts=tuple(full_verdicts),
+        full_verdicts=full_verdicts,
         abg_zero_infeasible=abg_zero_infeasible,
         claim=claim,
         six_matches_claim=matches(six_verdicts),
         full_matches_claim=matches(full_verdicts) if full_verdicts else None,
         complete_equation_count=len(complete_eqs) if include_complete else None,
-        complete_verdicts=tuple(complete_verdicts),
+        complete_verdicts=complete_verdicts,
         complete_matches_claim=matches(complete_verdicts) if complete_verdicts else None,
     )

@@ -27,6 +27,8 @@ from .fields import Field, FieldMismatchError, QQ
 from .poly import Polynomial, VarSet, mono_key, mono_str, point_values
 
 LAPLACE_DEFAULT_CAP = 8
+PERM_MAX_SIZE = 6          # largest permanent perm_polynomial builds (n! terms)
+GENERIC_DET_MAX_SIZE = 5   # largest generic determinant generic_det_polynomial builds
 # Most products symbolic_det(auto) lets Laplace-memo make, whatever Berkowitz
 # would cost; it bounds the chooser's walk and Laplace's memo of subsets.
 LAPLACE_MAX_PRODUCTS = 1 << 18
@@ -314,10 +316,10 @@ def rank_and_normalize(mapping: AffineMatrixMap) -> NormalizedExpression:
     return NormalizedExpression(normalized, rank, left, right, scalar)
 
 
-def perm_polynomial(n: int, field: Field = QQ, cap: int = 6) -> Polynomial:
+def perm_polynomial(n: int, field: Field = QQ) -> Polynomial:
     """Permanent of the generic n x n matrix; n! terms, all coefficients 1."""
-    if n < 1 or n > cap:
-        raise ValueError(f"permanent size must be in [1, {cap}]")
+    if n < 1 or n > PERM_MAX_SIZE:
+        raise ValueError(f"permanent size must be in [1, {PERM_MAX_SIZE}]")
     if field.char == 2:
         warnings.warn(
             "permanent over characteristic 2 equals the determinant; "
@@ -336,15 +338,15 @@ def perm_polynomial(n: int, field: Field = QQ, cap: int = 6) -> Polynomial:
     return Polynomial(vars, field, tuple(terms))
 
 
-def generic_det_polynomial(m: int, field: Field = QQ, cap: int = 5) -> Polynomial:
+def generic_det_polynomial(m: int, field: Field = QQ) -> Polynomial:
     """Determinant of the generic m x m matrix as a polynomial in m^2 variables."""
-    if m < 1 or m > cap:
-        raise ValueError(f"generic determinant size must be in [1, {cap}]")
+    if m < 1 or m > GENERIC_DET_MAX_SIZE:
+        raise ValueError(f"generic determinant size must be in [1, {GENERIC_DET_MAX_SIZE}]")
     vars = VarSet(tuple(f"x{i+1}{j+1}" for i in range(m) for j in range(m)))
     gens = [
         [Polynomial.variable(vars, field, i * m + j) for j in range(m)] for i in range(m)
     ]
-    return det_laplace_memo(gens, cap=max(m, LAPLACE_DEFAULT_CAP))
+    return det_laplace_memo(gens)
 
 
 def generic_matrix_map(m: int, field: Field = QQ) -> AffineMatrixMap:

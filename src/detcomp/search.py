@@ -59,6 +59,8 @@ class SearchSpec:
             raise ValueError("search runs over prime fields only")
         if self.size < 1:
             raise ValueError("size must be at least 1")
+        if self.max_candidates < 0:
+            raise ValueError(f"max_candidates must be >= 0, got {self.max_candidates}")
         est = self.estimate()
         if est > self.max_candidates:
             raise EnumerationCapError(
@@ -302,6 +304,7 @@ class DcResult:
     m_max: int
     capped_at: int | None      # size at which the candidate cap refused to run
     evaluations: tuple         # (size, full_evaluations) pairs actually searched
+    witness: AffineMatrixMap | None = None  # first witness of size value, re-verified
 
     def render(self) -> str:
         if self.value is not None:
@@ -323,6 +326,10 @@ class DcResult:
 
 def dc_exact(f: Polynomial, m_max: int, max_candidates: int = DEFAULT_CANDIDATE_CAP) -> DcResult:
     """Smallest size admitting an expression of f, searching m = 1, 2, ..."""
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, got {m_max}")
+    if max_candidates < 0:
+        raise ValueError(f"max_candidates must be >= 0, got {max_candidates}")
     evaluations = []
     for m in range(1, m_max + 1):
         if f.degree() > m:
@@ -333,9 +340,9 @@ def dc_exact(f: Polynomial, m_max: int, max_candidates: int = DEFAULT_CANDIDATE_
         except EnumerationCapError:
             return DcResult(f, None, m_max, m, tuple(evaluations))
         report = SearchReport(spec)
-        for _ in search_expressions(spec, report):
+        for witness in search_expressions(spec, report):
             evaluations.append((m, report.full_evaluations))
-            return DcResult(f, m, m_max, None, tuple(evaluations))
+            return DcResult(f, m, m_max, None, tuple(evaluations), witness)
         evaluations.append((m, report.full_evaluations))
     return DcResult(f, None, m_max, None, tuple(evaluations))
 

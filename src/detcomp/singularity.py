@@ -291,7 +291,6 @@ def check_avoids_singular_locus(
     trials: int = 1000,
     seed: int = 0,
     limits: EngineLimits | None = None,
-    compute_codim: bool = True,
 ) -> AvoidanceReport:
     """Does the image of the map avoid the rank <= m-2 locus?
 
@@ -313,44 +312,39 @@ def check_avoids_singular_locus(
     field = mapping.field
     rank0 = mat_rank(field, mapping.constant_part())
     notes = []
-    codim = None
-    precondition = None
-    if compute_codim:
-        codim = codim_sing(f, limits=limits)
-        precondition = codim > MIN_USEFUL_CODIM
-        if not precondition:
-            notes.append(
-                f"codim Sing(f) = {codim} <= {MIN_USEFUL_CODIM}: avoidance is not forced for this target,"
-                " so any rank defect below is informational"
-            )
+    codim = codim_sing(f, limits=limits)
+    precondition = codim > MIN_USEFUL_CODIM
+    if not precondition:
+        notes.append(
+            f"codim Sing(f) = {codim} <= {MIN_USEFUL_CODIM}: avoidance is not forced for this target,"
+            " so any rank defect below is informational"
+        )
     if rank0 != m - 1:
         notes.append(f"rank of the constant part is {rank0}, not m - 1 = {m - 1}")
 
+    witness, sampled = None, 0
     if mode == "exact":
         minors = []
         for i in range(m):
             for j in range(m):
                 minors.append(symbolic_det(_minor_map(mapping, i, j)))
         minors = [p for p in minors if not p.is_zero()]
-        if not minors:
-            # every (m-1)-minor vanishes identically: rank <= m-2 everywhere
-            return AvoidanceReport(m, rank0, rank0 == m - 1, mode, False, None, 0,
-                                   codim, precondition, tuple(notes))
-        gb = buchberger(Ideal(mapping.vars, field, tuple(minors)), limits=limits)
-        avoids = gb.is_trivial()
-        return AvoidanceReport(m, rank0, rank0 == m - 1, mode, avoids, None, 0,
-                               codim, precondition, tuple(notes))
-
-    rng = random.Random(seed)
-    n = len(mapping.vars)
-    sample_width = max(128, 4 * m)
-    for _ in range(trials):
-        point = [field.sample(rng, sample_width) for _ in range(n)]
-        if mat_rank(field, mapping.evaluate(point)) <= m - 2:
-            return AvoidanceReport(m, rank0, rank0 == m - 1, mode, False, tuple(point), trials,
-                                   codim, precondition, tuple(notes))
-    notes.append(f"no rank defect in {trials} samples; not a proof of avoidance")
-    return AvoidanceReport(m, rank0, rank0 == m - 1, mode, None, None, trials,
+        # every (m-1)-minor vanishing identically means rank <= m-2 everywhere
+        avoids = bool(minors) and buchberger(
+            Ideal(mapping.vars, field, tuple(minors)), limits=limits).is_trivial()
+    else:
+        avoids, sampled = None, trials
+        rng = random.Random(seed)
+        n = len(mapping.vars)
+        sample_width = max(128, 4 * m)
+        for _ in range(trials):
+            point = [field.sample(rng, sample_width) for _ in range(n)]
+            if mat_rank(field, mapping.evaluate(point)) <= m - 2:
+                avoids, witness = False, tuple(point)
+                break
+        else:
+            notes.append(f"no rank defect in {trials} samples; not a proof of avoidance")
+    return AvoidanceReport(m, rank0, rank0 == m - 1, mode, avoids, witness, sampled,
                            codim, precondition, tuple(notes))
 
 
@@ -517,7 +511,8 @@ def analyze_expression(mapping: AffineMatrixMap, f: Polynomial) -> AnalysisRepor
             codim_upper_bound=dim_im,
         )
 
-    det = symbolic_det(norm.normalized)
+    # det(P L Q) = det(P) det(Q) det(L), and det(L) = f was checked exactly above
+    det = f.scale(norm.scalar)
     parts = tuple(sorted((deg, p) for deg, p in det.graded_parts().items()))
     window = (max(0, m - r), m)
     forced = tuple(k for k in range(window[0], window[1] + 1) if k != d)

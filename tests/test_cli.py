@@ -315,7 +315,7 @@ def test_deterministic_output_is_reproducible(capsys):
 
 
 # byte-exact outputs recorded from the CLI; the second codim has an empty
-# singular locus (dim -1, codim n + 1)
+# singular locus (dim -1, codim n + 1), and analyze takes the lower-rank branch
 GOLDEN = [
     ("codim_perm3_Fp32003.json", "codim",
      ["codim", "--poly", "perm3", "--field", "Fp:32003"], 0),
@@ -324,12 +324,37 @@ GOLDEN = [
      ["avoid-check", "--map", "catalog:cubic_5x5", "--poly", "cubic"], 1),
     ("bertini_n3_m3_t5.json", "sample",
      ["bertini", "--n", "3", "--m", "3", "--trials", "5"], 0),
+    ("cubic_case.json", "case_analysis", ["cubic-case"], 1),
+    ("coeff_eqs_cubic_rank3.json", "equations", ["coeff-eqs"], 0),
+    ("coeff_eqs_full_deg3.json", "equations",
+     ["coeff-eqs", "--template", "cubic_rank3_full", "--filter", "deg3"], 0),
+    ("analyze_cubic_5x5.json", "analysis",
+     ["analyze", "--map", "catalog:cubic_5x5", "--poly", "cubic"], 0),
+    ("dc_x2_plus_yz_Fp3.json", "dc",
+     ["dc", "--poly", "x^2 + y*z", "--vars", "x,y,z", "--field", "Fp:3", "--m-max", "2"], 0),
+    ("catalog_quadric_2x2.json", "catalog", ["catalog", "--name", "quadric_2x2"], 0),
+    ("bertini_n2_m2_p11_t5.json", "sample",
+     ["bertini", "--n", "2", "--m", "2", "--p", "11", "--trials", "5",
+      "--time-limit", "10"], 0),
 ]
 
 
 @pytest.mark.parametrize("name, schema, argv, code", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_golden_json_outputs(capsys, name, schema, argv, code):
     rc, out, _ = run(capsys, argv + ["--format", "json", "--deterministic"], schema=schema)
+    assert rc == code
+    assert out == (DATA / name).read_text()
+
+
+TEXT_GOLDEN = [
+    ("cubic_case.txt", ["cubic-case"], 1),
+    ("analyze_cubic_5x5.txt", ["analyze", "--map", "catalog:cubic_5x5", "--poly", "cubic"], 0),
+]
+
+
+@pytest.mark.parametrize("name, argv, code", TEXT_GOLDEN, ids=[g[0] for g in TEXT_GOLDEN])
+def test_golden_text_outputs(capsys, name, argv, code):
+    rc, out, _ = run(capsys, argv + ["--deterministic"])
     assert rc == code
     assert out == (DATA / name).read_text()
 
@@ -352,6 +377,65 @@ def test_counts_below_one_are_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert flag in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--poly", "x*y", "--vars", "x,y", "--field", "Fp:2", "--size", "2",
+      "--max-candidates", "-1"], "max_candidates"),
+    (["dc", "--poly", "x*y", "--vars", "x,y", "--field", "Fp:2", "--m-max", "2",
+      "--max-candidates", "-1"], "max_candidates"),
+    (["dc", "--poly", "x*y", "--vars", "x,y", "--field", "Fp:2", "--m-max", "0"], "m_max"),
+])
+def test_out_of_range_search_bounds_are_input_errors(capsys, argv, message):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert message in err
+    assert out == ""
+
+
+def test_dc_searches_once(capsys, monkeypatch):
+    import detcomp.cli
+    import detcomp.search
+
+    calls = []
+    original = detcomp.search.search_expressions
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].size)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(detcomp.search, "search_expressions", counted)
+    monkeypatch.setattr(detcomp.cli, "search_expressions", counted)
+    f = Polynomial.parse("x^2 + y*z", vars=varset("x", "y", "z"), field=Fp(3))
+    detcomp.search.dc_exact(f, 2)
+    library_calls = len(calls)
+    calls.clear()
+    rc, _, _ = run(capsys, ["dc", "--poly", "x^2 + y*z", "--vars", "x,y,z",
+                            "--field", "Fp:3", "--m-max", "2"])
+    assert rc == 0
+    assert 0 < len(calls) <= library_calls
+
+
+def test_analyze_takes_no_caps(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--map", "catalog:cubic_5x5", "--poly", "cubic", "--max-pairs", "0"])
+    assert exc.value.code == 2
+    assert "--max-pairs" in capsys.readouterr().err
+
+
+def test_bertini_caps_apply_per_sample(capsys, monkeypatch):
+    argv = ["bertini", "--n", "2", "--m", "2", "--p", "11", "--trials", "5",
+            "--format", "json"]
+    rc, out, _ = run(capsys, argv + ["--max-pairs", "0"], schema="sample")
+    payload = json.loads(out)
+    assert rc == 0
+    assert payload["timeouts"] == 5 - payload["degenerate"] > 0
+    assert payload["histogram"] == {}
+    monkeypatch.setenv("DETCOMP_MAX_PAIRS", "-1")
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert "DETCOMP_MAX_PAIRS" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("jobs", ["0", "-5", "two", "4"])

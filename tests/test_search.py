@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from detcomp.fields import QQ, Fp
-from detcomp.matmap import AffineMatrixMap, symbolic_det
+from detcomp.matmap import AffineMatrixMap, symbolic_det, verify_expression
 from detcomp.poly import Polynomial, varset
 from detcomp.search import (
     DcResult,
@@ -41,6 +41,13 @@ def test_spec_validation():
         SearchSpec(Polynomial.parse("x*y", vars=XY, field=QQ), 2)
     with pytest.raises(ValueError):
         SearchSpec(poly("x*y"), 0)
+
+
+def test_spec_rejects_a_negative_candidate_cap():
+    # a ValueError that is not an EnumerationCapError, so the CLI exits 2, not 3
+    with pytest.raises(ValueError, match="max_candidates") as exc:
+        SearchSpec(poly("x*y"), 2, max_candidates=-1)
+    assert not isinstance(exc.value, EnumerationCapError)
 
 
 def test_viable_ranks_use_the_degree_window():
@@ -202,3 +209,32 @@ def test_dc_cap_reported():
     data = res.to_json()
     assert data["capped_at"] == 2
     assert data["value"] is None
+
+
+@pytest.mark.parametrize("m_max, max_candidates, message", [
+    (0, 10, "m_max"),
+    (-2, 10, "m_max"),
+    (2, -1, "max_candidates"),
+])
+def test_dc_rejects_out_of_range_bounds(m_max, max_candidates, message):
+    # x^3 is decided by the degree bound alone up to m = 2, so no SearchSpec
+    # is built and dc_exact must check the bounds itself
+    with pytest.raises(ValueError, match=message):
+        dc_exact(poly("x^3", varset("x")), m_max, max_candidates=max_candidates)
+
+
+@pytest.mark.parametrize("text, vars, field, m_max, value", [
+    ("x*y", XY, F2, 3, 2),
+    ("x", XY, F2, 2, 1),
+    ("x^2 + y*z", varset("x", "y", "z"), F3, 2, 2),
+    ("x^3", varset("x"), F2, 3, 3),
+])
+def test_dc_witness_reverifies_exactly(text, vars, field, m_max, value):
+    f = poly(text, vars, field)
+    res = dc_exact(f, m_max)
+    assert res.value == value
+    assert res.witness.size == value
+    assert verify_expression(res.witness, f, mode="exact").ok
+    # the first witness of the winning size, as a fresh search streams it
+    assert res.witness == next(search_expressions(SearchSpec(f, value)))
+    assert dc_exact(poly("x^3", varset("x")), 2).witness is None

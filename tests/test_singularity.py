@@ -268,7 +268,7 @@ def test_avoidance_probabilistic_witness_for_zero_column():
     mapping = AffineMatrixMap(vs, QQ, tuple(rows))
     target = symbolic_det(mapping)
     report = check_avoids_singular_locus(
-        mapping, target, mode="probabilistic", trials=20, compute_codim=False
+        mapping, target, mode="probabilistic", trials=20
     )
     # two all-zero columns force rank <= 1 = m - 2 at every point
     assert report.avoids is False
@@ -280,7 +280,7 @@ def test_avoidance_probabilistic_witness_for_zero_column():
 def test_avoidance_probabilistic_clean_run_is_inconclusive():
     mapping, target = catalog_get("grenet_perm_3", field=Fp(32003))
     report = check_avoids_singular_locus(
-        mapping, target, mode="probabilistic", trials=200, seed=3, compute_codim=False
+        mapping, target, mode="probabilistic", trials=200, seed=3
     )
     assert report.avoids is None
     assert report.witness_point is None
@@ -292,7 +292,7 @@ def test_avoidance_exact_and_probabilistic_never_contradict():
     mapping, target = catalog_get("quadric_2x2")
     exact = check_avoids_singular_locus(mapping, target, mode="exact")
     prob = check_avoids_singular_locus(
-        mapping, target, mode="probabilistic", trials=500, seed=1, compute_codim=False
+        mapping, target, mode="probabilistic", trials=500, seed=1
     )
     if prob.avoids is False:
         assert exact.avoids is False
@@ -334,7 +334,8 @@ def test_analysis_lower_rank_branch():
     assert not report.all_proof_checks_pass()
 
 
-def test_analysis_rank_zero_diagonal():
+def _rank_zero_diagonal():
+    """diag(x, x, x) with its determinant x^3: constant part of rank 0."""
     vs = varset("x")
     x = Polynomial.parse("x", vars=vs)
     diag = AffineMatrixMap(
@@ -345,7 +346,18 @@ def test_analysis_rank_zero_diagonal():
             for i in range(3)
         ),
     )
-    report = analyze_expression(diag, Polynomial.parse("x^3", vars=vs))
+    return diag, Polynomial.parse("x^3", vars=vs)
+
+
+def _scaled_cubic_5x5():
+    """cubic_5x5 with a constant row scaled by 3: a lower-rank map whose
+    normalization scalar is 1/3, not 1."""
+    mapping, target = catalog_get("cubic_5x5")
+    return mapping.scale_row(2, 3), target.scale(3)
+
+
+def test_analysis_rank_zero_diagonal():
+    report = analyze_expression(*_rank_zero_diagonal())
     assert report.branch == "lower_rank"
     assert report.rank == 0
     assert report.window_consistent
@@ -354,8 +366,12 @@ def test_analysis_rank_zero_diagonal():
 
 
 def test_analysis_scalar_matches_normalization():
-    mapping, target = catalog_get("grenet_perm_3")
-    report = analyze_expression(mapping, target)
-    lhs = symbolic_det(report.normalization.normalized)
-    rhs = symbolic_det(mapping).scale(report.scalar)
-    assert lhs == rhs
+    for mapping, target in (catalog_get("grenet_perm_3"), catalog_get("cubic_5x5"),
+                            _rank_zero_diagonal(), _scaled_cubic_5x5()):
+        report = analyze_expression(mapping, target)
+        lhs = symbolic_det(report.normalization.normalized)
+        rhs = symbolic_det(mapping).scale(report.scalar)
+        assert lhs == rhs
+        if report.branch == "lower_rank":
+            # the graded parts are read off f.scale(scalar), which this identity licenses
+            assert dict(report.graded_parts) == lhs.graded_parts()
