@@ -18,12 +18,11 @@ import sys
 from .expressions import (
     CATALOG_NAMES,
     MONOMIAL_FILTERS,
-    abp_to_determinant,
     catalog_get,
     cubic_case_analysis,
     cubic_rank3_template,
     extract_coefficient_equations,
-    grenet_abp,
+    grenet_expression,
 )
 from .fields import Field, Fp, QQ, field_tag
 from .groebner import DEFAULT_LIMITS, EngineLimits, ResourceCapError
@@ -235,10 +234,7 @@ def cmd_avoid_check(args) -> int:
 
 def cmd_grenet(args) -> int:
     field = parse_field(args.field)
-    abp = grenet_abp(args.n, field)
-    mapping = abp_to_determinant(abp)
-    target = perm_polynomial(args.n, field)
-    report = verify_expression(mapping, target, mode="exact")
+    mapping, _, report = grenet_expression(args.n, field)
     payload = {
         "n": args.n,
         "size": mapping.size,

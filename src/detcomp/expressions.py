@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .fields import Field, FieldMismatchError, QQ
 from .groebner import EngineLimits, Ideal, ResourceCapError, buchberger
-from .matmap import AffineMatrixMap, perm_polynomial, symbolic_det, verify_expression
+from .matmap import AffineMatrixMap, exact_report, perm_polynomial, symbolic_det, verify_expression
 from .poly import Polynomial, VarSet, mono_key, mono_str, varset
 
 
@@ -104,6 +104,22 @@ def abp_to_determinant(abp: ABP) -> AffineMatrixMap:
     It is computed once and compared with the path-sum; a sign mismatch is
     fixed by negating the source row, which negates the determinant exactly.
     """
+    return _abp_expression(abp)[0]
+
+
+def grenet_expression(n: int, field: Field = QQ):
+    """Grenet's size 2^n - 1 map of perm_n, the target, and the exact report.
+
+    The report compares the determinant abp_to_determinant has computed with
+    perm_n, so the determinant is computed once.
+    """
+    mapping, det = _abp_expression(grenet_abp(n, field))
+    target = perm_polynomial(n, field)
+    return mapping, target, exact_report(det, target)
+
+
+def _abp_expression(abp: ABP) -> tuple[AffineMatrixMap, Polynomial]:
+    """abp_to_determinant's map together with its determinant."""
     vars, field = abp.vars, abp.field
     index = {}
     for layer in range(len(abp.layers) - 1):  # all layers except the sink's
@@ -123,10 +139,10 @@ def abp_to_determinant(abp: ABP) -> AffineMatrixMap:
     target = abp.path_sum()
     det = symbolic_det(mapping)
     if det == target:
-        return mapping
+        return mapping, det
     if det == -target:
         # negating one row negates the determinant exactly
-        return mapping.scale_row(0, field.neg(field.one))
+        return mapping.scale_row(0, field.neg(field.one)), target
     raise RuntimeError("conversion sign could not be normalized; the path-sum was not reproduced")
 
 
@@ -148,27 +164,24 @@ def catalog_get(name: str, field: Field = QQ):
     """Named (map, target) pair; re-verified exactly on every access."""
     from .parsing import parse_polynomial
 
-    if name == "cubic_5x5":
+    if name in ("grenet_perm_2", "grenet_perm_3"):
+        mapping, target, report = grenet_expression(int(name[-1]), field)
+    elif name == "cubic_5x5":
         vars = varset("x", "y", "z", "t")
         rows = tuple(
             tuple(parse_polynomial(s, vars, field) for s in row) for row in _CUBIC_ROWS
         )
         mapping = AffineMatrixMap(vars, field, rows)
         target = parse_polynomial("x*y^2 + y*t^2 + z^3", vars, field)
+        report = verify_expression(mapping, target, mode="exact")
     elif name == "quadric_2x2":
         vars = varset("x", "y", "z")
         e = lambda s: parse_polynomial(s, vars, field)
         mapping = AffineMatrixMap.from_rows(vars, field, ((e("x"), e("y")), (e("-z"), e("x"))))
         target = e("x^2 + y*z")
-    elif name == "grenet_perm_2":
-        mapping = abp_to_determinant(grenet_abp(2, field))
-        target = perm_polynomial(2, field)
-    elif name == "grenet_perm_3":
-        mapping = abp_to_determinant(grenet_abp(3, field))
-        target = perm_polynomial(3, field)
+        report = verify_expression(mapping, target, mode="exact")
     else:
         raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(CATALOG_NAMES)}")
-    report = verify_expression(mapping, target, mode="exact")
     if not report.ok:
         raise RuntimeError(f"catalog entry {name} failed its load-time verification")
     return mapping, target

@@ -3,10 +3,16 @@
 Matrices are lists of lists of raw field values (Fraction or int mod p).
 Everything here is Gaussian elimination in one costume or another; sizes in
 this package stay small (at most a few dozen rows), so clarity wins over
-blocking tricks.
+blocking tricks. The determinant, the hot path of probabilistic
+verification, avoids Fractions altogether: over Q it clears each row's
+denominators and runs Bareiss's fraction-free elimination on ints, and over
+F_p it eliminates on ints reduced mod p.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm, prod
 
 from .fields import Field
 
@@ -60,24 +66,58 @@ def mat_rank(field: Field, a: Matrix) -> int:
 
 
 def mat_det(field: Field, a: Matrix):
-    """Determinant by fraction-free-ish elimination (field division allowed)."""
-    n = len(a)
-    m = mat_copy(a)
-    det = field.one
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != field.zero), None)
+    """Determinant: a Fraction over Q, an int in [0, p) over F_p."""
+    p = field.char
+    if p:
+        return _det_mod_p([[x % p for x in row] for row in a], p)
+    scales = [lcm(*(x.denominator for x in row)) for row in a]
+    rows = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(a, scales)]
+    return Fraction(_det_bareiss(rows), prod(scales))
+
+
+def _det_bareiss(rows: Matrix) -> int:
+    """Determinant of an int matrix by Bareiss's fraction-free elimination.
+
+    Each step replaces the rows below the pivot by 2x2 minors divided by the
+    previous pivot; the division is exact (Sylvester's identity), so every
+    entry stays an int, a minor of the input. Consumes rows.
+    """
+    sign, prev = 1, 1
+    while len(rows) > 1:
+        pivot = next((i for i, row in enumerate(rows) if row[0]), None)
         if pivot is None:
-            return field.zero
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = field.neg(det)
-        det = field.mul(det, m[c][c])
-        inv = field.inv(m[c][c])
-        for i in range(c + 1, n):
-            if m[i][c] != field.zero:
-                f = field.mul(m[i][c], inv)
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[c])]
-    return det
+            return 0
+        if pivot:
+            rows[0], rows[pivot] = rows[pivot], rows[0]
+            sign = -sign
+        piv, rest = rows[0][0], rows[0][1:]
+        below = []
+        for row in rows[1:]:
+            f = row[0]
+            below.append([(x * piv - f * y) // prev for x, y in zip(row[1:], rest)])
+        rows, prev = below, piv
+    return sign * rows[0][0] if rows else 1
+
+
+def _det_mod_p(rows: Matrix, p: int) -> int:
+    """Determinant of a matrix of ints in [0, p) by elimination mod p. Consumes rows."""
+    det = 1
+    while rows:
+        pivot = next((i for i, row in enumerate(rows) if row[0]), None)
+        if pivot is None:
+            return 0
+        if pivot:
+            rows[0], rows[pivot] = rows[pivot], rows[0]
+            det = -det
+        piv, rest = rows[0][0], rows[0][1:]
+        det = det * piv % p
+        inv = pow(piv, p - 2, p)
+        below = []
+        for row in rows[1:]:
+            f = row[0] * inv % p
+            below.append([(x - f * y) % p for x, y in zip(row[1:], rest)] if f else row[1:])
+        rows = below
+    return det % p
 
 
 def random_matrix(field: Field, rows: int, cols: int, rng, size: int = 101) -> Matrix:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import linalg
 from .fields import Field, FieldMismatchError, QQ
-from .poly import Polynomial, VarSet, mono_key, mono_str, point_values
+from .poly import Polynomial, VarSet, mono_key, mono_str, point_values, sum_of_products
 
 LAPLACE_DEFAULT_CAP = 8
 PERM_MAX_SIZE = 6          # largest permanent perm_polynomial builds (n! terms)
@@ -122,35 +122,33 @@ def det_laplace_memo(grid: Sequence[Sequence[Polynomial]], cap: int = LAPLACE_DE
     """Laplace expansion along columns, memoized over row subsets.
 
     State: the determinant of the submatrix using row set S (a bitmask) and the
-    last |S| columns; 2^m subproblems, each O(m) polynomial multiply-adds.
+    last |S| columns; 2^m subproblems, each one signed sum of products over the
+    nonzero entries of its column. A single row's minor is its last-column
+    entry, so products by the empty minor 1 are never made.
     """
     m = len(grid)
     if m > cap:
         raise DeterminantSizeError(f"size {m} exceeds Laplace cap {cap}; use berkowitz")
     some = grid[0][0]
-    zero = Polynomial.zero(some.vars, some.field)
-    memo = {0: Polynomial.const(some.vars, some.field, 1)}
+    vars, field = some.vars, some.field
+    memo = {1 << i: grid[i][m - 1] for i in range(m)}
+    negated = [[-p for p in row] for row in grid]
 
     def solve(rowmask: int) -> Polynomial:
         cached = memo.get(rowmask)
         if cached is not None:
             return cached
-        k = rowmask.bit_count()
-        col = m - k
-        total = zero
-        sign = 1
-        pos = 0
+        col = m - rowmask.bit_count()
+        products = []
+        negative = False
         for i in range(m):
             if not rowmask >> i & 1:
                 continue
             entry = grid[i][col]
             if not entry.is_zero():
-                sub = solve(rowmask & ~(1 << i))
-                contrib = entry * sub
-                total = total + (contrib if sign > 0 else -contrib)
-            sign = -sign
-            pos += 1
-        memo[rowmask] = total
+                products.append((negated[i][col] if negative else entry, solve(rowmask & ~(1 << i))))
+            negative = not negative
+        total = memo[rowmask] = sum_of_products(vars, field, products)
         return total
 
     try:
@@ -160,39 +158,34 @@ def det_laplace_memo(grid: Sequence[Sequence[Polynomial]], cap: int = LAPLACE_DE
 
 
 def det_berkowitz(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Division-free determinant via the Berkowitz Toeplitz recursion."""
+    """Division-free determinant via the Berkowitz Toeplitz recursion.
+
+    Every inner product (a matrix-vector entry, a row-vector diagonal, a
+    Toeplitz row) is one sum_of_products call.
+    """
     m = len(grid)
     some = grid[0][0]
-    one = Polynomial.const(some.vars, some.field, 1)
+    vars, field = some.vars, some.field
+    one = Polynomial.const(vars, field, 1)
 
     def berk_vector(k: int) -> list[Polynomial]:
         # characteristic-vector of the leading k x k principal submatrix
         if k == 1:
             return [one, -grid[0][0]]
         prev = berk_vector(k - 1)
-        a = grid[k - 1][k - 1]
-        row = [grid[k - 1][j] for j in range(k - 1)]
-        col = [grid[i][k - 1] for i in range(k - 1)]
+        block = [row[: k - 1] for row in grid[: k - 1]]
+        neg_row = [-grid[k - 1][j] for j in range(k - 1)]
         # diagonal entries of the Toeplitz matrix: 1, -a, -R C, -R A C, ...
-        diags = [one, -a]
-        vec = col
+        diags = [one, -grid[k - 1][k - 1]]
+        vec = [grid[i][k - 1] for i in range(k - 1)]
         for step in range(k - 1):
             if step:
-                vec = [
-                    sum((grid[i][j] * vec[j] for j in range(k - 1)), Polynomial.zero(some.vars, some.field))
-                    for i in range(k - 1)
-                ]
-            s = Polynomial.zero(some.vars, some.field)
-            for r, c in zip(row, vec):
-                s = s + r * c
-            diags.append(-s)
-        out = []
-        for i in range(k + 1):
-            s = Polynomial.zero(some.vars, some.field)
-            for j in range(min(i, k - 1) + 1):
-                s = s + diags[i - j] * prev[j]
-            out.append(s)
-        return out
+                vec = [sum_of_products(vars, field, zip(row, vec)) for row in block]
+            diags.append(sum_of_products(vars, field, zip(neg_row, vec)))
+        return [
+            sum_of_products(vars, field, [(diags[i - j], prev[j]) for j in range(min(i, k - 1) + 1)])
+            for i in range(k + 1)
+        ]
 
     # berk_vector gives det(tI - M) coefficients [1, c1, ..., cm]; det = (-1)^m cm
     vec = berk_vector(m)
@@ -380,6 +373,20 @@ class VerificationReport:
         }
 
 
+def exact_report(det: Polynomial, target: Polynomial) -> VerificationReport:
+    """verify_expression's exact verdict, from a determinant already computed."""
+    diff = det - target
+    if diff.is_zero():
+        return VerificationReport(mode="exact", ok=True)
+    witness = mono_str(diff.leading_monomial(), diff.vars)
+    return VerificationReport(
+        mode="exact",
+        ok=False,
+        witness_monomial=witness,
+        notes=(f"determinant and target differ at {witness}",),
+    )
+
+
 def verify_expression(
     mapping: AffineMatrixMap,
     target: Polynomial,
@@ -391,17 +398,7 @@ def verify_expression(
     if mapping.vars != target.vars or mapping.field != target.field:
         raise FieldMismatchError("map and target must share one ring")
     if mode == "exact":
-        det = symbolic_det(mapping)
-        diff = det - target
-        if diff.is_zero():
-            return VerificationReport(mode="exact", ok=True)
-        witness = mono_str(diff.leading_monomial(), diff.vars)
-        return VerificationReport(
-            mode="exact",
-            ok=False,
-            witness_monomial=witness,
-            notes=(f"determinant and target differ at {witness}",),
-        )
+        return exact_report(symbolic_det(mapping), target)
     if mode != "probabilistic":
         raise ValueError(f"unknown mode {mode!r}")
     if trials < 1:

@@ -9,13 +9,21 @@ Monomials are plain exponent tuples; the helpers below implement the degrevlex
 order (graded, ties broken by smaller exponent in the rightmost differing
 position) and divisibility. Canonical form is maintained by construction, so
 structural equality is polynomial equality.
+
+Products and sums go through one kernel, sum_of_products, which computes
+sum a_i * b_i (plus plain addends) into a single dict of raw coefficients:
+ints reduced mod p once per output monomial over F_p, ints over Q when every
+factor coefficient is an integer, Fractions otherwise. Zeros are dropped and
+the terms sorted once. Polynomial.__mul__ and __add__ are single calls, and
+the determinant algorithms in matmap hand it a whole inner product at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from operator import add
+from typing import Iterable, Sequence
 
 from .fields import Coefficient, Field, FieldElement, FieldMismatchError, QQ
 
@@ -78,6 +86,13 @@ def mono_key(e: Monomial):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
+def _term_order(term):
+    """Ascending sort key of a (monomial, coefficient) term: canonical order,
+    largest monomial first. The same order as mono_key, reversed."""
+    e = term[0]
+    return (-sum(e), e[::-1])
+
+
 def point_values(vars: VarSet, field: Field, point: Sequence) -> list:
     """Raw values of a point of the ring's affine space, one per variable."""
     if len(point) != len(vars):
@@ -113,7 +128,8 @@ class Polynomial:
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_degree", max((sum(e) for e, _ in terms), default=MINUS_INF))
+        # degrevlex is graded, so the first canonical term has the top degree
+        object.__setattr__(self, "_degree", sum(terms[0][0]) if terms else MINUS_INF)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):
@@ -132,7 +148,7 @@ class Polynomial:
                 raise ValueError(f"negative exponent in {e}")
             if c != field.zero:
                 terms.append((tuple(e), c))
-        terms.sort(key=lambda t: mono_key(t[0]), reverse=True)
+        terms.sort(key=_term_order)
         return cls(vars, field, tuple(terms))
 
     @classmethod
@@ -225,16 +241,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.const(self.vars, self.field, other)
         self._check_ring(other)
-        acc = dict(self.terms)
-        field = self.field
-        zero = field.zero
-        for e, c in other.terms:
-            s = field.add(acc.get(e, zero), c)
-            if s == zero:
-                acc.pop(e, None)
-            else:
-                acc[e] = s
-        return Polynomial.from_dict(self.vars, field, acc)
+        return sum_of_products(self.vars, self.field, (), (self, other))
 
     __radd__ = __add__
 
@@ -254,18 +261,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_ring(other)
-        field = self.field
-        zero = field.zero
-        acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = field.add(acc.get(e, zero), field.mul(c1, c2))
-                if s == zero:
-                    acc.pop(e, None)
-                else:
-                    acc[e] = s
-        return Polynomial.from_dict(self.vars, field, acc)
+        return sum_of_products(self.vars, self.field, ((self, other),))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -342,15 +338,20 @@ class Polynomial:
         """Exact evaluation at a point over this polynomial's field."""
         field = self.field
         vals = point_values(self.vars, field, point)
-        if isinstance(field, type(QQ)):
-            total = Fraction(0)
-            for e, c in self.terms:
+        if field.char == 0:
+            terms = self.terms
+            if all(x.denominator == 1 for x in vals) and all(c.denominator == 1 for _, c in terms):
+                # an integer point and coefficients: ints throughout, one Fraction at the end
+                vals = [x.numerator for x in vals]
+                terms = [(e, c.numerator) for e, c in terms]
+            total = 0
+            for e, c in terms:
                 v = c
                 for x, exp in zip(vals, e):
                     if exp:
                         v *= x**exp
                 total += v
-            return FieldElement(field, total)
+            return FieldElement(field, Fraction(total))
         p = field.char
         total = 0
         for e, c in self.terms:
@@ -377,7 +378,7 @@ class Polynomial:
             for pos, exp in zip(positions, e):
                 ne[pos] = exp
             terms.append((tuple(ne), c))
-        terms.sort(key=lambda t: mono_key(t[0]), reverse=True)
+        terms.sort(key=_term_order)
         return Polynomial(new_vars, self.field, tuple(terms))
 
     def restrict(self, new_vars: VarSet) -> "Polynomial":
@@ -389,7 +390,7 @@ class Polynomial:
             if any(e[i] for i in dropped):
                 raise ValueError("polynomial involves a dropped variable")
             terms.append((tuple(e[i] for i in keep), c))
-        terms.sort(key=lambda t: mono_key(t[0]), reverse=True)
+        terms.sort(key=_term_order)
         return Polynomial(new_vars, self.field, tuple(terms))
 
     # -- comparisons and printing --------------------------------------------
@@ -432,6 +433,47 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def sum_of_products(
+    vars: VarSet, field: Field, products: Iterable, addends: Iterable = ()
+) -> Polynomial:
+    """sum a * b over the (a, b) pairs of products, plus every addend.
+
+    All operands are Polynomials of the ring (vars, field); the callers check
+    that. Every term product goes into one dict of raw coefficients, which is
+    reduced mod p once per monomial over F_p. Over Q the products run on ints
+    when every factor coefficient is an integer, and on Fractions otherwise.
+    Zeros are dropped and the terms sorted once, into the trusted constructor.
+    """
+    p = field.char
+    pairs = [(a.terms, b.terms) for a, b in products]
+    addends = [a.terms for a in addends]
+    factors = [terms for pair in pairs for terms in pair] + addends
+    # Sums alone keep their Fractions: only monomials that meet are added.
+    integral = p == 0 and bool(pairs) and all(c.denominator == 1 for terms in factors for _, c in terms)
+    if integral:
+        pairs = [([(e, c.numerator) for e, c in at], [(e, c.numerator) for e, c in bt]) for at, bt in pairs]
+        addends = [[(e, c.numerator) for e, c in terms] for terms in addends]
+    acc: dict = {}
+    get = acc.get
+    for at, bt in pairs:
+        for e1, c1 in at:
+            for e2, c2 in bt:
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+    for terms in addends:
+        for e, c in terms:
+            old = get(e)
+            acc[e] = c if old is None else old + c
+    if p:
+        terms = [(e, r) for e, c in acc.items() if (r := c % p)]
+    elif integral:
+        terms = [(e, Fraction(c)) for e, c in acc.items() if c]
+    else:
+        terms = [(e, c) for e, c in acc.items() if c]
+    terms.sort(key=_term_order)
+    return Polynomial(vars, field, tuple(terms))
 
 
 def poly_ring(vars: VarSet, field: Field):

@@ -326,6 +326,9 @@ class DcResult:
 
 def dc_exact(f: Polynomial, m_max: int, max_candidates: int = DEFAULT_CANDIDATE_CAP) -> DcResult:
     """Smallest size admitting an expression of f, searching m = 1, 2, ..."""
+    if not isinstance(f.field, PrimeField):
+        # checked here too: sizes settled by the degree bound build no SearchSpec
+        raise ValueError("search runs over prime fields only")
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
     if max_candidates < 0:

@@ -393,6 +393,38 @@ def test_out_of_range_search_bounds_are_input_errors(capsys, argv, message):
     assert out == ""
 
 
+def test_grenet_and_catalog_compute_one_determinant(capsys, monkeypatch):
+    import detcomp.expressions
+    import detcomp.matmap
+
+    sizes = []
+    original = detcomp.matmap.symbolic_det
+
+    def counted(mapping, *args, **kwargs):
+        sizes.append(mapping.size)
+        return original(mapping, *args, **kwargs)
+
+    monkeypatch.setattr(detcomp.matmap, "symbolic_det", counted)
+    monkeypatch.setattr(detcomp.expressions, "symbolic_det", counted)
+    rc, out, _ = run(capsys, ["grenet", "--n", "4", "--format", "json"])
+    assert rc == 0 and json.loads(out)["verified"] is True
+    assert sizes == [15]
+    sizes.clear()
+    rc, out, _ = run(capsys, ["catalog", "--name", "grenet_perm_3", "--format", "json"])
+    assert rc == 0 and json.loads(out)["verified"] is True
+    assert sizes == [7]
+
+
+def test_dc_over_q_is_an_input_error_even_when_the_degree_bound_settles_it(capsys):
+    # x^3 needs size 3, so m-max 2 never reaches the search itself
+    for poly, names in (("x^3", "x"), ("x*y", "x,y")):
+        rc, out, err = run(capsys, ["dc", "--poly", poly, "--vars", names, "--m-max", "2",
+                                    "--format", "json"])
+        assert rc == 2
+        assert "search runs over prime fields only" in err
+        assert out == ""
+
+
 def test_dc_searches_once(capsys, monkeypatch):
     import detcomp.cli
     import detcomp.search

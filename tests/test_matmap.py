@@ -203,15 +203,37 @@ def test_laplace_cap_and_berkowitz_fallback():
         symbolic_det(L, algorithm="gauss")
 
 
+def count_kernel_products(monkeypatch):
+    """Count the polynomial products the determinants hand to sum_of_products."""
+    products = []
+    real = matmap.sum_of_products
+
+    def counting(vars, field, pairs, addends=()):
+        pairs = list(pairs)
+        products.extend(pairs)
+        return real(vars, field, pairs, addends)
+
+    monkeypatch.setattr(matmap, "sum_of_products", counting)
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: pytest.fail("a product outside the kernel"))
+    return products
+
+
 def test_berkowitz_products_counts_berkowitz_work(rng, monkeypatch):
     """The chooser's bound is the number of products det_berkowitz really makes."""
-    products = []
-    real_mul = Polynomial.__mul__
-    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append(1) or real_mul(a, b))
+    products = count_kernel_products(monkeypatch)
     for m in range(1, 10):
         products.clear()
         det_berkowitz(dense_grid(m, rng))
         assert len(products) == berkowitz_products(m)
+
+
+def test_laplace_products_count_laplace_work(rng, monkeypatch):
+    """A dense m x m grid costs det_laplace_memo m 2^(m-1) - m products, as the chooser counts."""
+    products = count_kernel_products(monkeypatch)
+    for m in range(1, 8):
+        products.clear()
+        det_laplace_memo(dense_grid(m, rng), cap=m)
+        assert len(products) == m * 2 ** (m - 1) - m
 
 
 def test_auto_chooses_by_laplace_work(rng, monkeypatch):
@@ -257,6 +279,30 @@ def test_auto_chooser_bounds_hostile_input(monkeypatch):
         start = time.monotonic()
         assert not laplace_is_cheaper(grid)
         assert time.monotonic() - start < 10
+
+
+# CPU-time budgets about 5x the measured times (Python 3.11, 2-vCPU shared VM):
+# 0.3 s for the dense 12x12 and 0.2 s for the 200-point check, which took
+# 1.5 s and 0.65 s before the fused polynomial kernel and integer Bareiss.
+
+
+def test_dense_12x12_auto_determinant_budget(rng):
+    grid = dense_grid(12, rng)
+    start = time.process_time()
+    det = symbolic_det(grid, algorithm="auto")
+    assert time.process_time() - start < 1.5
+    mapping = AffineMatrixMap.from_rows(varset("x", "y"), Fp(32003), grid)
+    for point in ([3, 5], [31999, 17]):
+        assert det.evaluate(point).value == linalg.mat_det(mapping.field, mapping.evaluate(point))
+
+
+def test_grenet_15_probabilistic_check_budget():
+    mapping = abp_to_determinant(grenet_abp(4))
+    target = perm_polynomial(4)
+    start = time.process_time()
+    report = verify_expression(mapping, target, mode="probabilistic", trials=200, seed=811)
+    assert time.process_time() - start < 1.0
+    assert report.ok and report.trials == 200
 
 
 def test_grenet_15_laplace_matches_numeric_det(rng):

@@ -7,11 +7,14 @@ import pytest
 
 from detcomp.fields import QQ, FieldMismatchError, Fp
 from detcomp.poly import (
+    MINUS_INF,
+    ArityError,
     Polynomial,
     euler_combination,
     mono_key,
     poly_ring,
     random_polynomial,
+    sum_of_products,
     varset,
 )
 
@@ -93,7 +96,78 @@ def test_from_dict_drops_zero_coefficients():
     assert g.is_zero()
 
 
+def test_from_dict_rejects_bad_input():
+    with pytest.raises(ArityError):
+        Polynomial.from_dict(XY, QQ, {(1, 0, 0): QQ.one})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial.from_dict(XY, QQ, {(1, -1): QQ.one})
+
+
 # ---------------------------------------------------------------- arithmetic
+
+
+def schoolbook(field, products=(), addends=(), subtrahends=()):
+    """Reference sum of products: one field.mul and one field.add (or
+    field.sub) per term, as the polynomial kernel did before it was fused.
+    Returns the {monomial: coefficient} dict with zeros dropped."""
+    acc = {}
+    for a, b in products:
+        for e1, c1 in a.terms:
+            for e2, c2 in b.terms:
+                e = tuple(x + y for x, y in zip(e1, e2))
+                acc[e] = field.add(acc.get(e, field.zero), field.mul(c1, c2))
+    for a in addends:
+        for e, c in a.terms:
+            acc[e] = field.add(acc.get(e, field.zero), c)
+    for a in subtrahends:
+        for e, c in a.terms:
+            acc[e] = field.sub(acc.get(e, field.zero), c)
+    return {e: c for e, c in acc.items() if c != field.zero}
+
+
+def assert_canonical(f, want):
+    """f has exactly the terms of want, in canonical order, with canonical types."""
+    assert dict(f.terms) == want
+    keys = [mono_key(e) for e, _ in f.terms]
+    assert keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys)
+    if f.field.char == 0:
+        assert all(type(c) is Fraction for _, c in f.terms)
+    else:
+        assert all(type(c) is int and 0 < c < f.field.char for _, c in f.terms)
+    assert f.degree() == max((sum(e) for e in want), default=MINUS_INF)
+
+
+@pytest.mark.parametrize("field", [QQ, Fp(2), Fp(101), Fp(32003)], ids=str)
+def test_kernel_matches_schoolbook_reference(field, rng):
+    """*, +, - and sum_of_products against per-operation field arithmetic."""
+    thirds = [Fraction(1), Fraction(1), Fraction(1, 3), Fraction(-5, 7)]
+
+    def operand():
+        f = rand(XYZ, field, rng, degree=rng.randint(0, 3), terms=rng.randint(0, 6))
+        if field.char == 0 and rng.random() < 0.4:
+            # some non-integer coefficients; the rest stay integers
+            f = Polynomial.from_dict(XYZ, field, {e: c * rng.choice(thirds) for e, c in f.terms})
+        return f
+
+    for _ in range(40):
+        f, g, h, k = operand(), operand(), operand(), operand()
+        assert_canonical(f * g, schoolbook(field, [(f, g)]))
+        assert_canonical(f + g, schoolbook(field, addends=[f, g]))
+        assert_canonical(f - g, schoolbook(field, addends=[f], subtrahends=[g]))
+        pairs = [(f, g), (h, k), (g, h)]
+        assert_canonical(sum_of_products(XYZ, field, pairs), schoolbook(field, pairs))
+        assert_canonical(sum_of_products(XYZ, field, pairs, [k, f]), schoolbook(field, pairs, [k, f]))
+        # sums that cancel exactly: f g - f g, and f g + (p - 1) f g over F_p
+        assert_canonical(sum_of_products(XYZ, field, [(f, g), (-f, g)]), {})
+        assert_canonical(sum_of_products(XYZ, field, [(f, g)], [-(f * g)]), {})
+        if field.char:
+            assert_canonical(sum_of_products(XYZ, field, [(f, g), (f.scale(field.char - 1), g)]), {})
+    # a coefficient sum that is 0 only mod p: x + (p - 1) x, and integers that meet at 0 over Q
+    x = Polynomial.variable(XYZ, field, 0)
+    one = Polynomial.const(XYZ, field, 1)
+    p_minus_1 = Polynomial.const(XYZ, field, -1 % field.char if field.char else -1)
+    assert_canonical(sum_of_products(XYZ, field, [(x, one), (x, p_minus_1)]), {})
+    assert sum_of_products(XYZ, field, []).is_zero()
 
 
 def test_multinomial_expansion_cube():
