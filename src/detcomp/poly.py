@@ -294,18 +294,18 @@ class Polynomial:
 
     def partial_derivative(self, which) -> "Polynomial":
         i = self.vars.index(which) if isinstance(which, str) else which
-        field = self.field
-        acc: dict = {}
+        p = self.field.char
+        # Dividing by x_i keeps the degrevlex order of the surviving terms and
+        # sends distinct terms to distinct monomials: no merge, no sort.
+        terms = []
         for e, c in self.terms:
-            if e[i] == 0:
+            k = e[i]
+            if k == 0:
                 continue
-            me = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            s = field.add(acc.get(me, field.zero), field.mul(c, field.of(e[i])))
-            if s == field.zero:
-                acc.pop(me, None)
-            else:
-                acc[me] = s
-        return Polynomial.from_dict(self.vars, field, acc)
+            c = c * k % p if p else c * k
+            if c:
+                terms.append((e[:i] + (k - 1,) + e[i + 1 :], c))
+        return Polynomial(self.vars, self.field, tuple(terms))
 
     def substitute_affine(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Compose with degree <= 1 images, one per variable, over a common ring."""

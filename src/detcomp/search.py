@@ -13,7 +13,12 @@ det(J_r + Z) live in degrees [m - r, m], so such ranks cannot reach f.
 The inner loop runs on raw coefficient dicts, not Polynomial objects; the
 upper-left all-linear block is enumerated first and its determinant (the
 lowest graded part of the full determinant) is checked against f before the
-remaining entries are touched.
+remaining entries are touched. Consecutive candidates of each odometer walk
+differ only in the last row, so both walks (the block, then the full grid)
+expand along that row: for each choice of the rows above it, the k minors of
+the last row are computed once, and a table per column holds +-entry * minor
+for every candidate entry. A candidate's determinant is then a sum of k
+table entries, one per column.
 """
 
 from __future__ import annotations
@@ -164,6 +169,51 @@ def _proportional(det: dict, target: dict, pin, lead_key, p: int):
     return c
 
 
+def _dict_add(a: dict, b: dict, p: int) -> dict:
+    """a + b; an empty operand returns the other one itself, not a copy."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = dict(a)
+    for e, c in b.items():
+        val = (out.get(e, 0) + c) % p
+        if val:
+            out[e] = val
+        else:
+            del out[e]
+    return out
+
+
+def _last_row_tables(upper, columns, p: int) -> list:
+    """Per-column tables of the last-row Laplace expansion of a k x k grid.
+
+    upper holds the first k - 1 rows; columns[j] lists the candidate dicts of
+    the last row's entry j. T_j[v] = (-1)^(k-1+j) columns[j][v] * minor_j, so
+    the determinant with entries v_0..v_{k-1} in the last row is
+    sum_j T_j[v_j]. The k minors are computed once for the whole table.
+    """
+    k = len(columns)
+    if k == 1:
+        return [columns[0]]  # the empty minor is 1; _dict_det([]) would give 0
+    tables = []
+    for j, column in enumerate(columns):
+        minor = _dict_det([[row[l] for l in range(k) if l != j] for row in upper], p)
+        if (k - 1 + j) % 2:
+            minor = {e: p - c for e, c in minor.items()}
+        tables.append([_dict_mul(entry, minor, p) for entry in column])
+    return tables
+
+
+def _table_sums(tables, p: int):
+    """Yield sum_j tables[j][v_j] for every index tuple v, in odometer order
+    (the last table's index varies fastest)."""
+    *outer, last = tables
+    for partial in _table_sums(outer, p) if outer else ({},):
+        for term in last:
+            yield _dict_add(partial, term, p)
+
+
 def _poly_to_dict(f: Polynomial) -> dict:
     return {e: c for e, c in f.terms}
 
@@ -189,58 +239,70 @@ def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
     lead_key = f.terms[0][0] if f.terms else None
     block = m - r  # side of the all-linear upper-left block
     low_part = {e: c for e, c in target.items() if sum(e) == block} if target else {}
+    low_key = min(low_part) if low_part else None
 
-    # coefficient tuples in odometer order, their dict forms precomputed
-    tuples = list(product(range(p), repeat=n))
-    dicts = [_tuple_to_dict(t, n) for t in tuples]
-    P = len(tuples)
+    # coefficient tuples in odometer order, their dict forms precomputed;
+    # plus_one[v] is dicts[v] on a diagonal one of J_r
+    dicts = [_tuple_to_dict(t, n) for t in product(range(p), repeat=n)]
+    plus_one = [{**d, zero_e: 1} for d in dicts]
+    P = len(dicts)
 
-    ul_positions = [(i, j) for i in range(block) for j in range(block)]
-    rest_positions = [
-        (i, j) for i in range(m) for j in range(m) if not (i < block and j < block)
+    # Each walk enumerates the positions above its last row, then that row.
+    ul_upper = [(i, j) for i in range(block - 1) for j in range(block)]
+    rest_upper = [
+        (i, j) for i in range(m - 1) for j in range(m) if not (i < block and j < block)
     ]
+    # row m - 1 lies outside the block unless block == m; its J_r one is at m - 1
+    last_columns = [plus_one if j == m - 1 else dicts for j in range(m)]
+    grid = [[None] * m for _ in range(m)]
 
-    base = [[None] * m for _ in range(m)]
-    for i in range(block, m):
-        base[i][i] = {zero_e: 1}  # the canonical ones of J_r
+    def scalar(det, pin):
+        if not target:
+            return None if det else 1
+        return _proportional(det, target, pin, lead_key, p)
 
-    for ul_choice in product(range(P), repeat=len(ul_positions)):
-        grid = [row[:] for row in base]
-        for (i, j), ix in zip(ul_positions, ul_choice):
+    def full_walk(pin):
+        """Every completion of the fixed upper-left block to the m x m grid."""
+        for rest_choice in product(range(P), repeat=len(rest_upper)):
+            for (i, j), ix in zip(rest_upper, rest_choice):
+                grid[i][j] = plus_one[ix] if i == j else dicts[ix]
+            tables = _last_row_tables(grid[:-1], last_columns, p)
+            for last, det in zip(product(range(P), repeat=m), _table_sums(tables, p)):
+                report.full_evaluations += 1
+                c = scalar(det, pin)
+                if c is not None:
+                    grid[-1] = [column[ix] for column, ix in zip(last_columns, last)]
+                    yield [row[:] for row in grid], c
+
+    if block == 0:
+        # rank m: the degree-0 part of the determinant is det(J_m) = 1
+        const = target.get(zero_e, 0)
+        if const:  # else 1 = c*0 has no solution; the whole rank dies
+            yield from full_walk(pow(const, p - 2, p))
+        return
+
+    for ul_choice in product(range(P), repeat=len(ul_upper)):
+        for (i, j), ix in zip(ul_upper, ul_choice):
             grid[i][j] = dicts[ix]
-        pin = None
-        if block > 0:
-            det_ul = _dict_det([[grid[i][j] for j in range(block)] for i in range(block)], p)
+        tables = _last_row_tables([row[:block] for row in grid[:block - 1]], [dicts] * block, p)
+        for last, det_ul in zip(product(range(P), repeat=block), _table_sums(tables, p)):
             if not low_part:
                 if det_ul:
                     report.blocks_pruned += 1
                     continue
+                pin = None
             else:
-                pin = _proportional(det_ul, low_part, None, min(low_part), p)
+                pin = _proportional(det_ul, low_part, None, low_key, p)
                 if pin is None:
                     report.blocks_pruned += 1
                     continue
-        else:
-            # rank m: the degree-0 part of the determinant is det(J_m) = 1
-            const = target.get(zero_e, 0)
-            if not const:
-                return  # 1 = c*0 has no solution; the whole rank dies
-            pin = pow(const, p - 2, p)
-
-        for rest_choice in product(range(P), repeat=len(rest_positions)):
-            for (i, j), ix in zip(rest_positions, rest_choice):
-                d = dicts[ix]
-                if i == j and j >= block:
-                    d = dict(d)
-                    d[zero_e] = 1
-                grid[i][j] = d
-            report.full_evaluations += 1
-            det = _dict_det(grid, p)
-            if not target:
-                if not det:
-                    yield [row[:] for row in grid], 1
+            grid[block - 1][:block] = [dicts[ix] for ix in last]
+            if block < m:
+                yield from full_walk(pin)
                 continue
-            c = _proportional(det, target, pin, lead_key, p)
+            # the block is the whole grid: its determinant is the full one
+            report.full_evaluations += 1
+            c = scalar(det_ul, pin)
             if c is not None:
                 yield [row[:] for row in grid], c
 
@@ -289,7 +351,12 @@ def search_expressions(spec: SearchSpec, report: SearchReport | None = None):
 
 
 def search_report(spec: SearchSpec, max_found: int | None = None) -> SearchReport:
-    """Run the search to completion (or until max_found hits) and summarize."""
+    """Run the search to completion (or until max_found hits) and summarize.
+
+    max_found of None means every hit.
+    """
+    if max_found is not None and max_found < 1:
+        raise ValueError(f"max_found must be at least 1, got {max_found}")
     report = SearchReport(spec)
     for _ in search_expressions(spec, report):
         if max_found is not None and len(report.found) >= max_found:
@@ -356,6 +423,8 @@ def enumerate_all_expressions(f: Polynomial, m: int, cap: int = 1 << 22) -> int:
     Exponential in m^2 (n+1); exists to validate that the canonical search
     loses nothing on tiny instances.
     """
+    if m < 1:
+        raise ValueError(f"size must be at least 1, got {m}")
     field = f.field
     p = field.char
     n = len(f.vars)

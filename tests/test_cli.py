@@ -315,7 +315,8 @@ def test_deterministic_output_is_reproducible(capsys):
 
 
 # byte-exact outputs recorded from the CLI; the second codim has an empty
-# singular locus (dim -1, codim n + 1), and analyze takes the lower-rank branch
+# singular locus (dim -1, codim n + 1), and analyze takes the lower-rank branch.
+# The search outputs were recorded with one first-row expansion per candidate.
 GOLDEN = [
     ("codim_perm3_Fp32003.json", "codim",
      ["codim", "--poly", "perm3", "--field", "Fp:32003"], 0),
@@ -336,6 +337,14 @@ GOLDEN = [
     ("bertini_n2_m2_p11_t5.json", "sample",
      ["bertini", "--n", "2", "--m", "2", "--p", "11", "--trials", "5",
       "--time-limit", "10"], 0),
+    ("search_xy_plus_zt_Fp2_m2.json", "search",
+     ["search", "--poly", "x*y + z*t", "--vars", "x,y,z,t", "--field", "Fp:2",
+      "--size", "2", "--max-found", "100"], 0),
+    ("search_x3_Fp2_m3.json", "search",
+     ["search", "--poly", "x^3", "--vars", "x", "--field", "Fp:2", "--size", "3",
+      "--max-found", "1000"], 0),
+    ("search_xy_plus_1_Fp2_m2.json", "search",
+     ["search", "--poly", "x*y + 1", "--vars", "x,y", "--field", "Fp:2", "--size", "2"], 0),
 ]
 
 

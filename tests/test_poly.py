@@ -251,6 +251,29 @@ def test_partial_derivative_char_p_kills_pth_powers():
     assert g.partial_derivative(0).is_zero()
 
 
+def derivative_reference(f, i):
+    """d/dx_i term by term in field arithmetic, through the validating from_dict."""
+    field = f.field
+    acc: dict = {}
+    for e, c in f.terms:
+        if e[i]:
+            me = e[:i] + (e[i] - 1,) + e[i + 1:]
+            acc[me] = field.add(acc.get(me, field.zero), field.mul(c, field.of(e[i])))
+    return Polynomial.from_dict(f.vars, field, acc)
+
+
+@pytest.mark.parametrize("field", [QQ, Fp(2), Fp(3), Fp(101)], ids=str)
+def test_partial_derivative_matches_from_dict_reference(field, rng):
+    # degrees up to 7 put exponents divisible by 2 and 3 in most polynomials
+    thirds = [Fraction(1), Fraction(1, 3), Fraction(-5, 7)]
+    for _ in range(60):
+        f = rand(XYZ, field, rng, degree=rng.randint(0, 7), terms=rng.randint(0, 9))
+        if field.char == 0:
+            f = Polynomial.from_dict(XYZ, field, {e: c * rng.choice(thirds) for e, c in f.terms})
+        for i in range(3):
+            assert_canonical(f.partial_derivative(i), dict(derivative_reference(f, i).terms))
+
+
 def test_euler_identity_homogeneous(rng):
     for field in (QQ, Fp(32003)):
         for d in (2, 3, 4):
