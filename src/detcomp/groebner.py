@@ -32,13 +32,24 @@ Verification shares no code with the engine (its reducer, basis elements or
 packed monomials). naive_normal_form divides textbook-style: the largest term
 of a plain dict comes off a heap, and divisors are tried in list order.
 groebner_failure_witness builds each S-polynomial from the two tails and
-stops at its first irreducible term, which no later step can cancel. It skips
-pairs with coprime leading monomials: their S-polynomial has a standard
-representation by the pair itself (Buchberger's first criterion), a theorem
-that needs nothing the engine computed. A list that is not a Groebner basis
-has a failing non-coprime pair; once one fails, the coprime pairs before it
-are checked, so the witness is the first failing pair in combinations order.
-Both reject polynomials from another ring, as normal_form does. Tests flip
+stops at its first irreducible term, which no later step can cancel.
+
+Buchberger's criterion needs only the S-polynomials of a generating set of
+the leading-term syzygies, not of every pair. For leading monomials m_0..m_s
+in list order, one such set is the pairs (k, j), k < j, whose quotient
+lcm(m_k, m_j) / m_j is a minimal generator of the colon ideal
+(m_0..m_{j-1}) : m_j, an equal quotient keeping the smallest k (Moeller, Mora
+& Traverso, "Groebner bases computation using syzygies", ISSAC 1992; Gebauer
+& Moeller 1988). Of these, pairs with coprime leading monomials are not
+reduced: their S-polynomial has a standard representation by the pair itself
+(Buchberger's first criterion). Neither theorem needs anything the engine
+computed, and _syzygy_pairs packs the monomials afresh, in fields sized by
+the largest leading degree of the list. If every pruned pair reduces to
+zero, the list is a Groebner basis. If one fails, the list is not one, and
+the ordered scan runs: the first failing non-coprime pair in combinations
+order, then the coprime pairs before it. So the witness is the first failing
+pair in combinations order, whichever pair the prune found. Both functions
+reject polynomials from another ring, as normal_form does. Tests flip
 VERIFY_BASES so every basis from buchberger() is re-verified.
 """
 
@@ -475,6 +486,51 @@ def naive_normal_form(p: Polynomial, basis) -> Polynomial:
     return Polynomial.from_dict(p.vars, p.field, remainder)
 
 
+def _syzygy_pairs(lms):
+    """Yield the pairs (k, j), k < j, whose quotient lcm(m_k, m_j) / m_j is a
+    minimal generator of the colon ideal (m_0..m_{j-1}) : m_j, skipping
+    coprime pairs; an equal quotient keeps the smallest k. In (j, quotient
+    degree, k) order. lms are the leading exponent tuples, in list order.
+
+    Monomials are packed here, x1 most significant, in fields one guard bit
+    wider than the largest degree in lms holds, so no exponent is capped.
+    """
+    if not lms:
+        return
+    n = len(lms[0])
+    w = max(map(sum, lms)).bit_length() + 1
+    ones = sum(1 << (i * w) for i in range(n))
+    guards = ones << (w - 1)
+    top = max(n - 1, 0) * w  # q * ones sums every field of q into this one
+    field_mask = (1 << w) - 1
+    packed = []
+    for e in lms:
+        m = 0
+        for x in e:
+            m = (m << w) | x
+        packed.append(m)
+    for j, mj in enumerate(packed):
+        quotients = []
+        for k in range(j):
+            # max(m_k - m_j, 0) per field: a guard bit that survives the
+            # subtraction marks a field where m_k is the larger exponent
+            d = (packed[k] | guards) - mj
+            sel = d & guards
+            q = d & (sel - (sel >> (w - 1)))
+            quotients.append((((q * ones) >> top) & field_mask, k, q))
+        quotients.sort()
+        kept = []
+        for _, k, q in quotients:
+            q_g = q | guards
+            for other in kept:
+                if (q_g - other) & guards == guards:
+                    break  # another quotient divides q: not minimal
+            else:
+                kept.append(q)
+                if q != packed[k]:  # else m_k and m_j are coprime
+                    yield k, j
+
+
 def groebner_failure_witness(gb: GroebnerBasis):
     """None if every S-polynomial reduces to zero; else the first failing pair
     in combinations order (see the module docstring)."""
@@ -496,6 +552,8 @@ def groebner_failure_witness(gb: GroebnerBasis):
     def coprime(a, b):
         return not divisors[a][1] & divisors[b][1]
 
+    if not any(fails(k, j) for k, j in _syzygy_pairs([d[0] for d in divisors])):
+        return None  # the pruned pairs generate the syzygies: a proof
     pairs = range(len(divisors))
     for a, b in combinations(pairs, 2):
         if not coprime(a, b) and fails(a, b):

@@ -147,18 +147,20 @@ def _dict_det(grid, p: int) -> dict:
     return out
 
 
-def _proportional(det: dict, target: dict, pin, lead_key, p: int):
+def _proportional(det: dict, target: dict, pin, key, key_inv: int, p: int):
     """Scalar c with det == c*target (c != 0), honoring a pinned value.
 
     Returns the scalar, or None when no nonzero scalar works. A pin of None
-    means the scalar is still free.
+    means the scalar is still free; it is then det[key] / target[key], with
+    key_inv = 1 / target[key] computed once per target by the caller.
     """
     if not target:
         return None  # caller handles the zero target separately
     if pin is None:
-        c = det.get(lead_key)
+        c = det.get(key)
         if not c:
             return None
+        c = c * key_inv % p
     else:
         c = pin
     if len(det) != len(target):
@@ -237,9 +239,11 @@ def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
 
     target = _poly_to_dict(f)
     lead_key = f.terms[0][0] if f.terms else None
+    lead_inv = pow(target[lead_key], p - 2, p) if target else None
     block = m - r  # side of the all-linear upper-left block
     low_part = {e: c for e, c in target.items() if sum(e) == block} if target else {}
     low_key = min(low_part) if low_part else None
+    low_inv = pow(low_part[low_key], p - 2, p) if low_part else None
 
     # coefficient tuples in odometer order, their dict forms precomputed;
     # plus_one[v] is dicts[v] on a diagonal one of J_r
@@ -259,7 +263,7 @@ def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
     def scalar(det, pin):
         if not target:
             return None if det else 1
-        return _proportional(det, target, pin, lead_key, p)
+        return _proportional(det, target, pin, lead_key, lead_inv, p)
 
     def full_walk(pin):
         """Every completion of the fixed upper-left block to the m x m grid."""
@@ -292,7 +296,7 @@ def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
                     continue
                 pin = None
             else:
-                pin = _proportional(det_ul, low_part, None, low_key, p)
+                pin = _proportional(det_ul, low_part, None, low_key, low_inv, p)
                 if pin is None:
                     report.blocks_pruned += 1
                     continue

@@ -212,6 +212,27 @@ def test_search_exhausted_without_witness_exits_one(capsys):
     assert payload["witnesses"] == []
 
 
+def test_non_monic_targets_are_found(capsys):
+    # The scalar of a hit is det[key] / f[key]: reading it as det[key] alone
+    # turned every target whose key coefficient is not 1 into a false
+    # nonexistence proof (dc = > 2 for 2*x*y, though x*y has dc 2).
+    from detcomp.matmap import symbolic_det
+
+    rc, out, _ = run(capsys,
+                     ["dc", "--poly", "2*x*y", "--vars", "x,y", "--field", "Fp:3",
+                      "--m-max", "2", "--format", "json"], schema="dc")
+    payload = json.loads(out)
+    assert rc == 0
+    assert payload["value"] == 2
+    assert str(symbolic_det(load_matrix_map(payload["witness"]))) == "2*x*y"
+    rc, out, _ = run(capsys,
+                     ["search", "--poly", "2*x", "--vars", "x", "--field", "Fp:3",
+                      "--size", "1", "--format", "json"], schema="search")
+    payload = json.loads(out)
+    assert rc == 0
+    assert [str(symbolic_det(load_matrix_map(w))) for w in payload["witnesses"]] == ["2*x"]
+
+
 def test_bertini_with_csv_export(capsys, tmp_path):
     csv_path = tmp_path / "hist.csv"
     rc, out, _ = run(capsys,

@@ -7,7 +7,6 @@ import pathlib
 import random
 
 import pytest
-from conftest import stretch
 
 from detcomp import groebner
 from detcomp.cli import main
@@ -636,34 +635,28 @@ def test_pinned_perm3_work(field):
     assert min(s.pruned_product, s.pruned_m, s.pruned_chain) > 0
 
 
-def perm4_slice_basis():
-    """perm4 with x11 = 0 over F_32003: the benchmark's certify instance."""
+@functools.lru_cache(maxsize=None)
+def perm4_slice_basis(zeros):
+    """perm4 with the named entries set to 0 over F_32003; x11 = 0 is the
+    benchmark's certify instance, x11 = x22 = 0 its reverify instance."""
     F = Fp(32003)
     f = perm_polynomial(4, F)
-    images = [Polynomial.zero(f.vars, F) if v == "x11" else Polynomial.variable(f.vars, F, i)
+    images = [Polynomial.zero(f.vars, F) if v in zeros else Polynomial.variable(f.vars, F, i)
               for i, v in enumerate(f.vars)]
     return buchberger(jacobian_ideal(f.substitute_affine(images)))
 
 
-def test_pinned_perm4_slice_work(monkeypatch):
+def test_pinned_perm4_slice_work():
     """The perm4 slice basis against the digest recorded from the engine
-    before its pair update was rewritten.
-
-    The S-pair oracle accepts that basis, but needs about 42 s of CPU for its
-    130k pairs, so it is switched off here and runs in the opt-in
-    test_perm4_slice_basis_reverified.
-    """
-    monkeypatch.setattr(groebner, "VERIFY_BASES", False)
-    gb = perm4_slice_basis()
+    before its pair update was rewritten; VERIFY_BASES re-verifies it."""
+    gb = perm4_slice_basis(("x11",))
     assert work(gb) == (4128, 3633, 510, 10)
     assert basis_digest(gb) == "428b8fffcb67a672"
     assert_pair_accounting(gb)
 
 
-@stretch
-def test_perm4_slice_basis_reverified(monkeypatch):
-    monkeypatch.setattr(groebner, "VERIFY_BASES", False)
-    gb = perm4_slice_basis()
+def test_perm4_slice_basis_reverified():
+    gb = perm4_slice_basis(("x11",))
     assert basis_digest(gb) == "428b8fffcb67a672"
     assert is_groebner_basis(gb)
 
@@ -732,7 +725,88 @@ MUTATIONS = [
 def test_oracle_witness_on_corrupted_basis(name, drop, bump, want, coprime):
     gb = corrupted(mutation_basis(name), drop, bump)
     assert groebner_failure_witness(gb) == want
-    assert is_groebner_basis(gb) == (want is None)
+    assert is_groebner_basis(gb) == (want is None) == brute_force_is_groebner(gb)
     if want is not None:
         a, b = (gb.polys[i].leading_monomial() for i in want)
         assert all(x == 0 or y == 0 for x, y in zip(a, b)) == coprime
+
+
+# ------------------------------------------------------------ syzygy prune
+#
+# The oracle proves a basis correct from the pairs whose quotient is a minimal
+# generator of a colon ideal, the same theorem the engine's M-criterion rests
+# on. The verdicts below come from a loop written here that skips nothing.
+
+
+def brute_force_is_groebner(gb):
+    """Every pair's S-polynomial, built with Polynomial arithmetic, has a zero
+    naive_normal_form: no pair is skipped or pruned."""
+    polys = [g for g in gb.polys if not g.is_zero()]
+    field = gb.field
+    for f, g in itertools.combinations(polys, 2):
+        lf, lg = f.leading_monomial(), g.leading_monomial()
+        lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+        inv_f, inv_g = field.inv(f.leading_coefficient()), field.inv(g.leading_coefficient())
+        mf = Polynomial.from_dict(gb.vars, field, {mono_div(lcm, lf): inv_f})
+        mg = Polynomial.from_dict(gb.vars, field, {mono_div(lcm, lg): inv_g})
+        if not naive_normal_form(mf * f - mg * g, polys).is_zero():
+            return False
+    return True
+
+
+def cross_check_lists():
+    """Seeded random ideals over Q, F_5 and F_32003: their reduced bases and
+    their generator lists, which are seldom Groebner bases, and pairs of
+    binomial quartics, some of whose failing pairs all have quotients of
+    degree 2 or more."""
+    rng = random.Random(20261018)
+    vs = varset("a", "b", "c")
+    for i in range(12):
+        field = (QQ, Fp(5), Fp(32003))[i % 3]
+        gens = [random_polynomial(vs, field, rng, degree=2 + i % 2, terms=3) for _ in range(3)]
+        gb = buchberger(Ideal.of(*gens))
+        yield gb
+        yield GroebnerBasis(vs, field, tuple(gens), gb.stats)
+        quartics = [random_polynomial(vs, field, rng, degree=4, terms=2) for _ in range(2)]
+        yield GroebnerBasis(vs, field, tuple(quartics), gb.stats)
+
+
+def test_pruned_verdict_matches_all_pairs_on_random_ideals():
+    verdicts = []
+    for gb in cross_check_lists():
+        want = brute_force_is_groebner(gb)
+        assert is_groebner_basis(gb) == want
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("name", ["perm3_Fp32003", "perm3_Q"])
+def test_pruned_verdict_matches_all_pairs_on_perm3_drop_one(name):
+    gb = mutation_basis(name)
+    for drop in range(len(gb.polys)):
+        bad = corrupted(gb, drop)
+        assert is_groebner_basis(bad) == brute_force_is_groebner(bad), drop
+
+
+def test_syzygy_pairs_keep_the_first_equal_quotient_at_any_degree():
+    # lms x*y, y*z, x*z: pair (0, 1) has quotient x; for j = 2 both earlier
+    # elements give the quotient y, and only k = 0 is kept
+    for scale in (1, 1 << 20):
+        lms = [(scale, scale, 0), (0, scale, scale), (scale, 0, scale)]
+        assert list(groebner._syzygy_pairs(lms)) == [(0, 1), (0, 2)]
+    # a coprime pair is not reduced but still prunes: for j = 2 (y*z) the
+    # quotient x^2 of the coprime pair (0, 2) equals that of (1, 2)
+    assert list(groebner._syzygy_pairs([(2, 0, 0), (2, 1, 0), (0, 1, 1)])) == [(0, 1)]
+    assert list(groebner._syzygy_pairs([])) == []
+
+
+@pytest.mark.parametrize("zeros, size, pairs", [
+    (("x11", "x22"), 206, 1584),
+    (("x11",), 510, 4405),
+])
+def test_pinned_syzygy_pair_counts(zeros, size, pairs):
+    """The pairs the oracle reduces on the perm4 slices, against the 19,670
+    and 123,524 non-coprime pairs the ordered scan reduces."""
+    gb = perm4_slice_basis(zeros)
+    assert len(gb.polys) == size
+    assert len(list(groebner._syzygy_pairs(gb.leading_monomials()))) == pairs

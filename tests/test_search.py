@@ -75,7 +75,9 @@ def reference_search_rank(spec, r, report):
                     report.blocks_pruned += 1
                     continue
             else:
-                pin = _proportional(det_ul, low_part, None, min(low_part), p)
+                low_key = min(low_part)
+                pin = _proportional(det_ul, low_part, None, low_key,
+                                    pow(low_part[low_key], p - 2, p), p)
                 if pin is None:
                     report.blocks_pruned += 1
                     continue
@@ -98,7 +100,7 @@ def reference_search_rank(spec, r, report):
                 if not det:
                     yield [row[:] for row in grid], 1
                 continue
-            c = _proportional(det, target, pin, lead_key, p)
+            c = _proportional(det, target, pin, lead_key, pow(target[lead_key], p - 2, p), p)
             if c is not None:
                 yield [row[:] for row in grid], c
 
@@ -220,6 +222,9 @@ REFERENCE_CASES = [
     ("x^3", "x", 2, 3, 40),
     ("x + 1", "x", 2, 3, None),
     ("x^2 + x", "x", 2, 3, None),
+    ("2*x*y", "xy", 3, 2, None),
+    ("x^2 + 2*x", "x", 3, 2, None),
+    ("3*x + 4*y", "xy", 5, 1, None),
 ]
 
 
@@ -316,6 +321,24 @@ def test_restricted_search_is_lossless_on_f2_2x2():
         if any(True for _ in search_expressions(spec)):
             found.add(f)
     assert found == realizable
+
+
+# Targets whose leading or lowest-degree coefficient is not 1; 2*x*y has no
+# expression of size 1, so both sides must say so.
+NON_MONIC = [
+    ("2*x^2", "x", 3, 2), ("2*x^2 + x", "x", 3, 2), ("x^2 + 2*x", "x", 3, 2),
+    ("2*x + 1", "x", 3, 2), ("2*x^2 + 2", "x", 3, 2), ("2*x", "x", 3, 2),
+    ("2*x + 3*y", "xy", 5, 1), ("4*y + 2", "xy", 5, 1), ("3", "xy", 5, 1),
+    ("2*x*y", "xy", 5, 1),
+]
+
+
+@pytest.mark.parametrize("text, names, p, m", NON_MONIC)
+def test_search_agrees_with_unrestricted_count_on_non_monic_targets(text, names, p, m):
+    f = poly(text, varset(*names), Fp(p))
+    report = search_report(SearchSpec(f, m), max_found=1)
+    assert bool(report.found) == (enumerate_all_expressions(f, m) > 0)
+    assert report.found or report.exhausted
 
 
 def test_unrestricted_count_for_xy():
