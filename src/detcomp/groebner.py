@@ -20,13 +20,30 @@ S-pair's lcm degree 2 * _MAX_PACKED_DEGREE, stay below the guard. Terms are
 packed once, on seeding or normal_form input (a larger degree raises
 ResourceCapError), and unpacked once, into the result's Polynomials.
 
+Reducers (_Reducers) are kept in divisor search order, ascending lm degree
+and then the reversed exponents, and a term is reduced by the first one that
+divides it. Up to _SCAN_LIMIT of them are scanned in order. Past that, an
+index finds the same one without walking the list, a support-mask filter in
+the spirit of the short exponent vectors of Bachmann & Schoenemann (ISSAC
+1998): reducer r is bit r of a bitset, a table per _CHUNK variables maps the
+term's support on them to the reducers using an absent variable, and one
+AND-NOT leaves the candidates, which the guard test tries lowest rank first.
+An insertion shifts the higher ranks of every table by one. The main loop,
+minimalize, the inter-reduce pass (one index over the kept elements, each
+skipping itself) and normal_form all search this way.
+
 The pair update (Gebauer & Moeller 1988) packs each leading monomial in
 16-bit lex order (_FIELD, x1 most significant, with guard bits), which
 compares like exponent tuples: the pair queue order (lcm degree, lcm, i, j),
 every counter and every basis match the tuple form. The lcm is a field-wise
-select, the lcm degree one multiplication; live pairs keep it for the chain
-criterion, and the M-criterion tests a candidate only against the candidates
-already kept. A leading monomial past _MAX_PACKED_DEGREE raises.
+select over a plain list of the packed leading monomials, the lcm degree one
+multiplication. Live pairs keep the lcm and its support mask, and the chain
+criterion tests the mask before the guard subtraction. The M-criterion drops
+a candidate when the lcm of one kept before it in (degree, lcm, i) order
+divides its own. Within one degree only an equal lcm divides, and of equal
+lcms the smallest i comes first; so degree buckets, each in ascending i, keep
+the same candidates with no sort of them all. A leading monomial past
+_MAX_PACKED_DEGREE raises.
 
 Verification shares no code with the engine (its reducer, basis elements or
 packed monomials). naive_normal_form divides textbook-style: the largest term
@@ -44,7 +61,8 @@ lcm(m_k, m_j) / m_j is a minimal generator of the colon ideal
 reduced: their S-polynomial has a standard representation by the pair itself
 (Buchberger's first criterion). Neither theorem needs anything the engine
 computed, and _syzygy_pairs packs the monomials afresh, in fields sized by
-the largest leading degree of the list. If every pruned pair reduces to
+the largest leading degree of the list, and buckets each j's quotients by
+degree with code of its own. If every pruned pair reduces to
 zero, the list is a Groebner basis. If one fails, the list is not one, and
 the ordered scan runs: the first failing non-coprime pair in combinations
 order, then the coprime pairs before it. So the witness is the first failing
@@ -56,7 +74,7 @@ VERIFY_BASES so every basis from buchberger() is re-verified.
 from __future__ import annotations
 
 import time
-from bisect import insort
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappush, heappop
 from itertools import combinations
@@ -202,6 +220,100 @@ class _Elem:
 
 
 _ORDER = attrgetter("order")
+_SCAN_LIMIT = 32  # up to this many reducers a plain scan is no slower than the index
+_CHUNK = 4        # variables per lookup table of the divisor index
+_CHUNK_MASK = (1 << _CHUNK) - 1
+
+
+class _Reducers:
+    """Monic elements in divisor search order (see the module docstring).
+
+    The index behind finder() holds element r as bit r of a bitset. For each
+    _CHUNK variables, a table maps a term's support on them to the elements
+    whose lm uses one of the absent ones; those cannot divide. The candidates
+    are then one AND-NOT after n / _CHUNK lookups, tried lowest bit first.
+    The tables are built on the first finder() and kept up to date by add().
+    """
+
+    __slots__ = ("n", "guards", "elems", "tables")
+
+    def __init__(self, n: int, elems=()):
+        self.n = n
+        self.guards = _guards(n)
+        self.elems = sorted(elems, key=_ORDER)
+        self.tables = None
+
+    def add(self, elem):
+        r = bisect(self.elems, elem.order, key=_ORDER)
+        self.elems.insert(r, elem)
+        if self.tables is None:
+            return
+        low = (1 << r) - 1
+        bit = 1 << r
+        for shift, tab in self.tables:
+            uses = elem.mask >> shift & _CHUNK_MASK
+            for idx, b in enumerate(tab):
+                b = (b >> r << (r + 1)) | (b & low)  # ranks from r up move by one
+                tab[idx] = b | bit if uses & ~idx else b
+
+    def _tables(self):
+        n = self.n
+        has = [0] * n  # has[v]: the elements whose lm uses x_v
+        for r, g in enumerate(self.elems):
+            m = g.mask
+            while m:
+                low = m & -m
+                has[low.bit_length() - 1] |= 1 << r
+                m ^= low
+        tables = []
+        for shift in range(0, n, _CHUNK):
+            width = min(_CHUNK, n - shift)
+            tab = [0] * (_CHUNK_MASK + 1)
+            for idx in range(_CHUNK_MASK, -1, -1):
+                z = ~idx & (idx + 1)  # the lowest variable absent from idx
+                v = z.bit_length() - 1
+                if v < width:
+                    tab[idx] = tab[idx | z] | has[shift + v]
+            tables.append((shift, tab))
+        return tables
+
+    def finder(self, skip=None):
+        """The function (kg, absent) -> the first element other than skip
+        whose lm divides the term, or None; kg is the term's key with every
+        guard bit set, absent the complement of its support mask. Valid
+        until the next add(). Up to _SCAN_LIMIT elements it scans them, as
+        _reduce_terms does inline; past that it asks the index."""
+        elems, guards = self.elems, self.guards
+        if len(elems) <= _SCAN_LIMIT:
+            elems = [g for g in elems if g is not skip]
+
+            def scan(kg, absent):
+                for g in elems:
+                    if not g.mask & absent and (kg - g.key) & guards == guards:
+                        return g
+                return None
+            return scan
+        if self.tables is None:
+            self.tables = self._tables()
+        tables = self.tables
+        allowed = (1 << len(elems)) - 1
+        if skip is not None:
+            allowed ^= 1 << bisect_left(elems, skip.order, key=_ORDER)
+
+        def find(kg, absent):
+            present = ~absent
+            bad = 0
+            for shift, tab in tables:
+                bad |= tab[present >> shift & _CHUNK_MASK]
+            cand = allowed & ~bad
+            while cand:
+                low = cand & -cand
+                g = elems[low.bit_length() - 1]
+                if (kg - g.key) & guards == guards:
+                    return g
+                cand ^= low
+            return None
+        return find
 
 
 def _monic_terms(terms, field):
@@ -212,16 +324,25 @@ def _monic_terms(terms, field):
     return [(k, mul(c, inv)) for k, c in terms]
 
 
-def _reduce_terms(terms, reducers, field, guards, deadline=None):
-    """Descending remainder of a term-key list by monic reducers, tried in list
-    order (ascending lm degree); guards is _guards(n). Coefficients are reduced
-    mod p when popped; a deadline (time.monotonic()) is read every 1024 pops."""
+def _reduce_terms(terms, reducers, field, deadline=None, skip=None):
+    """Descending remainder of a term-key list by a _Reducers, each term by the
+    first reducer in search order that divides it, never by skip.
+    Coefficients are reduced mod p when popped; a deadline (time.monotonic())
+    is read every 1024 pops."""
     prime = field.char
     acc: dict = {}
     for k, c in terms:
         acc[k] = acc.get(k, 0) + c
     heap = list(acc)
     heapify(heap)
+    guards = reducers.guards
+    # Up to _SCAN_LIMIT reducers, the scan runs here, without a call per term;
+    # past that the scan list is empty and the index finds the divisor.
+    scan, find = reducers.elems, None
+    if len(scan) > _SCAN_LIMIT:
+        scan, find = (), reducers.finder(skip)
+    elif skip is not None:
+        scan = [g for g in scan if g is not skip]
     ones = guards >> (_KEY_FIELD - 1)
     sentinel = 1 << (guards.bit_length() + _KEY_FIELD - 1)  # field n's guard bit
     out = []
@@ -240,12 +361,13 @@ def _reduce_terms(terms, reducers, field, guards, deadline=None):
         # a -1 per field, read off bin() every 17 digits after a sentinel bit n.
         kg = k | guards
         absent = ~int(bin((kg - ones) & guards | sentinel)[2::_KEY_FIELD], 2)
-        for g in reducers:
+        for g in scan:
             if not g.mask & absent and (kg - g.key) & guards == guards:
                 break
         else:
-            out.append((k, c))
-            continue
+            if find is None or (g := find(kg, absent)) is None:
+                out.append((k, c))
+                continue
         shift = k - g.key
         for tk, tc in g.tail:
             tk += shift
@@ -278,9 +400,11 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
     key_low = (1 << key_top) - 1
 
     basis: list[_Elem] = []
-    reducers: list[_Elem] = []
+    lms: list[int] = []    # packed leading monomials, in basis order
+    masks: list[int] = []  # their support masks
+    reducers = _Reducers(n)
     heap: list = []  # (lcm_deg, packed lcm, i, j)
-    live: dict = {}  # (i, j) -> packed lcm of the pairs still pending
+    live: dict = {}  # (i, j) -> (packed lcm, its support mask) of the pairs still pending
     pairs_processed = 0
     zero_reductions = 0
     max_degree_processed = 0
@@ -299,61 +423,69 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
         nonlocal pairs_created, pruned_product, pruned_m, pruned_chain
         elem = _Elem(terms, n)
         t = len(basis)
-        lm = elem.packed
+        lm, m = elem.packed, elem.mask
         lm_g = lm | guards
         # lcms[i] = lcm(lm_i, lm): guard bits of lm_g - lm_i mark the fields
         # where lm is the larger exponent; widen them to field masks.
-        lcms = []
-        for g in basis:
-            sel = (lm_g - g.packed) & guards
-            sel -= sel >> value_bits
-            lcms.append((lm & sel) | (g.packed & ~sel))
+        lcms = [(lm & sel) | (p & ~sel) for p in lms
+                for sel in [(lm_g - p) & guards] for sel in [sel - (sel >> value_bits)]]
         pairs_created += t
         if use_criteria:
             # chain criterion on the pending pairs: the new lm divides their
-            # lcm, and neither lcm with the new element equals it
+            # lcm (its support first), and neither lcm with the new element
+            # equals it
             doomed = []
-            for key, lcm in live.items():
-                if ((lcm | guards) - lm) & guards == guards:
+            for key, (lcm, support) in live.items():
+                if support & m == m and ((lcm | guards) - lm) & guards == guards:
                     i, j = key
                     if lcms[i] != lcm and lcms[j] != lcm:
                         doomed.append(key)
             for key in doomed:
                 del live[key]
             pruned_chain += len(doomed)
-            # M-criterion: in (degree, lcm, i) order, a candidate survives
-            # unless the lcm of a candidate kept before it divides its own
-            cand = sorted((((lcm * ones) >> deg_shift) & field_mask, lcm, i)
-                          for i, lcm in enumerate(lcms))
-            kept = []
-            kept_lcms = []
-            for c in cand:
-                lcm_g = c[1] | guards
-                for other in kept_lcms:
-                    if (lcm_g - other) & guards == guards:
-                        break
+            # M-criterion: a candidate survives unless the lcm of a candidate
+            # kept before it in (degree, lcm, i) order divides its own. Within
+            # one degree only an equal lcm divides, and of equal lcms the
+            # smallest i comes first; so degree buckets in ascending i keep
+            # the same candidates as that sort.
+            buckets: dict = {}
+            for i, lcm in enumerate(lcms):
+                deg_l = ((lcm * ones) >> deg_shift) & field_mask
+                bucket = buckets.get(deg_l)
+                if bucket is None:
+                    buckets[deg_l] = [i]
                 else:
-                    kept.append(c)
-                    kept_lcms.append(c[1])
-            pruned_m += t - len(kept)
-            for deg_l, lcm, i in kept:
-                if not basis[i].mask & elem.mask:
-                    pruned_product += 1  # coprime leading monomials
-                    continue
-                live[(i, t)] = lcm
-                heappush(heap, (deg_l, lcm, i, t))
+                    bucket.append(i)
+            kept_lcms = []
+            for deg_l in sorted(buckets):
+                for i in buckets[deg_l]:
+                    lcm = lcms[i]
+                    lcm_g = lcm | guards
+                    for other in kept_lcms:
+                        if (lcm_g - other) & guards == guards:
+                            break
+                    else:
+                        kept_lcms.append(lcm)
+                        if not masks[i] & m:
+                            pruned_product += 1  # coprime leading monomials
+                            continue
+                        live[(i, t)] = (lcm, masks[i] | m)
+                        heappush(heap, (deg_l, lcm, i, t))
+            pruned_m += t - len(kept_lcms)
         else:
             for i, lcm in enumerate(lcms):
-                live[(i, t)] = lcm
+                live[(i, t)] = (lcm, masks[i] | m)
                 heappush(heap, (((lcm * ones) >> deg_shift) & field_mask, lcm, i, t))
         basis.append(elem)
-        insort(reducers, elem, key=_ORDER)
+        lms.append(lm)
+        masks.append(m)
+        reducers.add(elem)
 
     # seed with the reduced nonzero generators
     for g in ideal.generators:
         if g.is_zero():
             continue
-        red = _reduce_terms(_term_keys(g.terms, "pair update"), reducers, field, key_guards, deadline)
+        red = _reduce_terms(_term_keys(g.terms, "pair update"), reducers, field, deadline)
         if red:
             add_element(_monic_terms(red, field))
         check_caps("seeding")
@@ -375,28 +507,26 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
         lcm = ((_KEY_BASE - deg_l) << key_top) | (f.key & sel) | (g.key & key_low & ~sel)
         sf, sg = lcm - f.key, lcm - g.key
         spoly = [(k + sf, c) for k, c in f.tail] + [(k + sg, -c) for k, c in g.tail]
-        red = _reduce_terms(spoly, reducers, field, key_guards, deadline)
+        red = _reduce_terms(spoly, reducers, field, deadline)
         if red:
             add_element(_monic_terms(red, field))
         else:
             zero_reductions += 1
 
-    # minimalize: keep only elements whose lm no other kept lm divides
+    # minimalize: keep the elements whose lm no other lm divides. A proper
+    # divisor has a lower degree, so it comes first in search order.
     kept: list[_Elem] = []
-    for g in sorted(basis, key=_ORDER):
+    find = reducers.finder()
+    for g in reducers.elems:
         check_caps("minimalize")
-        packed_g = g.packed | guards
-        for k in kept:
-            if (packed_g - k.packed) & guards == guards:
-                break
-        else:
+        if find(g.key | key_guards, ~g.mask) is g:
             kept.append(g)
-    # inter-reduce tails; kept is already in divisor search order
+    # inter-reduce tails by one index over kept, each element skipping itself
+    kept_reducers = _Reducers(n, kept)
     final_terms = []
     for g in kept:
         check_caps("inter-reduce")
-        others = [k for k in kept if k is not g]
-        red = _reduce_terms([(g.key, field.one)] + g.tail, others, field, key_guards, deadline)
+        red = _reduce_terms([(g.key, field.one)] + g.tail, kept_reducers, field, deadline, skip=g)
         final_terms.append(_monic_terms(red, field))
     final_terms.sort(key=lambda ts: ts[0][0], reverse=True)  # ascending leading monomials
     polys = tuple(Polynomial(ideal.vars, field, tuple([(_exps(k, n), c) for k, c in ts]))
@@ -421,8 +551,8 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if p.is_zero() or not gb.polys:
         return p
     n = len(p.vars)
-    elems = sorted((_Elem(_term_keys(g.terms, "normal form"), n) for g in gb.polys), key=_ORDER)
-    red = _reduce_terms(_term_keys(p.terms, "normal form"), elems, gb.field, _guards(n))
+    reducers = _Reducers(n, [_Elem(_term_keys(g.terms, "normal form"), n) for g in gb.polys])
+    red = _reduce_terms(_term_keys(p.terms, "normal form"), reducers, gb.field)
     return Polynomial(p.vars, p.field, tuple([(_exps(k, n), c) for k, c in red]))
 
 
@@ -510,25 +640,36 @@ def _syzygy_pairs(lms):
             m = (m << w) | x
         packed.append(m)
     for j, mj in enumerate(packed):
+        # Only a quotient of lower degree, or an equal one, can divide a
+        # quotient; so degree buckets in ascending k keep the same quotients
+        # as a sort by (degree, k), each tested against those kept before it.
         quotients = []
+        buckets: dict = {}
         for k in range(j):
             # max(m_k - m_j, 0) per field: a guard bit that survives the
             # subtraction marks a field where m_k is the larger exponent
             d = (packed[k] | guards) - mj
             sel = d & guards
             q = d & (sel - (sel >> (w - 1)))
-            quotients.append((((q * ones) >> top) & field_mask, k, q))
-        quotients.sort()
-        kept = []
-        for _, k, q in quotients:
-            q_g = q | guards
-            for other in kept:
-                if (q_g - other) & guards == guards:
-                    break  # another quotient divides q: not minimal
+            quotients.append(q)
+            deg = ((q * ones) >> top) & field_mask
+            bucket = buckets.get(deg)
+            if bucket is None:
+                buckets[deg] = [k]
             else:
-                kept.append(q)
-                if q != packed[k]:  # else m_k and m_j are coprime
-                    yield k, j
+                bucket.append(k)
+        kept = []
+        for deg in sorted(buckets):
+            for k in buckets[deg]:
+                q = quotients[k]
+                q_g = q | guards
+                for other in kept:
+                    if (q_g - other) & guards == guards:
+                        break  # another quotient divides q: not minimal
+                else:
+                    kept.append(q)
+                    if q != packed[k]:  # else m_k and m_j are coprime
+                        yield k, j
 
 
 def groebner_failure_witness(gb: GroebnerBasis):
@@ -574,24 +715,39 @@ def staircase_dimension(lead_monomials, n: int) -> int:
 
     dim = size of the largest variable subset S such that no leading monomial
     is supported entirely inside S; -1 when 1 is among the leading monomials.
+    The complement of S is a smallest variable set that meets the support of
+    every leading monomial; only the subset-minimal supports matter.
     """
     masks = set()
     for e in lead_monomials:
         if sum(e) == 0:
             return -1
         masks.add(_mask(e))
+    minimal: list[int] = []
+    for m in sorted(masks, key=int.bit_count):  # a subset has fewer bits
+        if all(o & m != o for o in minimal):
+            minimal.append(m)
+    size = 0
+    while not _meets(minimal, size):
+        size += 1
+    return n - size
+
+
+def _meets(masks, size: int) -> bool:
+    """True when some set of at most size variables meets every mask. Such a
+    set holds a variable of each mask, so branch on the variables of one it
+    does not meet yet, the one with the fewest."""
     if not masks:
-        return n
-    # a subset-minimal mask makes any superset mask redundant
-    minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
-    for size in range(n, -1, -1):
-        for subset in combinations(range(n), size):
-            smask = 0
-            for i in subset:
-                smask |= 1 << i
-            if all(m & ~smask for m in minimal):
-                return size
-    return 0
+        return True
+    if not size:
+        return False
+    m = min(masks, key=int.bit_count)
+    while m:
+        v = m & -m
+        if _meets([o for o in masks if not o & v], size - 1):
+            return True
+        m ^= v
+    return False
 
 
 def dimension(ideal_or_basis, limits: EngineLimits | None = None) -> int:

@@ -169,6 +169,10 @@ def test_criterion_09_perm4_certificate():
     assert cert.codim == 8
     assert cert.applicable
     assert cert.bound == 9
+    # the engine's work, pinned so that a faster engine cannot do different work
+    assert cert.stats.pairs_processed == 86575
+    assert cert.stats.zero_reductions == 79299
+    assert cert.stats.basis_size == 7292
     assert elapsed <= 7200.0
 
 

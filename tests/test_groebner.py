@@ -285,6 +285,41 @@ def test_staircase_dimension_direct():
     assert staircase_dimension([(2, 1, 0)], 3) == 2
 
 
+def staircase_by_enumeration(lead_monomials, n):
+    """Reference: the variable subsets from size n down, the first that
+    contains the support of no leading monomial."""
+    masks = set()
+    for e in lead_monomials:
+        if sum(e) == 0:
+            return -1
+        masks.add(sum(1 << i for i, x in enumerate(e) if x))
+    for size in range(n, -1, -1):
+        for subset in itertools.combinations(range(n), size):
+            smask = sum(1 << i for i in subset)
+            if all(m & ~smask for m in masks):
+                return size
+    return 0
+
+
+def test_staircase_dimension_matches_enumeration():
+    rng = random.Random(8500)
+    seen = set()
+    for n in range(17):
+        for _ in range(12 if n < 13 else 3):
+            lms = []
+            for _ in range(rng.randint(0, 7) if n else 0):
+                e = [0] * n
+                for i in rng.sample(range(n), rng.randint(1, min(n, 3))):
+                    e[i] = rng.randint(1, 3)
+                lms.append(tuple(e))
+            if rng.random() < 0.1:
+                lms.insert(rng.randint(0, len(lms)), (0,) * n)
+            got = staircase_dimension(lms, n)
+            assert got == staircase_by_enumeration(lms, n), (n, lms)
+            seen.add("empty" if got == -1 else "full" if got == n else "between")
+    assert seen == {"empty", "full", "between"}
+
+
 def test_dimension_accepts_ideal_or_basis():
     idl = ideal("x - y", vars=XY)
     gb = buchberger(idl)
@@ -431,7 +466,6 @@ def test_guard_bit_divisor_test_matches_mono_divides(n):
     exponents reach 32768..65534: the term reduces to zero iff a divides it."""
     rng = random.Random(8300 + n)
     monos = headroom_monomials(n, rng)
-    guards = groebner._guards(n)
     field = Fp(7)
     seen = {True: 0, False: 0}
     for e in monos:
@@ -444,12 +478,105 @@ def test_guard_bit_divisor_test_matches_mono_divides(n):
             if sum(a) > groebner._MAX_PACKED_DEGREE:
                 continue
             elem = groebner._Elem(groebner._term_keys([(a, 1)], "test"), n)
-            rem = groebner._reduce_terms(groebner._term_keys([(e, 3)], "test"), [elem],
-                                         field, guards)
+            rem = groebner._reduce_terms(groebner._term_keys([(e, 3)], "test"),
+                                         groebner._Reducers(n, [elem]), field)
             want = mono_divides(a, e)
             assert rem == ([] if want else [(keys_of([e])[0], 3)])
             seen[want] += 1
     assert seen[True] >= 40 and (seen[False] >= 30 or n == 0)
+
+
+def distinct_monomials(n, count, rng):
+    """count distinct exponent tuples of n variables, sparse and of small
+    degree, so that one often divides another; for n > 1 of degree at least
+    4, so that no handful of small ones divides every term."""
+    top = 1000 if n == 1 else 4
+    out, seen = [], set()
+    while len(out) < count:
+        e = [0] * n
+        for i in rng.sample(range(n), rng.randint(1, min(n, 4))):
+            e[i] = rng.randint(1, top)
+        e = tuple(e)
+        if e not in seen and (n == 1 or sum(e) >= 4):
+            seen.add(e)
+            out.append(e)
+    return out
+
+
+def plain_first_divisor(reducers, e, skip):
+    """Reference: an ordered scan of the reducers for the first lm that divides e."""
+    n = reducers.n
+    return next((g for g in reducers.elems
+                 if g is not skip and mono_divides(groebner._exps(g.key, n), e)), None)
+
+
+def assert_index_matches_scan(reducers, rng, terms):
+    """Returns the ranks of the divisors found; -1 for none."""
+    ranks = []
+    for skip in (None, rng.choice(reducers.elems)):
+        find = reducers.finder(skip)
+        for e in terms:
+            want = plain_first_divisor(reducers, e, skip)
+            support = sum(1 << i for i, x in enumerate(e) if x)
+            assert find(keys_of([e])[0] | reducers.guards, ~support) is want
+            ranks.append(-1 if want is None else reducers.elems.index(want))
+    return ranks
+
+
+@pytest.mark.parametrize("limit", [0, groebner._SCAN_LIMIT], ids=["index", "scan_then_index"])
+@pytest.mark.parametrize("n", [1, 5, 16])
+def test_divisor_index_matches_ordered_scan(n, limit, monkeypatch):
+    """The index finds the first divisor in search order, as a plain scan
+    does, also when it skips one element (the inter-reduce pass). Elements
+    are added one at a time in random order, so the tables are built at one
+    size and then updated by every later insertion at its rank. With the
+    default limit, finder() scans small sets itself."""
+    monkeypatch.setattr(groebner, "_SCAN_LIMIT", limit)
+    rng = random.Random(8400 + n)
+    lms = distinct_monomials(n, 800, rng)
+    elems = [groebner._Elem(groebner._term_keys([(a, 1)], "test"), n) for a in lms]
+
+    def terms(count):
+        # an lm times at most one variable, and unrelated monomials that
+        # often have no divisor
+        out = []
+        for _ in range(count):
+            e = list(rng.choice(lms))
+            e[rng.randrange(n)] += rng.randint(0, 1)
+            out.append(tuple(e))
+            out.append(tuple(rng.randint(0, 3) for _ in range(n)))
+        return out
+
+    reducers = groebner._Reducers(n)
+    checkpoints = {1, 2, 5, 31, 32, 33, 100, 300, 800}
+    ranks = []
+    for size, elem in enumerate(elems, 1):
+        reducers.add(elem)
+        if size in checkpoints:
+            ranks += assert_index_matches_scan(reducers, rng, terms(30))
+    assert [g.order for g in reducers.elems] == sorted(g.order for g in elems)
+    # one index built over a whole list at once, as the inter-reduce pass does
+    for size in (1, 33, 800):
+        part = elems[:size]
+        ranks += assert_index_matches_scan(groebner._Reducers(n, part), rng, terms(30))
+    # terms with no divisor, and (for n > 1) divisors deep in the list
+    assert ranks.count(-1) >= 50
+    assert sum(r >= 32 for r in ranks) >= (10 if n > 1 else 0)
+
+
+@pytest.mark.parametrize("limit", [0, 10 ** 9], ids=["index", "scan"])
+def test_scan_and_index_do_the_same_work(limit, monkeypatch):
+    """Forcing every divisor search through the index, or through the plain
+    scan, leaves every pinned counter and basis unchanged."""
+    monkeypatch.setattr(groebner, "_SCAN_LIMIT", limit)
+    for k in (3, 11, 15):
+        want_work, _, want_digest = PINNED_RANDOM[k]
+        gb = buchberger(pinned_random_ideal(k))
+        assert work(gb) == want_work
+        assert basis_digest(gb) == want_digest
+    gb = buchberger(jacobian_ideal(perm_polynomial(3, Fp(32003))))
+    assert work(gb) == (86, 71, 24, 5)
+    assert basis_digest(gb) == "8a4971806dde0a68"
 
 
 def headroom_ideal(k):
@@ -798,6 +925,32 @@ def test_syzygy_pairs_keep_the_first_equal_quotient_at_any_degree():
     # quotient x^2 of the coprime pair (0, 2) equals that of (1, 2)
     assert list(groebner._syzygy_pairs([(2, 0, 0), (2, 1, 0), (0, 1, 1)])) == [(0, 1)]
     assert list(groebner._syzygy_pairs([])) == []
+
+
+def syzygy_pairs_by_sorting(lms):
+    """Reference for _syzygy_pairs on exponent tuples: every (degree, k,
+    quotient) sorted, a quotient kept unless one kept before divides it."""
+    for j, mj in enumerate(lms):
+        quotients = sorted((sum(q), k, q) for k in range(j)
+                           for q in [tuple(max(a - b, 0) for a, b in zip(lms[k], mj))])
+        kept = []
+        for _, k, q in quotients:
+            if not any(mono_divides(o, q) for o in kept):
+                kept.append(q)
+                if q != lms[k]:
+                    yield k, j
+
+
+def test_syzygy_pairs_match_the_sorted_selection():
+    """The same pairs in the same order as a full sort, on seeded lists with
+    many equal quotients and on the 206 leading monomials of a perm4 slice."""
+    rng = random.Random(8600)
+    lists = [perm4_slice_basis(("x11", "x22")).leading_monomials()]
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        lists.append([tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 30))])
+    for lms in lists:
+        assert list(groebner._syzygy_pairs(lms)) == list(syzygy_pairs_by_sorting(lms))
 
 
 @pytest.mark.parametrize("zeros, size, pairs", [
