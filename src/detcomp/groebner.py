@@ -35,15 +35,21 @@ skipping itself) and normal_form all search this way.
 The pair update (Gebauer & Moeller 1988) packs each leading monomial in
 16-bit lex order (_FIELD, x1 most significant, with guard bits), which
 compares like exponent tuples: the pair queue order (lcm degree, lcm, i, j),
-every counter and every basis match the tuple form. The lcm is a field-wise
-select over a plain list of the packed leading monomials, the lcm degree one
-multiplication. Live pairs keep the lcm and its support mask, and the chain
-criterion tests the mask before the guard subtraction. The M-criterion drops
-a candidate when the lcm of one kept before it in (degree, lcm, i) order
-divides its own. Within one degree only an equal lcm divides, and of equal
-lcms the smallest i comes first; so degree buckets, each in ascending i, keep
-the same candidates with no sort of them all. A leading monomial past
-_MAX_PACKED_DEGREE raises.
+every counter and every basis match the tuple form. An lcm is a field-wise
+select of two packed monomials, its degree one multiplication. Live pairs
+keep the lcm and its support mask, and the chain criterion tests the mask
+before the guard subtraction. The M-criterion keeps, of the new element's
+candidate pairs (i, t), those whose lcm(lm_i, lm) no other candidate's lcm
+properly divides, an equal lcm keeping the smallest i. That is the textbook
+rule, which drops a candidate when the lcm of one kept before it in
+(degree, lcm, i) order divides its own: divisibility is transitive, so a
+non-minimal lcm has a kept minimal divisor before it, and of equal minimal
+lcms the smallest i comes first. _Thresholds finds these without looking
+at each candidate: it keeps one bitset per variable and exponent, the
+elements whose lm has an exponent of x_v above e, so the candidates whose
+lcm divides a given one, and those whose lcm it divides, take n big-int ORs
+or ANDs each. The packed lcm is formed only for kept pairs and chain tests.
+A leading monomial past _MAX_PACKED_DEGREE raises.
 
 Verification shares no code with the engine (its reducer, basis elements or
 packed monomials). naive_normal_form divides textbook-style: the largest term
@@ -206,12 +212,12 @@ def _guards(n: int) -> int:
 
 
 class _Elem:
-    __slots__ = ("key", "mask", "packed", "order", "tail")
+    __slots__ = ("key", "exps", "mask", "packed", "order", "tail")
 
     def __init__(self, terms, n):
         # terms descending term keys, monic
         self.key = terms[0][0]
-        lm = _exps(self.key, n)
+        self.exps = lm = _exps(self.key, n)
         self.mask = _mask(lm)
         self.packed = _pack(lm)
         # divisor search order: degree, then the reversed exponents
@@ -316,6 +322,67 @@ class _Reducers:
         return find
 
 
+class _Thresholds:
+    """Exponent-threshold bitsets of the leading monomials, for the M-criterion.
+
+    Element i is bit i, and above[v][e] holds the elements whose lm has an
+    exponent of x_v greater than e. Each column is longer than every exponent
+    added, so an lcm of two added lms indexes inside it.
+    """
+
+    __slots__ = ("exps", "above")
+
+    def __init__(self, n: int):
+        self.exps = []
+        self.above = [[0] for _ in range(n)]
+
+    def add(self, ex):
+        bit = 1 << len(self.exps)
+        self.exps.append(ex)
+        for col, x in zip(self.above, ex):
+            if x:
+                if len(col) <= x:
+                    col.extend([0] * (x + 1 - len(col)))
+                for e in range(x):
+                    col[e] |= bit
+
+    def minimal(self) -> list:
+        """For the last lm added, the earlier i whose lcm(lm_i, lm) no other
+        such lcm properly divides, the smallest i of each equal lcm.
+
+        From the lowest candidate still alive, step to any one whose lcm
+        properly divides its lcm until none does; keep the smallest i with
+        that lcm, then drop every candidate whose lcm is a multiple of it.
+        """
+        exps, above = self.exps, self.above
+        ex = exps[-1]
+        kept = []
+        alive = (1 << (len(exps) - 1)) - 1
+        while alive:
+            i = (alive & -alive).bit_length() - 1
+            while True:
+                # lcm_j divides lcm_i iff lm_j[v] <= lcm_i[v] for every v, and
+                # lcm_i divides lcm_j iff lm_j[v] >= lm_i[v] wherever lm_i[v]
+                # exceeds lm[v]
+                bad = 0
+                multiples = alive
+                for col, a, b in zip(above, exps[i], ex):
+                    if a > b:
+                        bad |= col[a]
+                        multiples &= col[a - 1]
+                    else:
+                        bad |= col[b]
+                divisors = alive & ~bad
+                smaller = divisors & ~multiples
+                if not smaller:
+                    break
+                i = (smaller & -smaller).bit_length() - 1
+            equal = divisors & multiples
+            kept.append((equal & -equal).bit_length() - 1)
+            alive &= ~multiples
+        return kept
+
+
 def _monic_terms(terms, field):
     inv = field.inv(terms[0][1])
     if inv == field.one:
@@ -402,6 +469,7 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
     basis: list[_Elem] = []
     lms: list[int] = []    # packed leading monomials, in basis order
     masks: list[int] = []  # their support masks
+    thresholds = _Thresholds(n)
     reducers = _Reducers(n)
     heap: list = []  # (lcm_deg, packed lcm, i, j)
     live: dict = {}  # (i, j) -> (packed lcm, its support mask) of the pairs still pending
@@ -425,11 +493,16 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
         t = len(basis)
         lm, m = elem.packed, elem.mask
         lm_g = lm | guards
-        # lcms[i] = lcm(lm_i, lm): guard bits of lm_g - lm_i mark the fields
-        # where lm is the larger exponent; widen them to field masks.
-        lcms = [(lm & sel) | (p & ~sel) for p in lms
-                for sel in [(lm_g - p) & guards] for sel in [sel - (sel >> value_bits)]]
+
+        def lcm_with(p):
+            # guard bits of lm_g - p mark the fields where lm is the larger
+            # exponent; widen them to field masks and select
+            sel = (lm_g - p) & guards
+            sel -= sel >> value_bits
+            return (lm & sel) | (p & ~sel)
+
         pairs_created += t
+        thresholds.add(elem.exps)
         if use_criteria:
             # chain criterion on the pending pairs: the new lm divides their
             # lcm (its support first), and neither lcm with the new element
@@ -438,44 +511,24 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
             for key, (lcm, support) in live.items():
                 if support & m == m and ((lcm | guards) - lm) & guards == guards:
                     i, j = key
-                    if lcms[i] != lcm and lcms[j] != lcm:
+                    if lcm_with(lms[i]) != lcm and lcm_with(lms[j]) != lcm:
                         doomed.append(key)
             for key in doomed:
                 del live[key]
             pruned_chain += len(doomed)
-            # M-criterion: a candidate survives unless the lcm of a candidate
-            # kept before it in (degree, lcm, i) order divides its own. Within
-            # one degree only an equal lcm divides, and of equal lcms the
-            # smallest i comes first; so degree buckets in ascending i keep
-            # the same candidates as that sort.
-            buckets: dict = {}
-            for i, lcm in enumerate(lcms):
-                deg_l = ((lcm * ones) >> deg_shift) & field_mask
-                bucket = buckets.get(deg_l)
-                if bucket is None:
-                    buckets[deg_l] = [i]
-                else:
-                    bucket.append(i)
-            kept_lcms = []
-            for deg_l in sorted(buckets):
-                for i in buckets[deg_l]:
-                    lcm = lcms[i]
-                    lcm_g = lcm | guards
-                    for other in kept_lcms:
-                        if (lcm_g - other) & guards == guards:
-                            break
-                    else:
-                        kept_lcms.append(lcm)
-                        if not masks[i] & m:
-                            pruned_product += 1  # coprime leading monomials
-                            continue
-                        live[(i, t)] = (lcm, masks[i] | m)
-                        heappush(heap, (deg_l, lcm, i, t))
-            pruned_m += t - len(kept_lcms)
+            # M-criterion: keep the minimal lcms, an equal lcm keeping the
+            # smallest i (see the module docstring)
+            kept = thresholds.minimal()
+            pruned_m += t - len(kept)
         else:
-            for i, lcm in enumerate(lcms):
-                live[(i, t)] = (lcm, masks[i] | m)
-                heappush(heap, (((lcm * ones) >> deg_shift) & field_mask, lcm, i, t))
+            kept = range(t)
+        for i in kept:
+            if use_criteria and not masks[i] & m:
+                pruned_product += 1  # coprime leading monomials
+                continue
+            lcm = lcm_with(lms[i])
+            live[(i, t)] = (lcm, masks[i] | m)
+            heappush(heap, (((lcm * ones) >> deg_shift) & field_mask, lcm, i, t))
         basis.append(elem)
         lms.append(lm)
         masks.append(m)

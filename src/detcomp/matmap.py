@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
@@ -93,19 +94,26 @@ class AffineMatrixMap:
 
         The point is converted once per call. Every entry has degree <= 1, so
         its value is its constant plus one coefficient-times-coordinate product
-        per variable term.
+        per variable term. Over Q, integer coordinates and coefficients are
+        taken as ints, so an integer point and coefficients add in ints, with
+        one Fraction per nonzero entry.
         """
         field = self.field
         vals = point_values(self.vars, field, point)
         p = field.char
+        if not p:
+            vals = [x.numerator if x.denominator == 1 else x for x in vals]
+        zero = field.zero
         rows = []
         for row in self.entries:
             out = []
             for entry in row:
-                total = field.zero
+                total = 0
                 for e, c in entry.terms:
+                    if not p and c.denominator == 1:
+                        c = c.numerator
                     total += c * vals[e.index(1)] if 1 in e else c
-                out.append(total % p if p else total)
+                out.append(total % p if p else Fraction(total) if total else zero)
             rows.append(out)
         return rows
 

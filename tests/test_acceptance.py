@@ -173,6 +173,10 @@ def test_criterion_09_perm4_certificate():
     assert cert.stats.pairs_processed == 86575
     assert cert.stats.zero_reductions == 79299
     assert cert.stats.basis_size == 7292
+    assert cert.stats.pairs_created == 26590278
+    assert cert.stats.pruned_product == 53
+    assert cert.stats.pruned_m == 26499422
+    assert cert.stats.pruned_chain == 4228
     assert elapsed <= 7200.0
 
 
