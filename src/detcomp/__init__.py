@@ -15,7 +15,6 @@ from .groebner import (
     Ideal,
     ResourceCapError,
     buchberger,
-    dimension,
     normal_form,
     staircase_dimension,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "certify_lower_bound",
     "check_avoids_singular_locus",
     "codim_sing",
-    "dimension",
     "field_from_tag",
     "field_tag",
     "jacobian_ideal",

@@ -47,10 +47,6 @@ class ABP:
             if label.degree() > 1:
                 raise ValueError("edge labels must have degree <= 1")
 
-    @property
-    def vertex_count(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
     def path_sum(self) -> Polynomial:
         """Sum over source-sink paths of the product of edge labels."""
         zero = Polynomial.zero(self.vars, self.field)
@@ -232,34 +228,6 @@ class ParamTemplate:
     def determinant(self) -> Polynomial:
         return symbolic_det(self.entries)
 
-    def instantiate(self, assignment: dict) -> AffineMatrixMap:
-        """Substitute parameter values (name -> field value) into the grid."""
-        field = self.field
-        nm = len(self.main_vars)
-        values = [field.of(assignment[name]) for name in self.param_vars.names]
-        rows = []
-        for row in self.entries:
-            out = []
-            for p in row:
-                acc: dict = {}
-                for e, c in p.terms:
-                    scale = c
-                    for k, exp in enumerate(e[nm:]):
-                        if exp:
-                            scale = field.mul(scale, values[k])
-                    if scale == field.zero:
-                        continue
-                    key = e[:nm]
-                    prior = acc.get(key, field.zero)
-                    total = field.add(prior, scale)
-                    if total == field.zero:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = total
-                out.append(Polynomial.from_dict(self.main_vars, field, acc))
-            rows.append(tuple(out))
-        return AffineMatrixMap(self.main_vars, field, tuple(rows))
-
 
 @dataclass(frozen=True)
 class Equation:
@@ -380,89 +348,6 @@ def cubic_rank3_template(field: Field = QQ, include_lower_coeffs: bool = False):
 
     target = parse_polynomial("x*y^2 + y*t^2 + z^3", main, field)
     return template, target
-
-
-def generic_template(m: int, main_vars: VarSet, field: Field = QQ, constants: bool = True) -> ParamTemplate:
-    """Fully generic m x m template: one unknown per entry per variable,
-    plus an unknown constant per entry unless disabled."""
-    pnames = []
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if constants:
-                pnames.append(f"C{i}{j}")
-            for name in main_vars.names:
-                pnames.append(f"A{i}{j}_{name}")
-    params = VarSet(tuple(pnames))
-    combined = VarSet(main_vars.names + params.names)
-    n = len(combined)
-
-    def unit(*positions):
-        e = [0] * n
-        for pos in positions:
-            e[pos] += 1
-        return tuple(e)
-
-    rows = []
-    for i in range(1, m + 1):
-        row = []
-        for j in range(1, m + 1):
-            acc = {}
-            if constants:
-                acc[unit(combined.index(f"C{i}{j}"))] = field.one
-            for name in main_vars.names:
-                acc[unit(combined.index(name), combined.index(f"A{i}{j}_{name}"))] = field.one
-            row.append(Polynomial.from_dict(combined, field, acc))
-        rows.append(tuple(row))
-    return ParamTemplate(main_vars, params, field, tuple(rows))
-
-
-def solve_by_enumeration(equations, field: Field, max_solutions: int | None = None, node_cap: int = 10_000_000):
-    """All parameter assignments over a finite field satisfying every equation.
-
-    Depth-first over the parameters in ring order; an equation is checked as
-    soon as its support is fully assigned, so contradictions prune early.
-    Deterministic: domain values ascending, solutions in lexicographic order.
-    """
-    if field.char == 0:
-        raise ValueError("enumeration requires a finite field")
-    if not equations:
-        return [{}]
-    params = equations[0].lhs.vars
-    k = len(params)
-    residuals = [eq.residual() for eq in equations]
-    for r in residuals:
-        if r.vars != params:
-            raise FieldMismatchError("equations over different parameter rings")
-    by_depth: list = [[] for _ in range(k + 1)]
-    for r in residuals:
-        support = [i for i in range(k) if r.degree_in(i) > 0]
-        depth = (max(support) + 1) if support else 0
-        by_depth[depth].append(r)
-    if any(not r.is_zero() for r in by_depth[0]):
-        return []
-    domain = list(range(field.char))
-    point = [field.zero] * k
-    solutions = []
-    nodes = 0
-
-    def dfs(depth):
-        nonlocal nodes
-        if max_solutions is not None and len(solutions) >= max_solutions:
-            return
-        if depth == k:
-            solutions.append({name: point[i] for i, name in enumerate(params.names)})
-            return
-        for value in domain:
-            nodes += 1
-            if nodes > node_cap:
-                raise ResourceCapError("enumeration", f"node cap {node_cap} hit")
-            point[depth] = field.of(value)
-            if all(r.evaluate(point).value == field.zero for r in by_depth[depth + 1]):
-                dfs(depth + 1)
-        point[depth] = field.zero
-
-    dfs(0)
-    return solutions
 
 
 # -- the six-equation case analysis ----------------------------------------------

@@ -3,8 +3,10 @@
 Coefficients are stored as raw values (Fraction for the rationals, int in
 [0, p) for F_p) and arithmetic on raw values is dispatched through a Field
 object; that keeps the polynomial kernels free of per-element wrappers.
-FieldElement wraps a raw value together with its field for API boundaries
-(evaluation points and results), where silently mixing fields would be a bug.
+FieldElement pairs a raw value with its field at the API boundary: a point
+coordinate given as one is checked against the ring's field, and
+Polynomial.evaluate returns one. It has no arithmetic of its own; compute on
+raw values through the Field.
 """
 
 from __future__ import annotations
@@ -70,12 +72,6 @@ class Field:
 
     def inv(self, a: Coefficient) -> Coefficient:
         raise NotImplementedError
-
-    def div(self, a: Coefficient, b: Coefficient) -> Coefficient:
-        return self.mul(a, self.inv(b))
-
-    def element(self, value: Any) -> "FieldElement":
-        return FieldElement(self, self.of(value))
 
     def sample(self, rng, size: int) -> Coefficient:
         """Uniform raw value from a sample set of (at least) `size` elements."""
@@ -232,39 +228,10 @@ def field_tag(field: Field):
 
 @dataclass(frozen=True)
 class FieldElement:
-    """A raw coefficient paired with its field; arithmetic checks the field."""
+    """A raw coefficient paired with its field."""
 
     field: Field
     value: Coefficient
-
-    def _coerce(self, other) -> Coefficient:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(f"{self.field} vs {other.field}")
-            return other.value
-        return self.field.of(other)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._coerce(other), self.value))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
@@ -273,9 +240,6 @@ class FieldElement:
 
     def __hash__(self) -> int:
         return hash((self.field, self.value))
-
-    def is_zero(self) -> bool:
-        return self.value == self.field.zero
 
     def __str__(self) -> str:
         return str(self.value)

@@ -350,7 +350,7 @@ class _Thresholds:
         """For the last lm added, the earlier i whose lcm(lm_i, lm) no other
         such lcm properly divides, the smallest i of each equal lcm.
 
-        From the lowest candidate still alive, step to any one whose lcm
+        From the highest candidate still alive, step to any one whose lcm
         properly divides its lcm until none does; keep the smallest i with
         that lcm, then drop every candidate whose lcm is a multiple of it.
         """
@@ -359,7 +359,7 @@ class _Thresholds:
         kept = []
         alive = (1 << (len(exps) - 1)) - 1
         while alive:
-            i = (alive & -alive).bit_length() - 1
+            i = alive.bit_length() - 1
             while True:
                 # lcm_j divides lcm_i iff lm_j[v] <= lcm_i[v] for every v, and
                 # lcm_i divides lcm_j iff lm_j[v] >= lm_i[v] wherever lm_i[v]
@@ -609,10 +609,6 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return Polynomial(p.vars, p.field, tuple([(_exps(k, n), c) for k, c in red]))
 
 
-def contains(p: Polynomial, gb: GroebnerBasis) -> bool:
-    return normal_form(p, gb).is_zero()
-
-
 # -- independent verification ------------------------------------------------
 
 
@@ -802,10 +798,3 @@ def _meets(masks, size: int) -> bool:
         m ^= v
     return False
 
-
-def dimension(ideal_or_basis, limits: EngineLimits | None = None) -> int:
-    """Dimension of the affine variety; -1 for the empty variety."""
-    gb = ideal_or_basis
-    if isinstance(gb, Ideal):
-        gb = buchberger(gb, limits=limits)
-    return staircase_dimension(gb.leading_monomials(), len(gb.vars))

@@ -1,12 +1,9 @@
-"""On-disk JSON formats for matrix maps and ideals, plus schema validation.
+"""The on-disk JSON format for matrix maps, plus schema validation.
 
 Matrix-map format:
     {"field": "Q" | {"Fp": p}, "vars": [names], "m": int,
      "entries": [[polynomial strings]]}
 Entries are re-parsed in the header ring and rejected unless degree <= 1.
-
-Ideal format:
-    {"field": ..., "vars": [names], "generators": [polynomial strings]}
 
 Schemas for every machine-readable output ship in the package under
 schemas/; validate_payload checks a payload against one by name (requires
@@ -19,10 +16,9 @@ import json
 from importlib import resources
 
 from .fields import field_from_tag, field_tag
-from .groebner import Ideal
 from .matmap import AffineMatrixMap
 from .parsing import parse_polynomial
-from .poly import Polynomial, VarSet
+from .poly import VarSet
 
 
 def dump_matrix_map(mapping: AffineMatrixMap) -> dict:
@@ -53,23 +49,6 @@ def load_matrix_map(data: dict) -> AffineMatrixMap:
             out.append(p)
         rows.append(tuple(out))
     return AffineMatrixMap(names, field, tuple(rows))
-
-
-def dump_ideal(ideal: Ideal) -> dict:
-    return {
-        "field": field_tag(ideal.field),
-        "vars": list(ideal.vars),
-        "generators": [str(g) for g in ideal.generators],
-    }
-
-
-def load_ideal(data: dict) -> Ideal:
-    field = field_from_tag(data["field"])
-    names = VarSet(tuple(data["vars"]))
-    gens = [parse_polynomial(str(t), vars=names, field=field) for t in data["generators"]]
-    if not gens:
-        gens = [Polynomial.zero(names, field)]
-    return Ideal(names, field, tuple(gens))
 
 
 def read_json(path: str) -> dict:

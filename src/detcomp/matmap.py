@@ -18,7 +18,7 @@ matrices from 8x8 up go to Berkowitz.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
@@ -75,19 +75,6 @@ class AffineMatrixMap:
     def constant_part(self) -> list:
         """Raw value matrix L(0)."""
         return [[p.constant_term() for p in row] for row in self.entries]
-
-    def coefficient_matrix(self, var_index: int) -> list:
-        """Raw matrix of coefficients of one variable."""
-        n = len(self.vars)
-        e = tuple(1 if j == var_index else 0 for j in range(n))
-        return [[p.coefficient(e) for p in row] for row in self.entries]
-
-    def linear_part(self) -> "AffineMatrixMap":
-        const = Polynomial.const
-        rows = []
-        for row in self.entries:
-            rows.append(tuple(p - const(self.vars, self.field, p.constant_term()) for p in row))
-        return AffineMatrixMap(self.vars, self.field, tuple(rows))
 
     def evaluate(self, point: Sequence) -> list:
         """Raw value matrix L(point).
@@ -348,15 +335,6 @@ def generic_det_polynomial(m: int, field: Field = QQ) -> Polynomial:
         [Polynomial.variable(vars, field, i * m + j) for j in range(m)] for i in range(m)
     ]
     return det_laplace_memo(gens)
-
-
-def generic_matrix_map(m: int, field: Field = QQ) -> AffineMatrixMap:
-    """The identity map on matrix space: entry (i, j) is the variable x_{i+1,j+1}."""
-    vars = VarSet(tuple(f"x{i+1}{j+1}" for i in range(m) for j in range(m)))
-    rows = [
-        tuple(Polynomial.variable(vars, field, i * m + j) for j in range(m)) for i in range(m)
-    ]
-    return AffineMatrixMap(vars, field, rows)
 
 
 @dataclass(frozen=True)

@@ -152,14 +152,6 @@ class Polynomial:
         return cls(vars, field, tuple(terms))
 
     @classmethod
-    def from_terms(cls, vars: VarSet, field: Field, pairs: Iterable) -> "Polynomial":
-        acc: dict = {}
-        for e, c in pairs:
-            e = tuple(e)
-            acc[e] = field.add(acc.get(e, field.zero), field.of(c))
-        return cls.from_dict(vars, field, acc)
-
-    @classmethod
     def zero(cls, vars: VarSet, field: Field) -> "Polynomial":
         return cls(vars, field, ())
 
@@ -225,10 +217,6 @@ class Polynomial:
             parts.setdefault(sum(e), []).append((e, c))
         return {d: Polynomial(self.vars, self.field, tuple(ts)) for d, ts in parts.items()}
 
-    def degree_in(self, i: int) -> int:
-        """Largest exponent of variable i; 0 for the zero polynomial."""
-        return max((e[i] for e, _ in self.terms), default=0)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_ring(self, other: "Polynomial"):
@@ -284,11 +272,6 @@ class Polynomial:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self.scale(self.field.inv(self.leading_coefficient()))
 
     # -- calculus and substitution -------------------------------------------
 
@@ -362,12 +345,6 @@ class Polynomial:
             total = (total + v) % p
         return FieldElement(field, total)
 
-    def rename(self, new_vars: VarSet) -> "Polynomial":
-        """Reinterpret over a same-length variable set (positional)."""
-        if len(new_vars) != len(self.vars):
-            raise ArityError("variable counts differ")
-        return Polynomial(new_vars, self.field, self.terms)
-
     def extend(self, new_vars: VarSet) -> "Polynomial":
         """Lift into a superset ring; existing variables keep their names."""
         positions = [new_vars.index(name) for name in self.vars]
@@ -378,18 +355,6 @@ class Polynomial:
             for pos, exp in zip(positions, e):
                 ne[pos] = exp
             terms.append((tuple(ne), c))
-        terms.sort(key=_term_order)
-        return Polynomial(new_vars, self.field, tuple(terms))
-
-    def restrict(self, new_vars: VarSet) -> "Polynomial":
-        """Project onto a subset ring; fails if a dropped variable occurs."""
-        keep = [self.vars.index(name) for name in new_vars]
-        dropped = [i for i in range(len(self.vars)) if i not in keep]
-        terms = []
-        for e, c in self.terms:
-            if any(e[i] for i in dropped):
-                raise ValueError("polynomial involves a dropped variable")
-            terms.append((tuple(e[i] for i in keep), c))
         terms.sort(key=_term_order)
         return Polynomial(new_vars, self.field, tuple(terms))
 
@@ -474,20 +439,6 @@ def sum_of_products(
         terms = [(e, c) for e, c in acc.items() if c]
     terms.sort(key=_term_order)
     return Polynomial(vars, field, tuple(terms))
-
-
-def poly_ring(vars: VarSet, field: Field):
-    """Convenience: the tuple of variable polynomials for a ring."""
-    return tuple(Polynomial.variable(vars, field, i) for i in range(len(vars)))
-
-
-def euler_combination(f: Polynomial) -> Polynomial:
-    """sum_i x_i * df/dx_i; equals deg(f) * f for homogeneous f."""
-    gens = poly_ring(f.vars, f.field)
-    total = Polynomial.zero(f.vars, f.field)
-    for i, x in enumerate(gens):
-        total = total + x * f.partial_derivative(i)
-    return total
 
 
 def random_polynomial(

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .fields import Field, PrimeField
+from .fields import PrimeField
 from .matmap import AffineMatrixMap, verify_expression
 from .poly import Polynomial
 

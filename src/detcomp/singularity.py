@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .fields import Field, FieldMismatchError, field_tag
+from .fields import Field, field_tag
 from .groebner import (
     EngineLimits,
     GroebnerStats,

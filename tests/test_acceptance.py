@@ -34,12 +34,7 @@ from detcomp.matmap import (
     verify_expression,
 )
 from detcomp.parsing import parse_polynomial
-from detcomp.poly import (
-    Polynomial,
-    euler_combination,
-    random_polynomial,
-    varset,
-)
+from detcomp.poly import Polynomial, random_polynomial, varset
 from detcomp.search import dc_exact
 from detcomp.singularity import analyze_expression, certify_lower_bound, codim_sing
 
@@ -47,6 +42,15 @@ stretch = pytest.mark.skipif(
     os.environ.get("DETCOMP_STRETCH") != "1",
     reason="long-running check; set DETCOMP_STRETCH=1 to include it",
 )
+
+
+def euler_combination(f):
+    """sum_i x_i * df/dx_i; equals deg(f) * f for homogeneous f."""
+    total = Polynomial.zero(f.vars, f.field)
+    for i in range(len(f.vars)):
+        total = total + Polynomial.variable(f.vars, f.field, i) * f.partial_derivative(i)
+    return total
+
 
 SIX_EQUATIONS = (
     "x*y^2: beta*X23 - gamma*X43 = 1",

@@ -11,12 +11,9 @@ from detcomp.expressions import (
     cubic_case_analysis,
     cubic_rank3_template,
     extract_coefficient_equations,
-    generic_template,
     grenet_abp,
-    solve_by_enumeration,
 )
 from detcomp.fields import QQ, FieldMismatchError, Fp
-from detcomp.groebner import ResourceCapError
 from detcomp.matmap import det_berkowitz, perm_polynomial, symbolic_det, verify_expression
 from detcomp.poly import Polynomial, varset
 
@@ -28,6 +25,10 @@ SIX_EQUATIONS = (
     "x*z*t: alpha*X22 + gamma*X32 - beta*X34 - alpha*X44 = 0",
     "x*t^2: alpha*X24 + gamma*X34 = 0",
 )
+
+
+def vertex_count(abp):
+    return sum(len(layer) for layer in abp.layers)
 
 
 def brute_path_sum(abp):
@@ -73,7 +74,7 @@ def test_path_sum_single_edge():
     x = Polynomial.parse("x", vars=vs)
     abp = ABP(vs, QQ, (("s",), ("t",)), ((0, 0, 0, x),))
     assert abp.path_sum() == x
-    assert abp.vertex_count == 2
+    assert vertex_count(abp) == 2
 
 
 def test_path_sum_matches_brute_enumeration(rng):
@@ -104,7 +105,7 @@ def test_path_sum_matches_brute_enumeration(rng):
 
 def test_grenet_abp_two():
     abp = grenet_abp(2)
-    assert abp.vertex_count == 4
+    assert vertex_count(abp) == 4
     assert len(abp.edges) == 4
     # two paths, products x11*x22 and x12*x21
     assert abp.path_sum() == perm_polynomial(2)
@@ -113,13 +114,13 @@ def test_grenet_abp_two():
 
 def test_grenet_abp_three_path_sum_is_permanent():
     abp = grenet_abp(3)
-    assert abp.vertex_count == 8
+    assert vertex_count(abp) == 8
     assert brute_path_sum(abp) == perm_polynomial(3)
 
 
 def test_grenet_abp_four_shape():
     abp = grenet_abp(4)
-    assert abp.vertex_count == 16
+    assert vertex_count(abp) == 16
     assert len(abp.layers) == 5
     assert [len(layer) for layer in abp.layers] == [1, 4, 6, 4, 1]
 
@@ -178,7 +179,7 @@ def test_abp_to_determinant_random_agrees_with_path_sum(rng):
                         )
         abp = ABP(vs, field, layers, tuple(edges))
         mapping = abp_to_determinant(abp)
-        assert mapping.size == abp.vertex_count - 1
+        assert mapping.size == vertex_count(abp) - 1
         assert symbolic_det(mapping) == abp.path_sum()
         checked += 1
     assert checked == 12
@@ -285,7 +286,6 @@ def test_unreachable_target_monomial_surfaces():
     y_eq = [eq for eq in eqs if eq.monomial == (0, 1)]
     assert len(y_eq) == 1
     assert y_eq[0].lhs.is_zero() and y_eq[0].rhs == QQ.of(1)
-    assert solve_by_enumeration([y_eq[0]], Fp(3)) == []
 
 
 def test_ring_mismatch_rejected():
@@ -318,69 +318,6 @@ def test_cubic_template_shape():
         assert grid[i][i].constant_term() == QQ.of(1)
     full, _ = cubic_rank3_template(include_lower_coeffs=True)
     assert len(full.param_vars) == 39
-
-
-def test_template_instantiation_roundtrip():
-    """det(instantiate(s)) equals instantiating the symbolic determinant."""
-    field = Fp(5)
-    main = varset("x", "y", "z")
-    template = generic_template(2, main, field=field, constants=False)
-    assignment = {name: i % 5 for i, name in enumerate(template.param_vars.names)}
-    mapping = template.instantiate(assignment)
-    det_after = symbolic_det(mapping)
-    det_sym = template.determinant()
-    values = [field.of(assignment[n]) for n in template.param_vars.names]
-    nm = len(main)
-    acc: dict = {}
-    for e, c in det_sym.terms:
-        scale = c
-        for k, exp in enumerate(e[nm:]):
-            for _ in range(exp):
-                scale = field.mul(scale, values[k])
-        key = e[:nm]
-        total = field.add(acc.get(key, field.zero), scale)
-        if total == field.zero:
-            acc.pop(key, None)
-        else:
-            acc[key] = total
-    det_before = Polynomial.from_dict(main, field, acc)
-    assert det_after == det_before
-
-
-def test_generic_2x2_solutions_complete_over_f3():
-    """Every enumerated solution really is an expression of x^2 + yz."""
-    F3 = Fp(3)
-    main = varset("x", "y", "z")
-    f = Polynomial.parse("x^2 + y*z", vars=main, field=F3)
-    template = generic_template(2, main, field=F3, constants=False)
-    eqs = extract_coefficient_equations(template, f)
-    sols = solve_by_enumeration(eqs, F3)
-    assert len(sols) == 576
-    for sol in sols:
-        mapping = template.instantiate(sol)
-        assert verify_expression(mapping, f).ok
-    # the catalog witness [[x, y], [-z, x]] appears among the solutions
-    witness = {name: 0 for name in template.param_vars.names}
-    witness.update({"A11_x": 1, "A12_y": 1, "A21_z": F3.of(-1), "A22_x": 1})
-    assert witness in sols
-
-
-def test_solver_respects_max_solutions_and_caps():
-    F3 = Fp(3)
-    main = varset("x", "y", "z")
-    f = Polynomial.parse("x^2 + y*z", vars=main, field=F3)
-    template = generic_template(2, main, field=F3, constants=False)
-    eqs = extract_coefficient_equations(template, f)
-    some = solve_by_enumeration(eqs, F3, max_solutions=5)
-    assert len(some) == 5
-    with pytest.raises(ResourceCapError):
-        solve_by_enumeration(eqs, F3, node_cap=10)
-    with pytest.raises(ValueError):
-        solve_by_enumeration(eqs, QQ)
-
-
-def test_solver_trivial_cases():
-    assert solve_by_enumeration([], Fp(3)) == [{}]
 
 
 # ------------------------------------------------------------- case analysis

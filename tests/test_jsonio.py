@@ -1,13 +1,12 @@
 """On-disk JSON formats and the shipped output schemas."""
 
+from importlib import resources
+
 import pytest
 
 from detcomp.fields import QQ, Fp
-from detcomp.groebner import Ideal
 from detcomp.jsonio import (
-    dump_ideal,
     dump_matrix_map,
-    load_ideal,
     load_matrix_map,
     load_schema,
     read_json,
@@ -19,8 +18,8 @@ from detcomp.poly import Polynomial, varset
 
 SCHEMA_NAMES = (
     "analysis", "avoidance", "case_analysis", "catalog", "certificate",
-    "codim", "cone_reduce", "dc", "equations", "grenet", "ideal",
-    "matrix_map", "parse", "sample", "search", "verification",
+    "codim", "cone_reduce", "dc", "equations", "grenet", "matrix_map",
+    "parse", "sample", "search", "verification",
 )
 
 
@@ -70,25 +69,6 @@ def test_matrix_map_load_rejects_ragged_grid():
         load_matrix_map(data)
 
 
-def test_ideal_round_trip():
-    vs = varset("x", "y", "z")
-    gens = (
-        Polynomial.parse("x*y - z^2", vars=vs, field=QQ),
-        Polynomial.parse("x - y", vars=vs, field=QQ),
-    )
-    ideal = Ideal(vs, QQ, gens)
-    data = dump_ideal(ideal)
-    assert data["generators"] == ["x*y - z^2", "x - y"]
-    assert load_ideal(data) == ideal
-
-
-def test_ideal_load_empty_generators_is_zero_ideal():
-    data = {"field": "Q", "vars": ["x"], "generators": []}
-    ideal = load_ideal(data)
-    assert len(ideal.generators) == 1
-    assert ideal.generators[0].is_zero()
-
-
 def test_file_round_trip(tmp_path):
     path = tmp_path / "map.json"
     payload = dump_matrix_map(demo_map(field=Fp(5)))
@@ -108,6 +88,12 @@ def test_every_shipped_schema_loads():
         assert schema.get("type") == "object" or "oneOf" in schema
 
 
+def test_shipped_schemas_are_exactly_the_known_set():
+    shipped = resources.files("detcomp").joinpath("schemas").iterdir()
+    names = {p.name.removesuffix(".schema.json") for p in shipped if p.name.endswith(".schema.json")}
+    assert names == set(SCHEMA_NAMES)
+
+
 def test_unknown_schema_name():
     with pytest.raises(FileNotFoundError):
         load_schema("nonsense")
@@ -121,9 +107,3 @@ def test_validate_payload_accepts_and_rejects():
     with pytest.raises(jsonschema.ValidationError):
         validate_payload(payload, "matrix_map")
 
-
-def test_validate_ideal_payload():
-    pytest.importorskip("jsonschema")
-    vs = varset("x")
-    ideal = Ideal(vs, Fp(3), (Polynomial.parse("x^2", vars=vs, field=Fp(3)),))
-    validate_payload(dump_ideal(ideal), "ideal")

