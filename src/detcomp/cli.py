@@ -88,24 +88,18 @@ def parse_field(text: str) -> Field:
     raise ValueError(f"field must be Q or Fp:<prime>, got {text!r}")
 
 
-def resolve_poly(text: str, vars_csv: str | None, field: Field,
-                 ring_vars=None) -> Polynomial:
-    """Inline polynomial string, or one of the built-in aliases.
-
-    ring_vars pins the ambient ring (the variables of a loaded map); a plain
-    string is then parsed against that exact variable order, and an alias
-    must already live in it.
-    """
+def resolve_poly(text: str, field: Field, vars: VarSet | None = None) -> Polynomial:
+    """Inline polynomial string over vars (inferred when None), or one of the
+    built-in aliases, which bring their own variables."""
     t = text.strip()
-    alias = None
     if t in ("perm2", "perm3", "perm4"):
-        alias = perm_polynomial(int(t[-1]), field)
-    elif t in ("det2", "det3"):
-        alias = generic_det_polynomial(int(t[-1]), field)
-    elif t == "cubic":
-        alias = parse_polynomial("x*y^2 + y*t^2 + z^3",
-                                 vars=VarSet(("x", "y", "z", "t")), field=field)
-    elif t.startswith("fermat:"):
+        return perm_polynomial(int(t[-1]), field)
+    if t in ("det2", "det3"):
+        return generic_det_polynomial(int(t[-1]), field)
+    if t == "cubic":
+        return parse_polynomial("x*y^2 + y*t^2 + z^3",
+                                vars=VarSet(("x", "y", "z", "t")), field=field)
+    if t.startswith("fermat:"):
         parts = t.split(":")
         if len(parts) != 3:
             raise ValueError("fermat alias is fermat:<degree>:<variables>")
@@ -114,16 +108,7 @@ def resolve_poly(text: str, vars_csv: str | None, field: Field,
         acc = Polynomial.zero(names, field)
         for i in range(n):
             acc = acc + Polynomial.variable(names, field, i) ** d
-        alias = acc
-    if alias is not None:
-        if ring_vars is not None and tuple(alias.vars) != tuple(ring_vars):
-            raise ValueError(
-                f"alias {t!r} lives in variables {tuple(alias.vars)},"
-                f" the map in {tuple(ring_vars)}")
-        return alias
-    if ring_vars is not None:
-        return parse_polynomial(t, vars=ring_vars, field=field)
-    vars = VarSet(tuple(vars_csv.split(","))) if vars_csv else None
+        return acc
     return parse_polynomial(t, vars=vars, field=field)
 
 
@@ -132,6 +117,22 @@ def load_map_arg(value: str):
         mapping, _ = catalog_get(value[len("catalog:"):])
         return mapping
     return load_matrix_map(read_json(value))
+
+
+def poly_arg(args) -> Polynomial:
+    """--poly in the ring that --vars and --field fix."""
+    vars = VarSet(tuple(args.vars.split(","))) if args.vars else None
+    return resolve_poly(args.poly, parse_field(args.field), vars)
+
+
+def map_and_poly_args(args):
+    """(--map, --poly in the map's ring): the map fixes the field and the variables."""
+    mapping = load_map_arg(args.map)
+    f = resolve_poly(args.poly, mapping.field, mapping.vars)
+    if tuple(f.vars) != tuple(mapping.vars):  # an alias brings its own
+        raise ValueError(f"alias {args.poly.strip()!r} lives in variables {tuple(f.vars)},"
+                         f" the map in {tuple(mapping.vars)}")
+    return mapping, f
 
 
 def emit(args, payload: dict, text: str) -> None:
@@ -145,11 +146,10 @@ def emit(args, payload: dict, text: str) -> None:
 
 
 def cmd_parse(args) -> int:
-    field = parse_field(args.field)
-    f = resolve_poly(args.poly, args.vars, field)
+    f = poly_arg(args)
     payload = {
         "poly": str(f),
-        "field": field_tag(field),
+        "field": field_tag(f.field),
         "vars": list(f.vars),
         "degree": f.degree() if not f.is_zero() else 0,
         "terms": len(f.terms),
@@ -160,8 +160,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mapping = load_map_arg(args.map)
-    f = resolve_poly(args.poly, None, mapping.field, ring_vars=mapping.vars)
+    mapping, f = map_and_poly_args(args)
     report = verify_expression(mapping, f, mode=args.mode,
                                trials=args.trials, seed=args.seed)
     lines = [f"mode: {report.mode}", f"ok: {report.ok}"]
@@ -177,13 +176,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_codim(args) -> int:
-    field = parse_field(args.field)
-    f = resolve_poly(args.poly, args.vars, field)
+    f = poly_arg(args)
     cert = certify_lower_bound(f, limits=build_limits(args))
     n, codim, empty = len(f.vars), cert.codim, cert.singular_locus_empty
     payload = {
         "poly": str(f),
-        "field": field_tag(field),
+        "field": field_tag(f.field),
         "vars": list(f.vars),
         "n": n,
         "codim": codim,
@@ -198,16 +196,14 @@ def cmd_codim(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    field = parse_field(args.field)
-    f = resolve_poly(args.poly, args.vars, field)
+    f = poly_arg(args)
     cert = certify_lower_bound(f, limits=build_limits(args))
     emit(args, cert.to_json(deterministic=args.deterministic), cert.render_text())
     return 0 if cert.applicable else 1
 
 
 def cmd_analyze(args) -> int:
-    mapping = load_map_arg(args.map)
-    f = resolve_poly(args.poly, None, mapping.field, ring_vars=mapping.vars)
+    mapping, f = map_and_poly_args(args)
     report = analyze_expression(mapping, f)
     ok = (report.all_proof_checks_pass() if report.branch == "corank_one"
           else report.window_consistent)
@@ -216,8 +212,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_avoid_check(args) -> int:
-    mapping = load_map_arg(args.map)
-    f = resolve_poly(args.poly, None, mapping.field, ring_vars=mapping.vars)
+    mapping, f = map_and_poly_args(args)
     report = check_avoids_singular_locus(
         mapping, f, mode=args.mode, trials=args.trials, seed=args.seed,
         limits=build_limits(args))
@@ -306,8 +301,7 @@ def cmd_cubic_case(args) -> int:
 
 
 def cmd_search(args) -> int:
-    field = parse_field(args.field)
-    f = resolve_poly(args.poly, args.vars, field)
+    f = poly_arg(args)
     spec = SearchSpec(f, args.size, max_candidates=args.max_candidates)
     report = SearchReport(spec)
     shown = []
@@ -329,8 +323,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_dc(args) -> int:
-    field = parse_field(args.field)
-    f = resolve_poly(args.poly, args.vars, field)
+    f = poly_arg(args)
     result = dc_exact(f, args.m_max, max_candidates=args.max_candidates)
     payload = result.to_json()
     payload["witness"] = None if result.witness is None else dump_matrix_map(result.witness)
@@ -385,11 +378,12 @@ def _at_least(cast, minimum):
     return parse
 
 
-def _add_common(sp, caps=True):
+def _add_common(sp, caps=True, timed=False):
     sp.add_argument("--format", choices=("text", "json"), default="text",
                     help="output rendering (default text)")
-    sp.add_argument("--deterministic", action="store_true",
-                    help="strip wall-clock times from JSON output")
+    if timed:  # only the codim and certify payloads carry a wall time
+        sp.add_argument("--deterministic", action="store_true",
+                        help="strip the wall-clock time from JSON output")
     if caps:
         count, seconds = _at_least(int, 0), _at_least(float, 0)
         sp.add_argument("--max-pairs", type=count, default=None,
@@ -402,14 +396,21 @@ def _add_common(sp, caps=True):
                         help=f"wall-clock cap in seconds (env {ENV_PREFIX}TIME_LIMIT)")
 
 
-def _add_poly(sp, with_vars=True):
-    sp.add_argument("--poly", required=True,
-                    help="polynomial string, or alias perm2/perm3/perm4,"
-                         " det2/det3, cubic, fermat:<d>:<n>")
-    if with_vars:
-        sp.add_argument("--vars", default=None,
-                        help="comma-separated variable names fixing the ring")
+_POLY_HELP = "polynomial string, or alias perm2/perm3/perm4, det2/det3, cubic, fermat:<d>:<n>"
+
+
+def _add_poly(sp):
+    """--poly in the ring that --vars and --field fix (read by poly_arg)."""
+    sp.add_argument("--poly", required=True, help=_POLY_HELP)
+    sp.add_argument("--vars", default=None,
+                    help="comma-separated variable names fixing the ring")
     sp.add_argument("--field", default="Q", help="Q (default) or Fp:<prime>")
+
+
+def _add_map_and_poly(sp):
+    """--map and --poly in the map's ring (read by map_and_poly_args)."""
+    sp.add_argument("--map", required=True, help="matrix-map JSON file or catalog:<name>")
+    sp.add_argument("--poly", required=True, help=_POLY_HELP)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -426,8 +427,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_parse)
 
     sp = sub.add_parser("verify", help="check det(L(x)) == f exactly or probabilistically")
-    sp.add_argument("--map", required=True, help="matrix-map JSON file or catalog:<name>")
-    _add_poly(sp, with_vars=False)
+    _add_map_and_poly(sp)
     sp.add_argument("--mode", choices=("exact", "probabilistic"), default="exact")
     sp.add_argument("--trials", type=_at_least(int, 1), default=100)
     sp.add_argument("--seed", type=int, default=0)
@@ -436,24 +436,22 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("codim", help="codimension of the singular locus")
     _add_poly(sp)
-    _add_common(sp)
+    _add_common(sp, timed=True)
     sp.set_defaults(handler=cmd_codim)
 
     sp = sub.add_parser("certify", help="complexity lower bound from the codimension")
     _add_poly(sp)
-    _add_common(sp)
+    _add_common(sp, timed=True)
     sp.set_defaults(handler=cmd_certify)
 
     sp = sub.add_parser("analyze", help="structural analysis of a verified expression")
-    sp.add_argument("--map", required=True)
-    _add_poly(sp, with_vars=False)
+    _add_map_and_poly(sp)
     _add_common(sp, caps=False)
     sp.set_defaults(handler=cmd_analyze)
 
     sp = sub.add_parser("avoid-check",
                         help="does the image avoid the rank <= m-2 locus?")
-    sp.add_argument("--map", required=True)
-    _add_poly(sp, with_vars=False)
+    _add_map_and_poly(sp)
     sp.add_argument("--mode", choices=("exact", "probabilistic"), default="exact")
     sp.add_argument("--trials", type=_at_least(int, 1), default=1000)
     sp.add_argument("--seed", type=int, default=0)

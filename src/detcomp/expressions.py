@@ -503,10 +503,8 @@ def cubic_case_analysis(
     images = [Polynomial.variable(params, field, i) for i in range(len(params))]
     for name in ("alpha", "beta", "gamma"):
         images[params.index(name)] = Polynomial.zero(params, field)
-    abg_zero_infeasible = any(
-        r.substitute_affine(images).degree() == 0 and not r.substitute_affine(images).is_zero()
-        for r in six_res
-    )
+    restricted = (r.substitute_affine(images) for r in six_res)
+    abg_zero_infeasible = any(r.degree() == 0 and not r.is_zero() for r in restricted)
 
     claim = "the equations are inconsistent unless alpha = 0 and gamma != 0"
 

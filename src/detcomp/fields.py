@@ -236,10 +236,13 @@ class FieldElement:
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
             return self.field == other.field and self.value == other.value
-        return self.value == self.field.of(other)
+        try:
+            return self.value == self.field.of(other)
+        except (TypeError, ValueError, ZeroDivisionError):
+            return NotImplemented  # not a value of this field
 
     def __hash__(self) -> int:
-        return hash((self.field, self.value))
+        return hash(self.value)  # it equals its raw value, so it hashes like it
 
     def __str__(self) -> str:
         return str(self.value)

@@ -29,8 +29,8 @@ the spirit of the short exponent vectors of Bachmann & Schoenemann (ISSAC
 term's support on them to the reducers using an absent variable, and one
 AND-NOT leaves the candidates, which the guard test tries lowest rank first.
 An insertion shifts the higher ranks of every table by one. The main loop,
-minimalize, the inter-reduce pass (one index over the kept elements, each
-skipping itself) and normal_form all search this way.
+minimalize, the inter-reduce pass (one index over the kept elements, which
+reduces tails only) and normal_form all search this way.
 
 The pair update (Gebauer & Moeller 1988) packs each leading monomial in
 16-bit lex order (_FIELD, x1 most significant, with guard bits), which
@@ -80,7 +80,7 @@ VERIFY_BASES so every basis from buchberger() is re-verified.
 from __future__ import annotations
 
 import time
-from bisect import bisect, bisect_left
+from bisect import bisect
 from dataclasses import dataclass
 from heapq import heapify, heappush, heappop
 from itertools import combinations
@@ -151,7 +151,6 @@ class GroebnerBasis:
     field: Field
     polys: tuple  # reduced basis, monic, ascending leading monomials
     stats: GroebnerStats
-    order: str = "degrevlex"
 
     def leading_monomials(self) -> list:
         return [p.leading_monomial() for p in self.polys]
@@ -283,16 +282,14 @@ class _Reducers:
             tables.append((shift, tab))
         return tables
 
-    def finder(self, skip=None):
-        """The function (kg, absent) -> the first element other than skip
-        whose lm divides the term, or None; kg is the term's key with every
-        guard bit set, absent the complement of its support mask. Valid
-        until the next add(). Up to _SCAN_LIMIT elements it scans them, as
-        _reduce_terms does inline; past that it asks the index."""
+    def finder(self):
+        """The function (kg, absent) -> the first element whose lm divides
+        the term, or None; kg is the term's key with every guard bit set,
+        absent the complement of its support mask. Valid until the next
+        add(). Up to _SCAN_LIMIT elements it scans them, as _reduce_terms
+        does inline; past that it asks the index."""
         elems, guards = self.elems, self.guards
         if len(elems) <= _SCAN_LIMIT:
-            elems = [g for g in elems if g is not skip]
-
             def scan(kg, absent):
                 for g in elems:
                     if not g.mask & absent and (kg - g.key) & guards == guards:
@@ -303,8 +300,6 @@ class _Reducers:
             self.tables = self._tables()
         tables = self.tables
         allowed = (1 << len(elems)) - 1
-        if skip is not None:
-            allowed ^= 1 << bisect_left(elems, skip.order, key=_ORDER)
 
         def find(kg, absent):
             present = ~absent
@@ -391,9 +386,9 @@ def _monic_terms(terms, field):
     return [(k, mul(c, inv)) for k, c in terms]
 
 
-def _reduce_terms(terms, reducers, field, deadline=None, skip=None):
+def _reduce_terms(terms, reducers, field, deadline=None):
     """Descending remainder of a term-key list by a _Reducers, each term by the
-    first reducer in search order that divides it, never by skip.
+    first reducer in search order that divides it.
     Coefficients are reduced mod p when popped; a deadline (time.monotonic())
     is read every 1024 pops."""
     prime = field.char
@@ -407,9 +402,7 @@ def _reduce_terms(terms, reducers, field, deadline=None, skip=None):
     # past that the scan list is empty and the index finds the divisor.
     scan, find = reducers.elems, None
     if len(scan) > _SCAN_LIMIT:
-        scan, find = (), reducers.finder(skip)
-    elif skip is not None:
-        scan = [g for g in scan if g is not skip]
+        scan, find = (), reducers.finder()
     ones = guards >> (_KEY_FIELD - 1)
     sentinel = 1 << (guards.bit_length() + _KEY_FIELD - 1)  # field n's guard bit
     out = []
@@ -574,13 +567,15 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
         check_caps("minimalize")
         if find(g.key | key_guards, ~g.mask) is g:
             kept.append(g)
-    # inter-reduce tails by one index over kept, each element skipping itself
+    # inter-reduce the tails by one index over kept. In a graded order no
+    # term smaller than an lm is a multiple of it, so no element reduces its
+    # own tail; each monic lm stays as it is.
     kept_reducers = _Reducers(n, kept)
     final_terms = []
     for g in kept:
         check_caps("inter-reduce")
-        red = _reduce_terms([(g.key, field.one)] + g.tail, kept_reducers, field, deadline, skip=g)
-        final_terms.append(_monic_terms(red, field))
+        final_terms.append([(g.key, field.one)]
+                           + _reduce_terms(g.tail, kept_reducers, field, deadline))
     final_terms.sort(key=lambda ts: ts[0][0], reverse=True)  # ascending leading monomials
     polys = tuple(Polynomial(ideal.vars, field, tuple([(_exps(k, n), c) for k, c in ts]))
                   for ts in final_terms)

@@ -203,19 +203,10 @@ class Polynomial:
     def constant_term(self) -> Coefficient:
         return self.coefficient((0,) * len(self.vars))
 
-    def monomials(self) -> list:
-        return [e for e, _ in self.terms]
-
     def is_homogeneous(self) -> bool:
         """True for 0 and for polynomials whose terms share one degree."""
         degs = {sum(e) for e, _ in self.terms}
         return len(degs) <= 1
-
-    def graded_parts(self) -> dict:
-        parts: dict = {}
-        for e, c in self.terms:
-            parts.setdefault(sum(e), []).append((e, c))
-        return {d: Polynomial(self.vars, self.field, tuple(ts)) for d, ts in parts.items()}
 
     # -- arithmetic ----------------------------------------------------------
 

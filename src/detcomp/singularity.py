@@ -180,27 +180,6 @@ def linear_span_images(forms, vars, field):
     return images
 
 
-def in_linear_ideal(p: Polynomial, forms) -> bool:
-    """Membership of p in the ideal generated by homogeneous linear forms."""
-    images = linear_span_images(forms, p.vars, p.field)
-    return p.substitute_affine(images).is_zero()
-
-
-def in_linear_ideal_square(p: Polynomial, forms) -> bool:
-    """Membership of p in the square of a linear-form ideal I.
-
-    p lies in I^2 iff p and every partial derivative of p lie in I; this is
-    characteristic-free.
-    """
-    images = linear_span_images(forms, p.vars, p.field)
-    if not p.substitute_affine(images).is_zero():
-        return False
-    for i in range(len(p.vars)):
-        if not p.partial_derivative(i).substitute_affine(images).is_zero():
-            return False
-    return True
-
-
 # -- isotropy ------------------------------------------------------------------
 
 
@@ -483,8 +462,12 @@ def analyze_expression(mapping: AffineMatrixMap, f: Polynomial) -> AnalysisRepor
             quad = quad + z[0][j] * z[j][0]
         forms = [z[0][j] for j in range(m)] + [z[i][0] for i in range(1, m)]
         forms = [p for p in forms if not p.is_zero()]
-        jac_in = all(in_linear_ideal(f.partial_derivative(i), forms) for i in range(len(f.vars)))
-        f_in_sq = in_linear_ideal_square(f, forms)
+        # a polynomial is in I when the images send it to zero
+        images = linear_span_images(forms, f.vars, field)
+        jac_in = all(f.partial_derivative(i).substitute_affine(images).is_zero()
+                     for i in range(len(f.vars)))
+        # f is in I^2 iff f and each of its partials are in I, in any characteristic
+        f_in_sq = jac_in and f.substitute_affine(images).is_zero()
         n = len(mapping.vars)
         cols = []
         for k in range(n):
@@ -511,9 +494,9 @@ def analyze_expression(mapping: AffineMatrixMap, f: Polynomial) -> AnalysisRepor
             codim_upper_bound=dim_im,
         )
 
-    # det(P L Q) = det(P) det(Q) det(L), and det(L) = f was checked exactly above
-    det = f.scale(norm.scalar)
-    parts = tuple(sorted((deg, p) for deg, p in det.graded_parts().items()))
+    # det(P L Q) = det(P) det(Q) det(L), and det(L) = f was checked exactly
+    # above; f is homogeneous, so this is det's only graded part
+    parts = ((d, f.scale(norm.scalar)),)
     window = (max(0, m - r), m)
     forced = tuple(k for k in range(window[0], window[1] + 1) if k != d)
     return AnalysisReport(

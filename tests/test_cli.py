@@ -1,11 +1,12 @@
 """Command-line front end: exit codes, output contracts, configuration."""
 
+import argparse
 import json
 import pathlib
 
 import pytest
 
-from detcomp.cli import main
+from detcomp.cli import main, make_parser
 from detcomp.fields import Fp
 from detcomp.jsonio import load_matrix_map, read_json, validate_payload, write_json
 from detcomp.matmap import AffineMatrixMap
@@ -335,13 +336,79 @@ def test_deterministic_output_is_reproducible(capsys):
     assert "wall_time" in timed
 
 
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records each attribute read once reads is set."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_flag_is_read(capsys, tmp_path):
+    """Each subcommand's handler reads every option its parser accepts, so
+    no option is parsed and then ignored. Each argv takes the branch that
+    reads the most: catalog with a name, search that finds a witness."""
+    out = str(tmp_path / "out.json")
+    argvs = [
+        ["parse", "--poly", "x*y", "--vars", "x,y", "--field", "Fp:5"],
+        ["verify", "--map", "catalog:quadric_2x2", "--poly", "x^2 + y*z",
+         "--mode", "probabilistic", "--trials", "5"],
+        ["codim", "--poly", "x*y + 1"],
+        ["certify", "--poly", "fermat:3:3"],
+        ["analyze", "--map", "catalog:cubic_5x5", "--poly", "cubic"],
+        ["avoid-check", "--map", "catalog:grenet_perm_3", "--poly", "perm3",
+         "--mode", "probabilistic", "--trials", "5"],
+        ["grenet", "--n", "2", "--out", out],
+        ["catalog", "--name", "quadric_2x2", "--out", out],
+        ["coeff-eqs"],
+        ["cubic-case"],
+        ["search", "--poly", "x*y", "--vars", "x,y", "--field", "Fp:2", "--size", "2"],
+        ["dc", "--poly", "x*y", "--vars", "x,y", "--field", "Fp:2", "--m-max", "2"],
+        ["bertini", "--n", "2", "--m", "2", "--p", "11", "--trials", "2",
+         "--csv", str(tmp_path / "hist.csv")],
+        ["cone-reduce", "--map", "catalog:quadric_2x2", "--out", out],
+    ]
+    parser = make_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert [argv[0] for argv in argvs] == list(subparsers)
+    unread = []
+    for argv in argvs:
+        args = parser.parse_args(argv, namespace=ReadRecorder())
+        args.reads = set()
+        args.handler(args)
+        unread += [(argv[0], action.option_strings[0])
+                   for action in subparsers[argv[0]]._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   and action.dest not in args.reads]
+    capsys.readouterr()
+    assert unread == [], f"options no handler reads: {unread}"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--map", "catalog:quadric_2x2", "--poly", "x^2 + y*z", "--field", "Fp:7"],
+     "--field"),
+    (["search", "--poly", "x*y", "--vars", "x,y", "--field", "Fp:2", "--size", "2",
+      "--deterministic"], "--deterministic"),
+])
+def test_unread_options_are_rejected(capsys, argv, flag):
+    """A map fixes the field, and search carries no wall time to strip."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag in err
+
+
 # byte-exact outputs recorded from the CLI; the second codim has an empty
 # singular locus (dim -1, codim n + 1), and analyze takes the lower-rank branch.
 # The search outputs were recorded with one first-row expansion per candidate.
 GOLDEN = [
     ("codim_perm3_Fp32003.json", "codim",
-     ["codim", "--poly", "perm3", "--field", "Fp:32003"], 0),
-    ("codim_xy_plus_1.json", "codim", ["codim", "--poly", "x*y + 1"], 0),
+     ["codim", "--poly", "perm3", "--field", "Fp:32003", "--deterministic"], 0),
+    ("codim_xy_plus_1.json", "codim", ["codim", "--poly", "x*y + 1", "--deterministic"], 0),
     ("avoid_check_cubic_5x5.json", "avoidance",
      ["avoid-check", "--map", "catalog:cubic_5x5", "--poly", "cubic"], 1),
     ("bertini_n3_m3_t5.json", "sample",
@@ -371,7 +438,7 @@ GOLDEN = [
 
 @pytest.mark.parametrize("name, schema, argv, code", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_golden_json_outputs(capsys, name, schema, argv, code):
-    rc, out, _ = run(capsys, argv + ["--format", "json", "--deterministic"], schema=schema)
+    rc, out, _ = run(capsys, argv + ["--format", "json"], schema=schema)
     assert rc == code
     assert out == (DATA / name).read_text()
 
@@ -384,7 +451,7 @@ TEXT_GOLDEN = [
 
 @pytest.mark.parametrize("name, argv, code", TEXT_GOLDEN, ids=[g[0] for g in TEXT_GOLDEN])
 def test_golden_text_outputs(capsys, name, argv, code):
-    rc, out, _ = run(capsys, argv + ["--deterministic"])
+    rc, out, _ = run(capsys, argv)
     assert rc == code
     assert out == (DATA / name).read_text()
 

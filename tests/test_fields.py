@@ -133,6 +133,10 @@ def test_field_element_wrapper_checks_fields():
     assert a != FieldElement(Fp(7), 3)
     assert a == FieldElement(Fp(5), 3) and hash(a) == hash(FieldElement(Fp(5), 3))
     assert a == 3 and a == 8 and a != 2
+    assert hash(a) == hash(3)
+    # a value the field cannot read is unequal, not an error
+    assert a != None and not a == "x" and a != Fraction(1, 5)  # noqa: E711
+    assert a in [None, 3] and a not in [None, "x"]
 
 
 def test_reinterpreting_elements_across_fields_rejected():
