@@ -188,11 +188,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return self.terms[0][0]
 
-    def leading_coefficient(self) -> Coefficient:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
-
     def coefficient(self, e: Monomial) -> Coefficient:
         e = tuple(e)
         for te, tc in self.terms:

@@ -569,6 +569,7 @@ def test_bertini_caps_apply_per_sample(capsys, monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["0", "-5", "two", "4"])
 def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+    """detcomp runs in one process, so --jobs is rejected whatever its value."""
     with pytest.raises(SystemExit) as exc:
         main(["parse", "--poly", "x", "--jobs", jobs])
     assert exc.value.code == 2

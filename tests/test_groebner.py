@@ -1,16 +1,18 @@
 """Groebner engine: reduced bases, normal forms, dimension, resource caps."""
 
+import ast
 import functools
 import hashlib
 import itertools
 import pathlib
 import random
+from heapq import heapify, heappop, heappush
 
 import pytest
 
 from detcomp import groebner
 from detcomp.cli import main
-from detcomp.fields import QQ, Fp
+from detcomp.fields import QQ, FieldMismatchError, Fp
 from detcomp.groebner import (
     EngineLimits,
     GroebnerBasis,
@@ -19,6 +21,7 @@ from detcomp.groebner import (
     buchberger,
     groebner_failure_witness,
     is_groebner_basis,
+    membership_failure_witness,
     naive_normal_form,
     normal_form,
     staircase_dimension,
@@ -110,7 +113,7 @@ def test_basis_is_monic_and_sorted(rng):
         gb = buchberger(Ideal.of(*gens))
         lms = gb.leading_monomials()
         for p in gb.polys:
-            assert p.leading_coefficient() == gb.field.one
+            assert p.terms[0][1] == gb.field.one
         from detcomp.poly import mono_key
 
         keys = [mono_key(e) for e in lms]
@@ -156,8 +159,6 @@ def test_criteria_do_not_change_the_basis(rng):
 
 
 def test_mixed_ring_generators_rejected():
-    from detcomp.fields import FieldMismatchError
-
     with pytest.raises(FieldMismatchError):
         Ideal(XY, QQ, (P("x", XY), P("x", XY, Fp(5))))
     with pytest.raises(ValueError):
@@ -659,8 +660,6 @@ def test_high_exponent_ideals_match_tuple_engine():
 
 
 def test_oracle_rejects_polynomials_from_another_ring():
-    from detcomp.fields import FieldMismatchError
-
     f = P("x*y + y", XY)
     for divisor in (P("y - z"), P("y", XY, Fp(7)), Polynomial.zero(XYZ, QQ)):
         with pytest.raises(FieldMismatchError):
@@ -669,6 +668,9 @@ def test_oracle_rejects_polynomials_from_another_ring():
     gb = buchberger(ideal("x^2 - y", "x*y - 1", vars=XY))
     with pytest.raises(FieldMismatchError):
         groebner_failure_witness(GroebnerBasis(XY, QQ, gb.polys + (P("y - z"),), gb.stats))
+    for generator in (P("y - z"), P("y", XY, Fp(7)), Polynomial.zero(XYZ, QQ)):
+        with pytest.raises(FieldMismatchError):
+            membership_failure_witness(gb, [P("x^2 - y", XY), generator])
 
 
 def test_stats_populated():
@@ -973,7 +975,7 @@ def brute_force_is_groebner(gb):
     for f, g in itertools.combinations(polys, 2):
         lf, lg = f.leading_monomial(), g.leading_monomial()
         lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-        inv_f, inv_g = field.inv(f.leading_coefficient()), field.inv(g.leading_coefficient())
+        inv_f, inv_g = field.inv(f.terms[0][1]), field.inv(g.terms[0][1])
         mf = Polynomial.from_dict(gb.vars, field, {mono_div(lcm, lf): inv_f})
         mg = Polynomial.from_dict(gb.vars, field, {mono_div(lcm, lg): inv_g})
         if not naive_normal_form(mf * f - mg * g, polys).is_zero():
@@ -1043,12 +1045,18 @@ def syzygy_pairs_by_sorting(lms):
 
 def test_syzygy_pairs_match_the_sorted_selection():
     """The same pairs in the same order as a full sort, on seeded lists with
-    many equal quotients and on the 206 leading monomials of a perm4 slice."""
+    many equal quotients, on sparse lists with exponents up to 40 in up to 9
+    variables, whose columns hold many distinct exponents, and on the 206
+    leading monomials of a perm4 slice."""
     rng = random.Random(8600)
     lists = [perm4_slice_basis(("x11", "x22")).leading_monomials()]
     for _ in range(40):
         n = rng.randint(1, 5)
         lists.append([tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 30))])
+    for _ in range(8):
+        n = rng.randint(6, 9)
+        lists.append([tuple(rng.randint(0, 40) if rng.random() < 0.4 else 0 for _ in range(n))
+                      for _ in range(rng.randint(20, 50))])
     for lms in lists:
         assert list(groebner._syzygy_pairs(lms)) == list(syzygy_pairs_by_sorting(lms))
 
@@ -1063,3 +1071,231 @@ def test_pinned_syzygy_pair_counts(zeros, size, pairs):
     gb = perm4_slice_basis(zeros)
     assert len(gb.polys) == size
     assert len(list(groebner._syzygy_pairs(gb.leading_monomials()))) == pairs
+
+
+# ---------------------------------------------------- oracle division reference
+#
+# The oracle's division before it moved to packed keys and threshold bitsets:
+# exponent tuples on a heap, and for each popped term a scan over every
+# divisor in list order. The packed division must pick the same divisor for
+# every term, so remainders and witnesses match it exactly.
+
+
+def tuple_divisors(polys, vars, field):
+    """(lm, support mask, 1/lc, tail) of each nonzero polynomial, in list order."""
+    if any(g.vars != vars or g.field != field for g in polys):
+        raise FieldMismatchError("polynomial and divisors must share one ring")
+    return [(g.leading_monomial(), sum(1 << i for i, x in enumerate(g.terms[0][0]) if x),
+             g.field.inv(g.terms[0][1]), g.terms[1:]) for g in polys if g.terms]
+
+
+def tuple_divide(work, divisors, p, full):
+    """Textbook division of the terms in work, which it consumes; returns the
+    remainder, or with full=False its first term."""
+    heap = [(-sum(e), e[::-1], e) for e in work]  # mono_key negated: a max-heap
+    heapify(heap)
+    remainder = {}
+    while heap:
+        e = heappop(heap)[2]
+        c = work.pop(e) % p if p else work.pop(e)
+        if not c:
+            continue
+        absent = ~sum(1 << i for i, x in enumerate(e) if x)
+        for lm, mask, inv, tail in divisors:
+            if mask & absent:
+                continue
+            if all(x <= y for x, y in zip(lm, e)):
+                break
+        else:
+            remainder[e] = c
+            if full:
+                continue
+            return remainder
+        c = c * inv % p if p else c * inv
+        shift = tuple([y - x for x, y in zip(lm, e)])
+        for te, tc in tail:
+            ne = tuple([x + y for x, y in zip(te, shift)])
+            old = work.get(ne)
+            if old is None:
+                old = 0
+                heappush(heap, (-sum(ne), ne[::-1], ne))
+            work[ne] = old - c * tc
+    return remainder
+
+
+def tuple_normal_form(f, basis):
+    divisors = tuple_divisors(list(basis), f.vars, f.field)
+    return Polynomial.from_dict(f.vars, f.field, tuple_divide(dict(f.terms), divisors,
+                                                              f.field.char, full=True))
+
+
+def tuple_failure_witness(gb):
+    """The witness of the oracle before packed keys: S-polynomials on tuples,
+    the syzygy pairs by a full sort, then the ordered scan."""
+    p = gb.field.char
+    divisors = tuple_divisors(gb.polys, gb.vars, gb.field)
+
+    def fails(a, b):
+        lf, _, kf, tf = divisors[a]
+        lg, _, kg, tg = divisors[b]
+        sf = tuple([y - x if y > x else 0 for x, y in zip(lf, lg)])
+        sg = tuple([x - y if x > y else 0 for x, y in zip(lf, lg)])
+        work = {mono_mul(e, sf): c * kf for e, c in tf}
+        for e, c in tg:
+            e = mono_mul(e, sg)
+            work[e] = work.get(e, 0) - c * kg
+        return bool(tuple_divide(work, divisors, p, full=False))
+
+    def coprime(a, b):
+        return not divisors[a][1] & divisors[b][1]
+
+    if not any(fails(k, j) for k, j in syzygy_pairs_by_sorting([d[0] for d in divisors])):
+        return None
+    pairs = range(len(divisors))
+    for a, b in itertools.combinations(pairs, 2):
+        if not coprime(a, b) and fails(a, b):
+            return next(pair for pair in itertools.combinations(pairs, 2)
+                        if pair == (a, b) or coprime(*pair) and fails(*pair))
+    return None
+
+
+def non_groebner_divisions():
+    """Seeded (f, divisor list) over Q, F_5 and F_32003: lists that are
+    seldom Groebner bases, some with zero divisors or a constant divisor
+    (inserted at random places), some below the degree of f."""
+    rng = random.Random(20261019)
+    for i in range(90):
+        field = (QQ, Fp(5), Fp(32003))[i % 3]
+        vs = varset(*(f"x{v}" for v in range(1 + i % 4)))
+        divisors = [random_polynomial(vs, field, rng, degree=rng.randint(1, 3),
+                                      terms=rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+        if i % 4 == 1:
+            divisors.insert(rng.randint(0, len(divisors)), Polynomial.zero(vs, field))
+        if i % 5 == 2:
+            divisors.insert(rng.randint(0, len(divisors)), Polynomial.const(vs, field, 3))
+        yield random_polynomial(vs, field, rng, degree=rng.randint(2, 7), terms=8), divisors
+
+
+def test_naive_normal_form_matches_tuple_division():
+    kinds = {"zero": 0, "constant": 0, "above": 0, "nonzero": 0}
+    for f, divisors in non_groebner_divisions():
+        got = naive_normal_form(f, divisors)
+        assert got == tuple_normal_form(f, divisors), (f, divisors)
+        assert naive_normal_form(f, divisors[::-1]) == tuple_normal_form(f, divisors[::-1])
+        kinds["zero"] += any(g.is_zero() for g in divisors)
+        kinds["constant"] += any(g.degree() == 0 for g in divisors)
+        kinds["above"] += f.degree() > max(g.degree() for g in divisors)
+        kinds["nonzero"] += not got.is_zero()
+    assert min(kinds.values()) >= 10, kinds
+
+
+def corruptions(gb, rng):
+    """gb with one element dropped, with one extra element inserted, and with
+    one tail coefficient multiplied by 3; each at a seeded place."""
+    polys = list(gb.polys)
+    field = gb.field
+    k = rng.randrange(len(polys))
+    yield polys[:k] + polys[k + 1:]
+    extra = random_polynomial(gb.vars, field, rng, degree=rng.randint(1, 3), terms=3)
+    yield polys[:k] + [extra] + polys[k:]
+    i, t = rng.choice([(i, t) for i, g in enumerate(polys) for t in range(1, len(g.terms))])
+    terms = list(polys[i].terms)
+    terms[t] = (terms[t][0], field.mul(terms[t][1], field.of(3)))
+    yield polys[:i] + [Polynomial(gb.vars, field, tuple(terms))] + polys[i + 1:]
+
+
+@pytest.mark.parametrize("name", ["perm3_Fp32003", "perm3_Q", "random3", "random6",
+                                  "random11", "random13", "random15", "random19"])
+def test_oracle_witness_matches_tuple_division(name):
+    gb = mutation_basis(name)
+    rng = random.Random(name)
+    witnesses = []
+    for _ in range(4):
+        for polys in corruptions(gb, rng):
+            bad = GroebnerBasis(gb.vars, gb.field, tuple(polys), gb.stats)
+            want = tuple_failure_witness(bad)
+            assert groebner_failure_witness(bad) == want, polys
+            witnesses.append(want)
+    assert any(w is not None for w in witnesses)
+
+
+# ------------------------------------------------------- oracle independence
+
+
+def test_oracle_names_nothing_of_the_engine():
+    """The verification functions, and every module-level name they reach,
+    share no private name with what buchberger and normal_form reach: the
+    oracle has its own division, keys and bitsets."""
+    tree = ast.parse(pathlib.Path(groebner.__file__).read_text(encoding="utf-8"))
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    oracle_roots = ("naive_normal_form", "groebner_failure_witness", "membership_failure_witness")
+
+    def reach(roots, stop=()):
+        seen, todo = set(), list(roots)
+        while todo:
+            name = todo.pop()
+            if name not in seen and name not in stop:
+                seen.add(name)
+                todo += [n.id for n in ast.walk(defs[name])
+                         if isinstance(n, ast.Name) and n.id in defs]
+        return {name for name in seen if name.startswith("_")}
+
+    oracle = reach(oracle_roots)
+    engine = reach(("buchberger", "normal_form"), stop=oracle_roots)
+    assert {"_Division", "_exceeding", "_syzygy_pairs"} <= oracle
+    assert {"_Elem", "_Reducers", "_Thresholds", "_term_keys", "_exps", "_guards", "_pack",
+            "_KEY_FIELD", "_KEY_BASE", "_FIELD", "_reduce_terms"} <= engine
+    assert not oracle & engine, f"the oracle names engine code: {sorted(oracle & engine)}"
+
+
+# ------------------------------------------------------ generators in the basis
+#
+# VERIFY_BASES also checks J ⊆ <G>: each input generator divides to zero by
+# the basis. The other inclusion, <G> ⊆ J, is not checked yet.
+
+
+def test_membership_catches_a_basis_of_a_smaller_ideal():
+    field = Fp(32003)
+    f = perm_polynomial(3, field)
+    x11 = Polynomial.variable(f.vars, field, "x11")
+    jac = jacobian_ideal(f)
+    gb = buchberger(jac)
+    assert is_groebner_basis(gb)
+    assert membership_failure_witness(gb, jac.generators) is None
+    assert membership_failure_witness(gb, jac.generators + (x11,)) == x11
+    # the other way round, a basis of a larger ideal, needs <G> ⊆ J
+    wider = buchberger(Ideal(f.vars, field, jac.generators + (x11,)))
+    assert is_groebner_basis(wider)
+    assert membership_failure_witness(wider, jac.generators) is None
+
+
+@pytest.mark.parametrize("name", ["perm3_Fp32003", "perm3_Q"])
+def test_membership_catches_dropped_elements_the_pair_check_passes(name):
+    """A reduced basis with one element dropped may still be a Groebner
+    basis, of a smaller ideal; a generator of the input then has a nonzero
+    remainder. Every drop is caught by one of the two checks."""
+    gb = mutation_basis(name)
+    gens = jacobian_ideal(perm_polynomial(3, gb.field)).generators
+    still_groebner = 0
+    for drop in range(len(gb.polys)):
+        bad = corrupted(gb, drop)
+        if is_groebner_basis(bad):
+            still_groebner += 1
+            assert membership_failure_witness(bad, gens) is not None, drop
+    assert still_groebner
+
+
+def test_buchberger_raises_on_a_generator_outside_its_basis(monkeypatch):
+    """Seeding that loses a generator gives a Groebner basis of a smaller
+    ideal; VERIFY_BASES raises on it."""
+    lost = P("y*z - 1")
+    real = groebner._term_keys
+    monkeypatch.setattr(groebner, "_term_keys",
+                        lambda terms, stage: [] if terms == lost.terms else real(terms, stage))
+    with pytest.raises(AssertionError, match="outside the ideal of the basis: y\\*z - 1"):
+        buchberger(Ideal.of(P("x^2 - y"), lost))
