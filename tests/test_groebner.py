@@ -10,7 +10,7 @@ from heapq import heapify, heappop, heappush
 
 import pytest
 
-from detcomp import groebner
+from detcomp import groebner, verify
 from detcomp.cli import main
 from detcomp.fields import QQ, FieldMismatchError, Fp
 from detcomp.groebner import (
@@ -19,10 +19,6 @@ from detcomp.groebner import (
     Ideal,
     ResourceCapError,
     buchberger,
-    groebner_failure_witness,
-    is_groebner_basis,
-    membership_failure_witness,
-    naive_normal_form,
     normal_form,
     staircase_dimension,
 )
@@ -35,6 +31,12 @@ from detcomp.poly import (
     varset,
 )
 from detcomp.singularity import jacobian_ideal
+from detcomp.verify import (
+    groebner_failure_witness,
+    is_groebner_basis,
+    membership_failure_witness,
+    naive_normal_form,
+)
 
 XY = varset("x", "y")
 XYZ = varset("x", "y", "z")
@@ -532,13 +534,15 @@ def assert_index_matches_scan(reducers, terms):
 
 @pytest.mark.parametrize("limit", [0, groebner._SCAN_LIMIT], ids=["index", "scan_then_index"])
 @pytest.mark.parametrize("n", [1, 5, 16])
-def test_divisor_index_matches_ordered_scan(n, limit, monkeypatch):
+def test_divisor_index_matches_ordered_scan(n, limit):
     """The index finds the first divisor in search order, as a plain scan
-    does. Elements
-    are added one at a time in random order, so the tables are built at one
-    size and then updated by every later insertion at its rank. With the
-    default limit, finder() scans small sets itself."""
-    monkeypatch.setattr(groebner, "_SCAN_LIMIT", limit)
+    does. Elements are added one at a time in random order, and the index of
+    the growing list is first asked for past limit elements, so its tables
+    are built at that size and then updated by every later insertion at its
+    rank; at a checkpoint up to limit a fresh index over the same list
+    answers. With the default limit that is the engine's own path:
+    _reduce_terms scans up to _SCAN_LIMIT reducers inline and asks for the
+    index only past it."""
     rng = random.Random(8400 + n)
     lms = distinct_monomials(n, 800, rng)
     elems = [groebner._Elem(groebner._term_keys([(a, 1)], "test"), n) for a in lms]
@@ -560,7 +564,8 @@ def test_divisor_index_matches_ordered_scan(n, limit, monkeypatch):
     for size, elem in enumerate(elems, 1):
         reducers.add(elem)
         if size in checkpoints:
-            ranks += assert_index_matches_scan(reducers, terms(30))
+            current = reducers if size > limit else groebner._Reducers(n, reducers.elems)
+            ranks += assert_index_matches_scan(current, terms(30))
     assert [g.order for g in reducers.elems] == sorted(g.order for g in elems)
     # one index built over a whole list at once, as the inter-reduce pass does
     for size in (1, 33, 800):
@@ -1022,11 +1027,11 @@ def test_syzygy_pairs_keep_the_first_equal_quotient_at_any_degree():
     # elements give the quotient y, and only k = 0 is kept
     for scale in (1, 1 << 20):
         lms = [(scale, scale, 0), (0, scale, scale), (scale, 0, scale)]
-        assert list(groebner._syzygy_pairs(lms)) == [(0, 1), (0, 2)]
+        assert list(verify._syzygy_pairs(lms)) == [(0, 1), (0, 2)]
     # a coprime pair is not reduced but still prunes: for j = 2 (y*z) the
     # quotient x^2 of the coprime pair (0, 2) equals that of (1, 2)
-    assert list(groebner._syzygy_pairs([(2, 0, 0), (2, 1, 0), (0, 1, 1)])) == [(0, 1)]
-    assert list(groebner._syzygy_pairs([])) == []
+    assert list(verify._syzygy_pairs([(2, 0, 0), (2, 1, 0), (0, 1, 1)])) == [(0, 1)]
+    assert list(verify._syzygy_pairs([])) == []
 
 
 def syzygy_pairs_by_sorting(lms):
@@ -1058,7 +1063,7 @@ def test_syzygy_pairs_match_the_sorted_selection():
         lists.append([tuple(rng.randint(0, 40) if rng.random() < 0.4 else 0 for _ in range(n))
                       for _ in range(rng.randint(20, 50))])
     for lms in lists:
-        assert list(groebner._syzygy_pairs(lms)) == list(syzygy_pairs_by_sorting(lms))
+        assert list(verify._syzygy_pairs(lms)) == list(syzygy_pairs_by_sorting(lms))
 
 
 @pytest.mark.parametrize("zeros, size, pairs", [
@@ -1070,7 +1075,7 @@ def test_pinned_syzygy_pair_counts(zeros, size, pairs):
     and 123,524 non-coprime pairs the ordered scan reduces."""
     gb = perm4_slice_basis(zeros)
     assert len(gb.polys) == size
-    assert len(list(groebner._syzygy_pairs(gb.leading_monomials()))) == pairs
+    assert len(list(verify._syzygy_pairs(gb.leading_monomials()))) == pairs
 
 
 # ---------------------------------------------------- oracle division reference
@@ -1222,35 +1227,34 @@ def test_oracle_witness_matches_tuple_division(name):
 # ------------------------------------------------------- oracle independence
 
 
+def imports(module):
+    """(module, names) of every import statement in a module's source, a
+    relative module written with its leading dots."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(alias.name, ()) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            out.append(("." * node.level + (node.module or ""),
+                        tuple(alias.name for alias in node.names)))
+    return out
+
+
 def test_oracle_names_nothing_of_the_engine():
-    """The verification functions, and every module-level name they reach,
-    share no private name with what buchberger and normal_form reach: the
-    oracle has its own division, keys and bitsets."""
-    tree = ast.parse(pathlib.Path(groebner.__file__).read_text(encoding="utf-8"))
-    defs = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defs[node.name] = node
-        elif isinstance(node, ast.Assign):
-            defs.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
-    oracle_roots = ("naive_normal_form", "groebner_failure_witness", "membership_failure_witness")
-
-    def reach(roots, stop=()):
-        seen, todo = set(), list(roots)
-        while todo:
-            name = todo.pop()
-            if name not in seen and name not in stop:
-                seen.add(name)
-                todo += [n.id for n in ast.walk(defs[name])
-                         if isinstance(n, ast.Name) and n.id in defs]
-        return {name for name in seen if name.startswith("_")}
-
-    oracle = reach(oracle_roots)
-    engine = reach(("buchberger", "normal_form"), stop=oracle_roots)
-    assert {"_Division", "_exceeding", "_syzygy_pairs"} <= oracle
-    assert {"_Elem", "_Reducers", "_Thresholds", "_term_keys", "_exps", "_guards", "_pack",
-            "_KEY_FIELD", "_KEY_BASE", "_FIELD", "_reduce_terms"} <= engine
-    assert not oracle & engine, f"the oracle names engine code: {sorted(oracle & engine)}"
+    """The oracle shares no code with the engine, by import: verify.py takes
+    nothing of the package but fields and poly, so no groebner module, and
+    groebner.py takes only public names from verify, never the module."""
+    for module, names in imports(verify):
+        assert module in (".fields", ".poly") or not (
+            module.startswith(".") or module.split(".")[0] == "detcomp"), (module, names)
+    taken = []
+    for module, names in imports(groebner):
+        if module in (".verify", "detcomp.verify"):
+            taken += names
+        else:
+            assert "verify" not in module.split(".") + list(names), (module, names)
+    assert taken and not [name for name in taken if name.startswith("_") or name == "*"]
 
 
 # ------------------------------------------------------ generators in the basis
