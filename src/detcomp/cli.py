@@ -318,7 +318,7 @@ def cmd_search(args) -> int:
     else:
         state = "exhausted" if report.exhausted else "stopped early"
         print(f"{len(shown)} witness(es) shown, search {state},"
-              f" {report.full_evaluations} full evaluations")
+              f" {report.full_evaluations} full-size candidates decided")
     return 0 if shown else 1
 
 

@@ -17,8 +17,11 @@ remaining entries are touched. Consecutive candidates of each odometer walk
 differ only in the last row, so both walks (the block, then the full grid)
 expand along that row: for each choice of the rows above it, the k minors of
 the last row are computed once, and a table per column holds +-entry * minor
-for every candidate entry. A candidate's determinant is then a sum of k
-table entries, one per column.
+for every candidate entry. No candidate's determinant is formed: the last
+column's table is indexed by value, and each sum over the other k - 1
+columns looks up the entries that complete it to c * goal, one probe per
+admissible scalar c. A choice of the rows above thus costs P^(k-1) sums and
+probes for its P^k candidates.
 """
 
 from __future__ import annotations
@@ -89,6 +92,14 @@ class SearchSpec:
 
 @dataclass
 class SearchReport:
+    """Hits and work of one search.
+
+    full_evaluations counts the full-size candidates decided exactly, hit or
+    not; blocks_pruned counts upper-left blocks whose determinant already
+    rules out f. Neither counts determinants formed: the walks decide whole
+    rows of candidates by table lookup without forming theirs.
+    """
+
     spec: SearchSpec
     found: list = dc_field(default_factory=list)
     blocks_pruned: int = 0
@@ -147,30 +158,6 @@ def _dict_det(grid, p: int) -> dict:
     return out
 
 
-def _proportional(det: dict, target: dict, pin, key, key_inv: int, p: int):
-    """Scalar c with det == c*target (c != 0), honoring a pinned value.
-
-    Returns the scalar, or None when no nonzero scalar works. A pin of None
-    means the scalar is still free; it is then det[key] / target[key], with
-    key_inv = 1 / target[key] computed once per target by the caller.
-    """
-    if not target:
-        return None  # caller handles the zero target separately
-    if pin is None:
-        c = det.get(key)
-        if not c:
-            return None
-        c = c * key_inv % p
-    else:
-        c = pin
-    if len(det) != len(target):
-        return None
-    for e, coeff in target.items():
-        if det.get(e, 0) != coeff * c % p:
-            return None
-    return c
-
-
 def _dict_add(a: dict, b: dict, p: int) -> dict:
     """a + b; an empty operand returns the other one itself, not a copy."""
     if not a:
@@ -193,7 +180,9 @@ def _last_row_tables(upper, columns, p: int) -> list:
     upper holds the first k - 1 rows; columns[j] lists the candidate dicts of
     the last row's entry j. T_j[v] = (-1)^(k-1+j) columns[j][v] * minor_j, so
     the determinant with entries v_0..v_{k-1} in the last row is
-    sum_j T_j[v_j]. The k minors are computed once for the whole table.
+    sum_j T_j[v_j]. The k minors are computed once for the whole table, and
+    each minor is shifted once per distinct monomial e of its column's
+    entries: T_j[v] = sum_e c_e * (e * minor_j).
     """
     k = len(columns)
     if k == 1:
@@ -203,17 +192,69 @@ def _last_row_tables(upper, columns, p: int) -> list:
         minor = _dict_det([[row[l] for l in range(k) if l != j] for row in upper], p)
         if (k - 1 + j) % 2:
             minor = {e: p - c for e, c in minor.items()}
-        tables.append([_dict_mul(entry, minor, p) for entry in column])
+        shifted: dict = {}
+        table = []
+        for entry in column:
+            out: dict = {}
+            for e, c in entry.items():
+                if e not in shifted:
+                    shifted[e] = _dict_mul({e: 1}, minor, p)
+                for key, val in shifted[e].items():
+                    val = (out.get(key, 0) + c * val) % p
+                    if val:
+                        out[key] = val
+                    else:
+                        del out[key]
+            table.append(out)
+        tables.append(table)
     return tables
 
 
 def _table_sums(tables, p: int):
     """Yield sum_j tables[j][v_j] for every index tuple v, in odometer order
-    (the last table's index varies fastest)."""
+    (the last table's index varies fastest); no tables yield one empty sum."""
+    if not tables:
+        yield {}
+        return
     *outer, last = tables
-    for partial in _table_sums(outer, p) if outer else ({},):
+    for partial in _table_sums(outer, p):
         for term in last:
             yield _dict_add(partial, term, p)
+
+
+def _probe_key(want: dict, partial: dict, p: int) -> frozenset:
+    """want - partial, frozen: the last-table value that completes partial."""
+    need = dict(want)
+    for e, c in partial.items():
+        val = (need.get(e, 0) - c) % p
+        if val:
+            need[e] = val
+        else:
+            del need[e]
+    return frozenset(need.items())
+
+
+def _last_row_hits(tables, goal: dict, scalars, p: int):
+    """Yield (v, c) for every index tuple v and scalar c in scalars with
+    sum_j tables[j][v_j] == c * goal, in odometer order of v.
+
+    The last table is indexed by value once; each sum over the other tables
+    then costs one probe per scalar, not one sum per entry of the last
+    table. A nonzero goal meets each sum in at most one scalar.
+    """
+    *outer, last = tables
+    index: dict = {}
+    for v, entry in enumerate(last):
+        index.setdefault(frozenset(entry.items()), []).append(v)
+    wanted = [(c, {e: g * c % p for e, g in goal.items()}) for c in scalars]
+    heads = product(*(range(len(table)) for table in outer))
+    for head, partial in zip(heads, _table_sums(outer, p)):
+        found = []
+        for c, want in wanted:
+            found += [(v, c) for v in index.get(_probe_key(want, partial, p), ())]
+        found.sort()
+        for v, c in found:
+            yield head + (v,), c
 
 
 def _poly_to_dict(f: Polynomial) -> dict:
@@ -238,18 +279,22 @@ def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
     zero_e = (0,) * n
 
     target = _poly_to_dict(f)
-    lead_key = f.terms[0][0] if f.terms else None
-    lead_inv = pow(target[lead_key], p - 2, p) if target else None
     block = m - r  # side of the all-linear upper-left block
-    low_part = {e: c for e, c in target.items() if sum(e) == block} if target else {}
-    low_key = min(low_part) if low_part else None
-    low_inv = pow(low_part[low_key], p - 2, p) if low_part else None
+    low_part = {e: c for e, c in target.items() if sum(e) == block}
+    nonzero = range(1, p)  # the scalars c of det = c * f while none is pinned
 
     # coefficient tuples in odometer order, their dict forms precomputed;
     # plus_one[v] is dicts[v] on a diagonal one of J_r
     dicts = [_tuple_to_dict(t, n) for t in product(range(p), repeat=n)]
     plus_one = [{**d, zero_e: 1} for d in dicts]
     P = len(dicts)
+
+    def rank_of(last):
+        """Odometer rank of a last-row index tuple among its P^len candidates."""
+        rank = 0
+        for ix in last:
+            rank = rank * P + ix
+        return rank
 
     # Each walk enumerates the positions above its last row, then that row.
     ul_upper = [(i, j) for i in range(block - 1) for j in range(block)]
@@ -260,23 +305,24 @@ def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
     last_columns = [plus_one if j == m - 1 else dicts for j in range(m)]
     grid = [[None] * m for _ in range(m)]
 
-    def scalar(det, pin):
-        if not target:
-            return None if det else 1
-        return _proportional(det, target, pin, lead_key, lead_inv, p)
-
     def full_walk(pin):
         """Every completion of the fixed upper-left block to the m x m grid."""
+        # the zero target asks for a zero determinant, with scalar 1
+        scalars = (1,) if not target else nonzero if pin is None else (pin,)
         for rest_choice in product(range(P), repeat=len(rest_upper)):
             for (i, j), ix in zip(rest_upper, rest_choice):
                 grid[i][j] = plus_one[ix] if i == j else dicts[ix]
             tables = _last_row_tables(grid[:-1], last_columns, p)
-            for last, det in zip(product(range(P), repeat=m), _table_sums(tables, p)):
-                report.full_evaluations += 1
-                c = scalar(det, pin)
-                if c is not None:
-                    grid[-1] = [column[ix] for column, ix in zip(last_columns, last)]
-                    yield [row[:] for row in grid], c
+            # candidates of this choice counted so far: a hit brings the
+            # count to its odometer rank, as if each were decided in turn
+            decided = 0
+            for last, c in _last_row_hits(tables, target, scalars, p):
+                rank = rank_of(last)
+                report.full_evaluations += rank + 1 - decided
+                decided = rank + 1
+                grid[-1] = [column[ix] for column, ix in zip(last_columns, last)]
+                yield [row[:] for row in grid], c
+            report.full_evaluations += P ** m - decided
 
     if block == 0:
         # rank m: the degree-0 part of the determinant is det(J_m) = 1
@@ -285,30 +331,27 @@ def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
             yield from full_walk(pow(const, p - 2, p))
         return
 
+    # with no low part the block's determinant must vanish, and pins nothing
+    block_scalars = nonzero if low_part else (1,)
     for ul_choice in product(range(P), repeat=len(ul_upper)):
         for (i, j), ix in zip(ul_upper, ul_choice):
             grid[i][j] = dicts[ix]
         tables = _last_row_tables([row[:block] for row in grid[:block - 1]], [dicts] * block, p)
-        for last, det_ul in zip(product(range(P), repeat=block), _table_sums(tables, p)):
-            if not low_part:
-                if det_ul:
-                    report.blocks_pruned += 1
-                    continue
-                pin = None
-            else:
-                pin = _proportional(det_ul, low_part, None, low_key, low_inv, p)
-                if pin is None:
-                    report.blocks_pruned += 1
-                    continue
+        decided = 0
+        for last, c in _last_row_hits(tables, low_part, block_scalars, p):
+            rank = rank_of(last)
+            report.blocks_pruned += rank - decided
+            decided = rank + 1
             grid[block - 1][:block] = [dicts[ix] for ix in last]
             if block < m:
-                yield from full_walk(pin)
+                yield from full_walk(c if low_part else None)
                 continue
-            # the block is the whole grid: its determinant is the full one
+            # the block is the whole grid, with determinant c * low_part: a
+            # hit when that part is all of f (for the zero target, c = 1)
             report.full_evaluations += 1
-            c = scalar(det_ul, pin)
-            if c is not None:
+            if low_part == target:
                 yield [row[:] for row in grid], c
+        report.blocks_pruned += P ** block - decided
 
 
 def _grid_to_map(grid, scalar, f: Polynomial) -> AffineMatrixMap:

@@ -194,6 +194,11 @@ def test_search_and_dc(capsys):
     witness = load_matrix_map(payload["witnesses"][0])
     from detcomp.matmap import symbolic_det
     assert str(symbolic_det(witness)) == "x*y"
+    rc, out, _ = run(capsys, ["search", "--poly", "x*y", "--vars", "x,y",
+                              "--field", "Fp:2", "--size", "2"])
+    assert out.splitlines()[-1] == (
+        "1 witness(es) shown, search stopped early,"
+        f" {payload['full_evaluations']} full-size candidates decided")
     rc, out, _ = run(capsys,
                      ["dc", "--poly", "x*y", "--vars", "x,y", "--field", "Fp:2",
                       "--m-max", "3", "--format", "json"], schema="dc")

@@ -15,9 +15,9 @@ from detcomp.search import (
     SearchReport,
     SearchSpec,
     _dict_det,
+    _last_row_hits,
     _last_row_tables,
     _poly_to_dict,
-    _proportional,
     _table_sums,
     _tuple_to_dict,
     dc_exact,
@@ -34,6 +34,30 @@ XY = varset("x", "y")
 
 def poly(text, vars=XY, field=F2):
     return Polynomial.parse(text, vars=vars, field=field)
+
+
+def _proportional(det: dict, target: dict, pin, key, key_inv: int, p: int):
+    """Scalar c with det == c*target (c != 0), honoring a pinned value.
+
+    Returns the scalar, or None when no nonzero scalar works. A pin of None
+    means the scalar is still free; it is then det[key] / target[key], with
+    key_inv = 1 / target[key] computed once per target by the caller.
+    """
+    if not target:
+        return None  # caller handles the zero target separately
+    if pin is None:
+        c = det.get(key)
+        if not c:
+            return None
+        c = c * key_inv % p
+    else:
+        c = pin
+    if len(det) != len(target):
+        return None
+    for e, coeff in target.items():
+        if det.get(e, 0) != coeff * c % p:
+            return None
+    return c
 
 
 def reference_search_rank(spec, r, report):
@@ -225,6 +249,7 @@ REFERENCE_CASES = [
     ("2*x*y", "xy", 3, 2, None),
     ("x^2 + 2*x", "x", 3, 2, None),
     ("3*x + 4*y", "xy", 5, 1, None),
+    ("x^2 + x*y + y^2", "xy", 2, 2, 3),  # stops inside the block == m walk
 ]
 
 
@@ -265,22 +290,67 @@ def test_last_row_table_sums_match_dict_det():
             assert count == len(list(itertools.product(*columns)))
 
 
+def test_last_row_hits_match_filtered_table_sums():
+    """The indexed last row finds, in order, exactly the (v, c) whose table
+    sum equals c * goal, on seeded random tables whose last one repeats
+    values; the goal is pinned to one scalar, free over every nonzero
+    scalar, or zero."""
+    rng = random.Random(4127)
+    for p in (2, 3, 5):
+        for k in (1, 2, 3):
+            n = rng.choice((1, 2))
+            monos = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
+
+            def entry():
+                return {e: c for e in monos if rng.random() < 0.4 and (c := rng.randrange(p))}
+
+            tables = [[entry() for _ in range(rng.randint(1, 4))] for _ in range(k)]
+            # last-row entries completing the first sum to c * goal, every
+            # nonzero c in shuffled order, then repeated values
+            goal = entry() or {monos[-1]: 1}
+            first = next(_table_sums(tables[:-1], p))
+            scales = list(range(1, p))
+            rng.shuffle(scales)
+            tables[-1] += [
+                {e: v for e in {**goal, **first}
+                 if (v := (c * goal.get(e, 0) - first.get(e, 0)) % p)}
+                for c in scales
+            ]
+            tables[-1] += [dict(d) for d in rng.choices(tables[-1], k=2)]
+            indices = list(itertools.product(*(range(len(t)) for t in tables)))
+            sums = list(_table_sums(tables, p))
+            pin = rng.randrange(1, p)
+            for aim, scalars in ((goal, (pin,)), (goal, range(1, p)), ({}, (1,))):
+                want = [
+                    (v, c) for v, total in zip(indices, sums) for c in scalars
+                    if total == {e: g * c % p for e, g in aim.items()}
+                ]
+                assert list(_last_row_hits(tables, aim, scalars, p)) == want
+
+
 def test_table_walk_work_gate(monkeypatch):
-    """Polynomial products per candidate, counted rather than timed: the
-    first-row expansion made 1.8 per candidate here, the tables under 0.25."""
-    calls = 0
-    real = search._dict_mul
+    """Work per candidate, counted rather than timed. Forming every
+    candidate's determinant took 74,000 sums and 8,704 products here; the
+    indexed last row takes one prefix sum and one probe per choice of the
+    other last-row entries, and one product per distinct monomial of a
+    column."""
+    calls = {"_dict_add": 0, "_probe_key": 0, "_dict_mul": 0}
 
-    def counting(a, b, p):
-        nonlocal calls
-        calls += 1
-        return real(a, b, p)
+    def counting(name):
+        real = getattr(search, name)
 
-    monkeypatch.setattr(search, "_dict_mul", counting)
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(search, name, counting(name))
     report = search_report(SearchSpec(poly("x*y + z*t", varset("x", "y", "z", "t")), 2))
     candidates = report.full_evaluations + report.blocks_pruned
     assert candidates == 69647
-    assert calls < candidates / 4
+    assert calls["_dict_add"] + calls["_probe_key"] < candidates / 4
+    assert calls["_dict_mul"] < candidates / 16
 
 
 def test_restricted_search_is_lossless_on_f2_2x2():
