@@ -38,10 +38,9 @@ from .poly import Polynomial, VarSet, mono_str
 from .search import (
     DEFAULT_CANDIDATE_CAP,
     EnumerationCapError,
-    SearchReport,
     SearchSpec,
     dc_exact,
-    search_expressions,
+    search_report,
 )
 from .singularity import (
     analyze_expression,
@@ -302,24 +301,19 @@ def cmd_cubic_case(args) -> int:
 
 def cmd_search(args) -> int:
     f = poly_arg(args)
-    spec = SearchSpec(f, args.size, max_candidates=args.max_candidates)
-    report = SearchReport(spec)
-    shown = []
-    for witness in search_expressions(spec, report):
-        shown.append(witness)
-        if args.format == "text":
-            print(f"witness {len(shown)}:\n{witness}")
-        if len(shown) >= args.max_found:
-            break
-    payload = report.to_json()
-    payload["witnesses"] = [dump_matrix_map(w) for w in shown]
+    report = search_report(SearchSpec(f, args.size, max_candidates=args.max_candidates),
+                           args.max_found)
     if args.format == "json":
+        payload = report.to_json()
+        payload["witnesses"] = [dump_matrix_map(w) for w in report.found]
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
+        for k, witness in enumerate(report.found, 1):
+            print(f"witness {k}:\n{witness}")
         state = "exhausted" if report.exhausted else "stopped early"
-        print(f"{len(shown)} witness(es) shown, search {state},"
+        print(f"{len(report.found)} witness(es) shown, search {state},"
               f" {report.full_evaluations} full-size candidates decided")
-    return 0 if shown else 1
+    return 0 if report.found else 1
 
 
 def cmd_dc(args) -> int:

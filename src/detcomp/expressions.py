@@ -17,6 +17,7 @@ from itertools import combinations
 from .fields import Field, FieldMismatchError, QQ
 from .groebner import EngineLimits, Ideal, ResourceCapError, buchberger
 from .matmap import AffineMatrixMap, exact_report, perm_polynomial, symbolic_det, verify_expression
+from .parsing import parse_polynomial
 from .poly import Polynomial, VarSet, mono_key, mono_str, varset
 
 
@@ -158,8 +159,6 @@ _CUBIC_ROWS = (
 
 def catalog_get(name: str, field: Field = QQ):
     """Named (map, target) pair; re-verified exactly on every access."""
-    from .parsing import parse_polynomial
-
     if name in ("grenet_perm_2", "grenet_perm_3"):
         mapping, target, report = grenet_expression(int(name[-1]), field)
     elif name == "cubic_5x5":
@@ -302,50 +301,17 @@ def cubic_rank3_template(field: Field = QQ, include_lower_coeffs: bool = False):
     pnames = CUBIC_PARAM_NAMES + (CUBIC_LOWER_PARAM_NAMES if include_lower_coeffs else ())
     params = VarSet(pnames)
     combined = VarSet(main.names + params.names)
-    n = len(combined)
-
-    def mono(**kw):
-        e = [0] * n
-        for name, exp in kw.items():
-            e[combined.index(name)] = exp
-        return tuple(e)
-
-    def build(pairs):
-        return Polynomial.from_dict(combined, field, {mono(**dict(p)): field.of(c) for p, c in pairs})
-
-    zero = Polynomial.zero(combined, field)
-    one = Polynomial.const(combined, field, 1)
-
-    def pv(name):
-        return Polynomial.variable(combined, field, combined.index(name))
-
-    first_row = [
-        zero,
-        build([((("alpha", 1), ("t", 1)), 1), ((("beta", 1), ("y", 1)), 1)]),
-        build([((("beta", 1), ("z", 1)), -1), ((("gamma", 1), ("t", 1)), 1)]),
-        build([((("gamma", 1), ("y", 1)), -1), ((("alpha", 1), ("z", 1)), -1)]),
-    ]
-    first_col = [pv("z"), pv("y"), pv("t")]
-    rows = [first_row]
-    for i in (2, 3, 4):
-        row = [first_col[i - 2]]
+    rows = [("0", "alpha*t + beta*y", "-beta*z + gamma*t", "-gamma*y - alpha*z")]
+    for i, first in zip((2, 3, 4), ("z", "y", "t")):
+        row = [first]
         for j in (2, 3, 4):
-            entry = build([(((f"X{i}{j}", 1), ("x", 1)), 1)])
+            entry = f"X{i}{j}*x"
             if include_lower_coeffs:
-                entry = entry + build(
-                    [
-                        (((f"Y{i}{j}", 1), ("y", 1)), 1),
-                        (((f"W{i}{j}", 1), ("z", 1)), 1),
-                        (((f"V{i}{j}", 1), ("t", 1)), 1),
-                    ]
-                )
-            if i == j:
-                entry = entry + one
-            row.append(entry)
+                entry += f" + Y{i}{j}*y + W{i}{j}*z + V{i}{j}*t"
+            row.append(entry + (" + 1" if i == j else ""))
         rows.append(row)
-    template = ParamTemplate(main, params, field, tuple(tuple(r) for r in rows))
-    from .parsing import parse_polynomial
-
+    entries = tuple(tuple(parse_polynomial(s, combined, field) for s in row) for row in rows)
+    template = ParamTemplate(main, params, field, entries)
     target = parse_polynomial("x*y^2 + y*t^2 + z^3", main, field)
     return template, target
 

@@ -2,13 +2,13 @@
 
 An AffineMatrixMap is a square grid of degree <= 1 polynomials L(x) = C + Z(x)
 with constant part C and linear part Z. Determinants are computed exactly by
-one of two independent algorithms: memoized Laplace expansion (size-capped
-when requested by name) and the division-free Berkowitz method (uncapped).
-Both return the same canonical Polynomial, which the tests cross-check.
+one of two independent algorithms: memoized Laplace expansion and the
+division-free Berkowitz method. Both return the same canonical Polynomial,
+which the tests cross-check.
 
-symbolic_det's default, algorithm="auto", chooses by work, not by size. A
-bit-mask walk over the row subsets the Laplace expansion would reach counts
-its polynomial products, with no polynomial arithmetic, and stops once the
+symbolic_det chooses between them by work, not by size. A bit-mask walk
+over the row subsets the Laplace expansion would reach counts its
+polynomial products, with no polynomial arithmetic, and stops once the
 count passes the O(m^4) product count of Berkowitz or LAPLACE_MAX_PRODUCTS.
 Laplace runs when it stays within both: every matrix up to 7x7 and sparse
 ones of any size, such as the 15x15 Grenet expression of perm4. Dense
@@ -27,16 +27,11 @@ from . import linalg
 from .fields import Field, FieldMismatchError, QQ
 from .poly import Polynomial, VarSet, mono_key, mono_str, point_values, sum_of_products
 
-LAPLACE_DEFAULT_CAP = 8
 PERM_MAX_SIZE = 6          # largest permanent perm_polynomial builds (n! terms)
 GENERIC_DET_MAX_SIZE = 5   # largest generic determinant generic_det_polynomial builds
-# Most products symbolic_det(auto) lets Laplace-memo make, whatever Berkowitz
+# Most products symbolic_det lets Laplace-memo make, whatever Berkowitz
 # would cost; it bounds the chooser's walk and Laplace's memo of subsets.
 LAPLACE_MAX_PRODUCTS = 1 << 18
-
-
-class DeterminantSizeError(ValueError):
-    """Laplace expansion requested above its size cap."""
 
 
 class FieldTooSmallError(ValueError):
@@ -113,7 +108,7 @@ class AffineMatrixMap:
         return "\n".join("[" + ", ".join(str(p) for p in row) + "]" for row in self.entries)
 
 
-def det_laplace_memo(grid: Sequence[Sequence[Polynomial]], cap: int = LAPLACE_DEFAULT_CAP) -> Polynomial:
+def det_laplace_memo(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Laplace expansion along columns, memoized over row subsets.
 
     State: the determinant of the submatrix using row set S (a bitmask) and the
@@ -122,8 +117,6 @@ def det_laplace_memo(grid: Sequence[Sequence[Polynomial]], cap: int = LAPLACE_DE
     entry, so products by the empty minor 1 are never made.
     """
     m = len(grid)
-    if m > cap:
-        raise DeterminantSizeError(f"size {m} exceeds Laplace cap {cap}; use berkowitz")
     some = grid[0][0]
     vars, field = some.vars, some.field
     memo = {1 << i: grid[i][m - 1] for i in range(m)}
@@ -232,21 +225,17 @@ def symbolic_det(
     mapping: AffineMatrixMap | Sequence[Sequence[Polynomial]],
     algorithm: str = "auto",
 ) -> Polynomial:
-    """Exact determinant of a polynomial matrix; both algorithms agree.
+    """Exact determinant of a polynomial matrix.
 
-    "auto" runs Laplace-memo at any size when laplace_is_cheaper says so,
-    else Berkowitz. An explicit "laplace-memo" request keeps its size cap.
+    Runs Laplace-memo at any size when laplace_is_cheaper says so, else
+    Berkowitz. "auto" is the only algorithm; callers may still name it.
     """
+    if algorithm != "auto":
+        raise ValueError(f"unknown determinant algorithm {algorithm!r}")
     grid = mapping.entries if isinstance(mapping, AffineMatrixMap) else mapping
-    if algorithm == "laplace-memo":
+    if laplace_is_cheaper(grid):
         return det_laplace_memo(grid)
-    if algorithm == "berkowitz":
-        return det_berkowitz(grid)
-    if algorithm == "auto":
-        if laplace_is_cheaper(grid):
-            return det_laplace_memo(grid, cap=len(grid))
-        return det_berkowitz(grid)
-    raise ValueError(f"unknown determinant algorithm {algorithm!r}")
+    return det_berkowitz(grid)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .groebner import (
     GroebnerStats,
     Ideal,
     buchberger,
+    normal_form,
     staircase_dimension,
 )
 from .linalg import mat_rank, rref
@@ -150,34 +151,6 @@ def certify_lower_bound(f: Polynomial, limits: EngineLimits | None = None) -> Ce
         stats=gb.stats,
         wall_time=time.monotonic() - start,
     )
-
-
-# -- linear-ideal membership ---------------------------------------------------
-
-
-def linear_span_images(forms, vars, field):
-    """Substitution images that rewrite each variable modulo the span of the
-    given homogeneous linear forms: pivot variables are eliminated, free
-    variables map to themselves. Reduction to zero is membership in the ideal
-    the forms generate."""
-    n = len(vars)
-    rows = []
-    for form in forms:
-        if form.degree() > 1 or form.constant_term() != field.zero:
-            raise ValueError("expected homogeneous linear forms")
-        rows.append([form.coefficient(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)])
-    images = [Polynomial.variable(vars, field, i) for i in range(n)]
-    if not rows:
-        return images
-    reduced, pivots = rref(field, rows)
-    for row, piv in zip(reduced, pivots):
-        # x_piv = -sum of the free-column tail of the row
-        tail = {}
-        for j in range(piv + 1, n):
-            if row[j] != field.zero:
-                tail[tuple(1 if k == j else 0 for k in range(n))] = field.neg(row[j])
-        images[piv] = Polynomial.from_dict(vars, field, tail)
-    return images
 
 
 # -- isotropy ------------------------------------------------------------------
@@ -462,12 +435,13 @@ def analyze_expression(mapping: AffineMatrixMap, f: Polynomial) -> AnalysisRepor
             quad = quad + z[0][j] * z[j][0]
         forms = [z[0][j] for j in range(m)] + [z[i][0] for i in range(1, m)]
         forms = [p for p in forms if not p.is_zero()]
-        # a polynomial is in I when the images send it to zero
-        images = linear_span_images(forms, f.vars, field)
-        jac_in = all(f.partial_derivative(i).substitute_affine(images).is_zero()
+        # the reduced basis of linear forms is their row echelon form, so
+        # the normal form by it substitutes out the pivot variables
+        basis = buchberger(Ideal(f.vars, field, tuple(forms)))
+        jac_in = all(normal_form(f.partial_derivative(i), basis).is_zero()
                      for i in range(len(f.vars)))
         # f is in I^2 iff f and each of its partials are in I, in any characteristic
-        f_in_sq = jac_in and f.substitute_affine(images).is_zero()
+        f_in_sq = jac_in and normal_form(f, basis).is_zero()
         n = len(mapping.vars)
         cols = []
         for k in range(n):

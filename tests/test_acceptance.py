@@ -28,9 +28,10 @@ from detcomp.fields import QQ, Fp
 from detcomp.groebner import EngineLimits, ResourceCapError
 from detcomp.matmap import (
     AffineMatrixMap,
+    det_berkowitz,
+    det_laplace_memo,
     generic_det_polynomial,
     perm_polynomial,
-    symbolic_det,
     verify_expression,
 )
 from detcomp.parsing import parse_polynomial
@@ -234,8 +235,7 @@ def test_criterion_10_property_suites():
                 row.append(Polynomial.from_dict(uvw, field, coeffs))
             rows.append(row)
         mapping = AffineMatrixMap.from_rows(uvw, field, rows)
-        assert (symbolic_det(mapping, algorithm="laplace-memo")
-                == symbolic_det(mapping, algorithm="berkowitz"))
+        assert det_laplace_memo(mapping.entries) == det_berkowitz(mapping.entries)
 
     mapping, target = catalog_get("grenet_perm_3")
     report = analyze_expression(mapping, target)

@@ -313,6 +313,19 @@ def test_resource_caps_exit_three(capsys):
                       "--format", "json"], schema="dc")
     assert rc == 3
     assert json.loads(out)["capped_at"] == 2
+    rc, out, err = run(capsys, ["search", "--poly", "x*y", "--vars", "x,y", "--field", "Fp:2",
+                                "--size", "2", "--max-candidates", "10"])
+    assert rc == 3 and out == ""
+    assert "enumeration cap: estimated 768 candidates exceeds cap 10" in err
+
+
+def test_cubic_case_cap_exits_three(capsys):
+    rc, out, _ = run(capsys, ["cubic-case", "--max-pairs", "0", "--format", "json"],
+                     schema="case_analysis")
+    payload = json.loads(out)
+    assert rc == 3
+    assert [v["status"] for v in payload["six_verdicts"]] == ["cap"] * 3
+    assert payload["six_matches_claim"] is None
 
 
 # ------------------------------------------------------------- configuration
@@ -530,7 +543,6 @@ def test_dc_over_q_is_an_input_error_even_when_the_degree_bound_settles_it(capsy
 
 
 def test_dc_searches_once(capsys, monkeypatch):
-    import detcomp.cli
     import detcomp.search
 
     calls = []
@@ -541,7 +553,6 @@ def test_dc_searches_once(capsys, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(detcomp.search, "search_expressions", counted)
-    monkeypatch.setattr(detcomp.cli, "search_expressions", counted)
     f = Polynomial.parse("x^2 + y*z", vars=varset("x", "y", "z"), field=Fp(3))
     detcomp.search.dc_exact(f, 2)
     library_calls = len(calls)

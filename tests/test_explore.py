@@ -93,6 +93,14 @@ def test_timeout_bin_counts_capped_samples():
     assert rep.histogram == ()
 
 
+def test_degenerate_samples_are_counted_apart_from_the_histogram():
+    # over F_2 most random 2x2 maps in one variable have det identically zero
+    rep = sample_codim(n=1, m=2, p=2, trials=20, seed=0)
+    assert (rep.degenerate, rep.histogram, rep.timeouts) == (12, ((1, 8),), 0)
+    assert "degenerate,12" in rep.to_csv().splitlines()
+    assert "det == 0: 12" in rep.render_text()
+
+
 # -------------------------------------------------------------- cone_reduce
 
 

@@ -11,7 +11,6 @@ from detcomp.expressions import abp_to_determinant, catalog_get, grenet_abp
 from detcomp.fields import QQ, FieldElement, FieldMismatchError, Fp
 from detcomp.matmap import (
     AffineMatrixMap,
-    DeterminantSizeError,
     FieldTooSmallError,
     berkowitz_products,
     det_berkowitz,
@@ -168,9 +167,7 @@ def test_laplace_and_berkowitz_agree(rng):
         for m in (1, 2, 3, 4):
             for _ in range(5):
                 L = random_map(vars, field, m, rng)
-                a = symbolic_det(L, algorithm="laplace-memo")
-                b = symbolic_det(L, algorithm="berkowitz")
-                assert a == b
+                assert det_laplace_memo(L.entries) == det_berkowitz(L.entries)
 
 
 def test_det_evaluation_commutes_with_numeric_det(rng):
@@ -184,7 +181,7 @@ def test_det_evaluation_commutes_with_numeric_det(rng):
             assert det.evaluate(pt).value == linalg.mat_det(field, L.evaluate(pt))
 
 
-def test_laplace_cap_and_berkowitz_fallback():
+def test_bidiagonal_7x7_and_auto_as_the_only_algorithm():
     m = 7
     vars = varset("x")
     one = Polynomial.const(vars, QQ, 1)
@@ -194,16 +191,13 @@ def test_laplace_cap_and_berkowitz_fallback():
         for i in range(m)
     ]
     L = AffineMatrixMap(vars, QQ, tuple(rows))
-    with pytest.raises(DeterminantSizeError):
-        det_laplace_memo(L.entries, cap=6)
-    assert symbolic_det(L, algorithm="berkowitz") == Polynomial.parse("x^7", vars=vars)
-    assert symbolic_det(L, algorithm="auto") == Polynomial.parse("x^7", vars=vars)
-    # an explicit Laplace request keeps det_laplace_memo's own cap
-    nine = [[one] * 9 for _ in range(9)]
-    with pytest.raises(DeterminantSizeError):
-        symbolic_det(nine, algorithm="laplace-memo")
-    with pytest.raises(ValueError):
-        symbolic_det(L, algorithm="gauss")
+    x7 = Polynomial.parse("x^7", vars=vars)
+    assert det_laplace_memo(L.entries) == det_berkowitz(L.entries) == x7
+    assert symbolic_det(L, algorithm="auto") == x7
+    # the algorithms are chosen by counted work, never by name
+    for name in ("laplace-memo", "berkowitz", "gauss"):
+        with pytest.raises(ValueError, match="unknown determinant algorithm"):
+            symbolic_det(L, algorithm=name)
 
 
 def count_kernel_products(monkeypatch):
@@ -235,7 +229,7 @@ def test_laplace_products_count_laplace_work(rng, monkeypatch):
     products = count_kernel_products(monkeypatch)
     for m in range(1, 8):
         products.clear()
-        det_laplace_memo(dense_grid(m, rng), cap=m)
+        det_laplace_memo(dense_grid(m, rng))
         assert len(products) == m * 2 ** (m - 1) - m
 
 
@@ -311,7 +305,7 @@ def test_grenet_15_probabilistic_check_budget():
 def test_grenet_15_laplace_matches_numeric_det(rng):
     for field in (QQ, Fp(32003)):
         mapping = abp_to_determinant(grenet_abp(4, field))
-        det = det_laplace_memo(mapping.entries, cap=mapping.size)
+        det = det_laplace_memo(mapping.entries)
         assert det == perm_polynomial(4, field)
         for _ in range(5):
             point = [field.sample(rng, 1000) for _ in mapping.vars]

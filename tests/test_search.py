@@ -469,6 +469,26 @@ def test_dc_cap_reported():
     assert data["value"] is None
 
 
+def test_dc_proves_nonexistence_by_exhausting_a_size(monkeypatch):
+    """x^2 + xy + y^2 + z over F_2: size 2 is searched to the end with no hit,
+    which the first-row reference and the unrestricted count confirm."""
+    f = poly("x^2 + x*y + y^2 + z", varset("x", "y", "z"))
+    res = dc_exact(f, 2)
+    assert (res.value, res.capped_at, res.witness) == (None, None, None)
+    assert res.render() == "> 2"
+    assert res.evaluations == ((1, 0), (2, 512))
+
+    def summary(report):
+        return (len(report.found), report.full_evaluations, report.blocks_pruned,
+                report.ranks_searched, report.exhausted)
+
+    assert summary(search_report(SearchSpec(f, 2))) == (0, 512, 7, (1, 2), True)
+    monkeypatch.setattr(search, "_search_rank", reference_search_rank)
+    assert summary(search_report(SearchSpec(f, 2))) == (0, 512, 7, (1, 2), True)
+    assert dc_exact(f, 2) == res
+    assert enumerate_all_expressions(f, 2) == 0
+
+
 @pytest.mark.parametrize("m_max, max_candidates, message", [
     (0, 10, "m_max"),
     (-2, 10, "m_max"),

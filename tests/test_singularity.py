@@ -7,7 +7,7 @@ import pytest
 from detcomp import linalg
 from detcomp.expressions import catalog_get
 from detcomp.fields import QQ, Fp
-from detcomp.groebner import buchberger, staircase_dimension
+from detcomp.groebner import Ideal, buchberger, normal_form, staircase_dimension
 from detcomp.matmap import AffineMatrixMap, perm_polynomial, symbolic_det
 from detcomp.poly import Polynomial, varset
 from detcomp.singularity import (
@@ -17,7 +17,6 @@ from detcomp.singularity import (
     codim_sing,
     isotropic_dimension,
     jacobian_ideal,
-    linear_span_images,
 )
 
 XYZT = varset("x", "y", "z", "t")
@@ -168,8 +167,8 @@ def test_certificate_json_shape():
 
 
 def in_linear_ideal(p, forms):
-    """Membership in the ideal of the linear forms: the images send p to zero."""
-    return p.substitute_affine(linear_span_images(forms, p.vars, p.field)).is_zero()
+    """Membership in the ideal of the linear forms, as analyze_expression tests it."""
+    return normal_form(p, buchberger(Ideal(p.vars, p.field, tuple(forms)))).is_zero()
 
 
 def test_linear_span_and_membership():
@@ -185,11 +184,11 @@ def test_linear_span_and_membership():
     assert not in_linear_ideal(z * z, forms)
     assert in_square((x + y) * y)
     assert not in_square((x + y) * z)
-    images = linear_span_images([x + y, y], vs, QQ)
-    # pivot variables are rewritten, free variables stay put
-    assert [str(i) for i in images] == ["0", "0", "z"]
-    images2 = linear_span_images([], vs, QQ)
-    assert [str(i) for i in images2] == ["x", "y", "z"]
+    # the reduced basis of linear forms is their reduced row echelon form
+    assert set(buchberger(Ideal(vs, QQ, (x + y, y))).polys) == {x, y}
+    assert set(buchberger(Ideal(vs, QQ, (x + y + z, 2 * y - z))).polys) == {
+        x + Polynomial.parse("3/2*z", vars=vs), y - Polynomial.parse("1/2*z", vars=vs)}
+    assert not in_linear_ideal(x, []) and in_linear_ideal(Polynomial.zero(vs, QQ), [])
 
 
 # ------------------------------------------------------------------ isotropy
