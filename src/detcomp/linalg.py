@@ -6,7 +6,8 @@ this package stay small (at most a few dozen rows), so clarity wins over
 blocking tricks. The determinant, the hot path of probabilistic
 verification, avoids Fractions altogether: over Q it clears each row's
 denominators and runs Bareiss's fraction-free elimination on ints, and over
-F_p it eliminates on ints reduced mod p.
+F_p it eliminates on ints reduced mod p. rref, which the exhaustive search
+calls once per choice of a grid's upper rows, does the same over F_p.
 """
 
 from __future__ import annotations
@@ -34,11 +35,19 @@ def mat_copy(a: Matrix) -> Matrix:
     return [row[:] for row in a]
 
 
-def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (R, pivot_columns)."""
+def rref(field: Field, a: Matrix, rhs: int = 0) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    The last rhs columns are right-hand sides: they take part in every row
+    operation but never take a pivot, so one call solves a system for each of
+    them. Over F_p the elimination runs on ints reduced mod p.
+    """
+    p = field.char
+    if p:
+        return _rref_mod_p([[x % p for x in row] for row in a], rhs, p)
     m = mat_copy(a)
     rows = len(m)
-    cols = len(m[0]) if rows else 0
+    cols = len(m[0]) - rhs if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -55,6 +64,33 @@ def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
         pivots.append(c)
         r += 1
         if r == rows:
+            break
+    return m, pivots
+
+
+def _rref_mod_p(m: Matrix, rhs: int, p: int) -> tuple[Matrix, list[int]]:
+    """rref of a matrix of ints in [0, p) whose last rhs columns take no pivot. Consumes m."""
+    rows = len(m)
+    cols = len(m[0]) - rhs if rows else 0
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        for i in range(r, rows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        row, m[i] = m[i], m[r]
+        if row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            row = [x * inv % p for x in row]
+        m[r] = row
+        for i, other in enumerate(m):
+            f = other[c]
+            if f and i != r:
+                m[i] = [(x - f * y) % p for x, y in zip(other, row)]
+        pivots.append(c)
+        if r + 1 == rows:
             break
     return m, pivots
 

@@ -15,21 +15,23 @@ upper-left all-linear block is enumerated first and its determinant (the
 lowest graded part of the full determinant) is checked against f before the
 remaining entries are touched. Consecutive candidates of each odometer walk
 differ only in the last row, so both walks (the block, then the full grid)
-expand along that row: for each choice of the rows above it, the k minors of
-the last row are computed once, and a table per column holds +-entry * minor
-for every candidate entry. No candidate's determinant is formed: the last
-column's table is indexed by value, and each sum over the other k - 1
-columns looks up the entries that complete it to c * goal, one probe per
-admissible scalar c. A choice of the rows above thus costs P^(k-1) sums and
-probes for its P^k candidates.
+split off that row. A determinant is linear in any one row: for each choice
+of the rows above, the k minors of the last row are computed once, and the
+last rows with det = c * goal are the solutions of one linear system over F_p
+in their n * k coefficients, solved for every admissible scalar c by one
+elimination. No candidate's determinant is formed, and a choice of the rows
+above costs one elimination for its P^k candidates, plus the work of
+listing its hits.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .fields import PrimeField
+from .linalg import rref
 from .matmap import AffineMatrixMap, verify_expression
 from .poly import Polynomial
 
@@ -96,8 +98,9 @@ class SearchReport:
 
     full_evaluations counts the full-size candidates decided exactly, hit or
     not; blocks_pruned counts upper-left blocks whose determinant already
-    rules out f. Neither counts determinants formed: the walks decide whole
-    rows of candidates by table lookup without forming theirs.
+    rules out f. Neither counts determinants formed: the walks decide all
+    last rows of a choice of the rows above by one elimination, without
+    forming any candidate's determinant.
     """
 
     spec: SearchSpec
@@ -158,103 +161,71 @@ def _dict_det(grid, p: int) -> dict:
     return out
 
 
-def _dict_add(a: dict, b: dict, p: int) -> dict:
-    """a + b; an empty operand returns the other one itself, not a copy."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for e, c in b.items():
-        val = (out.get(e, 0) + c) % p
-        if val:
-            out[e] = val
-        else:
-            del out[e]
-    return out
+def _last_row_solutions(upper, n: int, goal: dict, scalars, offset: bool, field):
+    """Yield (v, c) for every last row v and scalar c in scalars with
+    det(upper + [last row]) == c * goal, in (v, c) order.
 
-
-def _last_row_tables(upper, columns, p: int) -> list:
-    """Per-column tables of the last-row Laplace expansion of a k x k grid.
-
-    upper holds the first k - 1 rows; columns[j] lists the candidate dicts of
-    the last row's entry j. T_j[v] = (-1)^(k-1+j) columns[j][v] * minor_j, so
-    the determinant with entries v_0..v_{k-1} in the last row is
-    sum_j T_j[v_j]. The k minors are computed once for the whole table, and
-    each minor is shifted once per distinct monomial e of its column's
-    entries: T_j[v] = sum_e c_e * (e * minor_j).
+    upper holds the first k - 1 rows of a k x k grid of dicts. Entry j of the
+    last row is the linear form whose coefficient tuple is number v_j in
+    odometer order, plus 1 in entry k - 1 when offset is set. The determinant
+    is linear in that row, so with the k signed minors computed once, the rows
+    are the solutions of one linear system over F_p: unknown q = j * n + i,
+    the coefficient of x_i in entry j, has the column x_i * minor_j, and the
+    right-hand side is c * goal less the offset's minor. The unknowns are
+    eliminated in reversed odometer order, so each pivot unknown depends only
+    on free unknowns before it, and enumerating the free ones in odometer
+    order yields each scalar's solutions in odometer order of v. The scalars'
+    streams are merged lazily.
     """
-    k = len(columns)
+    p = field.char
+    k = len(upper) + 1
     if k == 1:
-        return [columns[0]]  # the empty minor is 1; _dict_det([]) would give 0
-    tables = []
-    for j, column in enumerate(columns):
-        minor = _dict_det([[row[l] for l in range(k) if l != j] for row in upper], p)
-        if (k - 1 + j) % 2:
-            minor = {e: p - c for e, c in minor.items()}
-        shifted: dict = {}
-        table = []
-        for entry in column:
-            out: dict = {}
-            for e, c in entry.items():
-                if e not in shifted:
-                    shifted[e] = _dict_mul({e: 1}, minor, p)
-                for key, val in shifted[e].items():
-                    val = (out.get(key, 0) + c * val) % p
-                    if val:
-                        out[key] = val
-                    else:
-                        del out[key]
-            table.append(out)
-        tables.append(table)
-    return tables
+        minors = [{(0,) * n: 1}]  # the empty minor is 1; _dict_det([]) would give 0
+    else:
+        minors = [
+            _dict_det([[row[l] for l in range(k) if l != j] for row in upper], p)
+            for j in range(k)
+        ]
+    unknowns = n * k
+    # one equation per monomial; unknown q sits in column unknowns - 1 - q,
+    # the goal and the offset's minor in the last two
+    terms = [
+        (e[:i] + (e[i] + 1,) + e[i + 1:], unknowns - 1 - j * n - i, -c if (k - 1 + j) % 2 else c)
+        for j, minor in enumerate(minors) for e, c in minor.items() for i in range(n)
+    ]
+    terms += [(e, unknowns, c) for e, c in goal.items()]
+    if offset:  # entry k - 1's cofactor sign is +1
+        terms += [(e, unknowns + 1, c) for e, c in minors[-1].items()]
+    equations: dict = {}
+    for e, col, c in terms:
+        row = equations.get(e)
+        if row is None:
+            row = equations[e] = [0] * (unknowns + 2)
+        row[col] = c
+    matrix = list(equations.values())
+    reduced, pivots = rref(field, matrix, rhs=2)
+    pivot_unknowns = {unknowns - 1 - col for col in pivots}
+    free = [q for q in range(unknowns) if q not in pivot_unknowns]
+    solved = [
+        (unknowns - 1 - col, [(q, a) for q in free if (a := row[unknowns - 1 - q])])
+        for col, row in zip(pivots, reduced)
+    ]
+    weights = [p ** (n - 1 - i) for i in range(n)] * k
 
+    def solutions(c):
+        rhs = [(c * row[unknowns] - row[unknowns + 1]) % p for row in reduced]
+        if any(rhs[len(pivots):]):
+            return
+        u = [0] * unknowns
+        for values in product(range(p), repeat=len(free)):
+            for q, x in zip(free, values):
+                u[q] = x
+            for (q, deps), b in zip(solved, rhs):
+                u[q] = (b - sum(a * u[f] for f, a in deps)) % p
+            digits = [x * w for x, w in zip(u, weights)]
+            yield tuple(sum(digits[j * n:j * n + n]) for j in range(k)), c
 
-def _table_sums(tables, p: int):
-    """Yield sum_j tables[j][v_j] for every index tuple v, in odometer order
-    (the last table's index varies fastest); no tables yield one empty sum."""
-    if not tables:
-        yield {}
-        return
-    *outer, last = tables
-    for partial in _table_sums(outer, p):
-        for term in last:
-            yield _dict_add(partial, term, p)
-
-
-def _probe_key(want: dict, partial: dict, p: int) -> frozenset:
-    """want - partial, frozen: the last-table value that completes partial."""
-    need = dict(want)
-    for e, c in partial.items():
-        val = (need.get(e, 0) - c) % p
-        if val:
-            need[e] = val
-        else:
-            del need[e]
-    return frozenset(need.items())
-
-
-def _last_row_hits(tables, goal: dict, scalars, p: int):
-    """Yield (v, c) for every index tuple v and scalar c in scalars with
-    sum_j tables[j][v_j] == c * goal, in odometer order of v.
-
-    The last table is indexed by value once; each sum over the other tables
-    then costs one probe per scalar, not one sum per entry of the last
-    table. A nonzero goal meets each sum in at most one scalar.
-    """
-    *outer, last = tables
-    index: dict = {}
-    for v, entry in enumerate(last):
-        index.setdefault(frozenset(entry.items()), []).append(v)
-    wanted = [(c, {e: g * c % p for e, g in goal.items()}) for c in scalars]
-    heads = product(*(range(len(table)) for table in outer))
-    for head, partial in zip(heads, _table_sums(outer, p)):
-        found = []
-        for c, want in wanted:
-            found += [(v, c) for v in index.get(_probe_key(want, partial, p), ())]
-        found.sort()
-        for v, c in found:
-            yield head + (v,), c
+    return heapq.merge(*(solutions(c) for c in scalars))
 
 
 def _poly_to_dict(f: Polynomial) -> dict:
@@ -273,7 +244,8 @@ def _tuple_to_dict(coeffs, n: int) -> dict:
 def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
     """Yield (grid_of_dicts, scalar) hits for one constant-part rank."""
     f = spec.target
-    p = f.field.char
+    field = f.field
+    p = field.char
     n = len(f.vars)
     m = spec.size
     zero_e = (0,) * n
@@ -312,11 +284,10 @@ def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
         for rest_choice in product(range(P), repeat=len(rest_upper)):
             for (i, j), ix in zip(rest_upper, rest_choice):
                 grid[i][j] = plus_one[ix] if i == j else dicts[ix]
-            tables = _last_row_tables(grid[:-1], last_columns, p)
             # candidates of this choice counted so far: a hit brings the
             # count to its odometer rank, as if each were decided in turn
             decided = 0
-            for last, c in _last_row_hits(tables, target, scalars, p):
+            for last, c in _last_row_solutions(grid[:-1], n, target, scalars, True, field):
                 rank = rank_of(last)
                 report.full_evaluations += rank + 1 - decided
                 decided = rank + 1
@@ -336,9 +307,9 @@ def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
     for ul_choice in product(range(P), repeat=len(ul_upper)):
         for (i, j), ix in zip(ul_upper, ul_choice):
             grid[i][j] = dicts[ix]
-        tables = _last_row_tables([row[:block] for row in grid[:block - 1]], [dicts] * block, p)
+        upper = [row[:block] for row in grid[:block - 1]]
         decided = 0
-        for last, c in _last_row_hits(tables, low_part, block_scalars, p):
+        for last, c in _last_row_solutions(upper, n, low_part, block_scalars, False, field):
             rank = rank_of(last)
             report.blocks_pruned += rank - decided
             decided = rank + 1

@@ -89,3 +89,57 @@ def test_mat_det_of_singular_and_integer_matrices_over_q():
         for y in (2, 3, 5, 7, 11)[i + 1:]:
             want *= y - x
     assert linalg.mat_det(QQ, vandermonde) == want
+
+
+def is_reduced_echelon(r, pivots, cols):
+    """Pivot rows first, each pivot a 1 right of the one above with zeros
+    elsewhere in its column, nothing left of it, and zero rows after."""
+    for t, row in enumerate(r):
+        if t >= len(pivots):
+            if any(row[:cols]):
+                return False
+            continue
+        c = pivots[t]
+        if (t and c <= pivots[t - 1]) or any(row[:c]) or row[c] != 1:
+            return False
+        if any(other[c] for s, other in enumerate(r) if s != t):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_rref_over_fp_is_reduced_with_the_same_row_space(p):
+    field = Fp(p)
+    rng = random.Random(p)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        a = linalg.random_matrix(field, rows, cols, rng)
+        for row in rng.sample(a, rng.randint(0, rows)):  # sparse rows, low ranks
+            for j in range(cols):
+                if rng.random() < 0.5:
+                    row[j] = 0
+        if rows >= 3 and rng.random() < 0.3:
+            a[-1] = [(2 * x + y) % p for x, y in zip(a[0], a[1])]
+        before = [row[:] for row in a]
+        r, pivots = linalg.rref(field, a)
+        assert a == before
+        assert all(0 <= x < p for row in r for x in row)
+        assert is_reduced_echelon(r, pivots, cols)
+        rank = linalg.mat_rank(field, a)
+        assert rank == len(pivots) == linalg.mat_rank(field, a + r)
+        if rows == cols:
+            assert (rank == rows) == (linalg.mat_det(field, a) != 0)
+        # trailing right-hand sides take every row operation and no pivot
+        extra = rng.randint(1, 3)
+        aug = [row + [rng.randrange(p) for _ in range(extra)] for row in a]
+        r_aug, pivots_aug = linalg.rref(field, aug, rhs=extra)
+        assert pivots_aug == pivots
+        assert [row[:cols] for row in r_aug] == r
+        assert linalg.mat_rank(field, aug + r_aug) == linalg.mat_rank(field, aug)
+
+
+def test_rref_over_q_takes_right_hand_sides():
+    a = [[Fraction(2), Fraction(4), Fraction(1)], [Fraction(1), Fraction(3), Fraction(1, 2)]]
+    r, pivots = linalg.rref(QQ, a, rhs=1)
+    assert pivots == [0, 1]
+    assert r == [[1, 0, Fraction(1, 2)], [0, 1, 0]]

@@ -15,10 +15,8 @@ from detcomp.search import (
     SearchReport,
     SearchSpec,
     _dict_det,
-    _last_row_hits,
-    _last_row_tables,
+    _last_row_solutions,
     _poly_to_dict,
-    _table_sums,
     _tuple_to_dict,
     dc_exact,
     enumerate_all_expressions,
@@ -266,82 +264,62 @@ def test_search_matches_first_row_reference(monkeypatch, text, names, p, m, max_
         ref.full_evaluations, ref.blocks_pruned, ref.ranks_searched, ref.exhausted)
 
 
-def test_last_row_table_sums_match_dict_det():
-    """Every sum the table walk yields is the first-row Laplace determinant
-    of the grid with that last row, on seeded random affine entries."""
-    rng = random.Random(9091)
-    for p in (2, 3, 5):
-        for k in (1, 2, 3):
-            n = rng.choice((1, 2))
-            monos = [(0,) * n] + [tuple(int(i == l) for i in range(n)) for l in range(n)]
-
-            def entry():
-                return {e: c for e in monos if (c := rng.randrange(p))}
-
-            upper = [[entry() for _ in range(k)] for _ in range(k - 1)]
-            columns = [[entry() for _ in range(rng.randint(1, 4))] for _ in range(k)]
-            walk = zip(itertools.product(*(range(len(c)) for c in columns)),
-                       _table_sums(_last_row_tables(upper, columns, p), p))
-            count = 0
-            for last, det in walk:
-                row = [column[ix] for column, ix in zip(columns, last)]
-                assert det == _dict_det(upper + [row], p)
-                count += 1
-            assert count == len(list(itertools.product(*columns)))
-
-
-def test_last_row_hits_match_filtered_table_sums():
-    """The indexed last row finds, in order, exactly the (v, c) whose table
-    sum equals c * goal, on seeded random tables whose last one repeats
-    values; the goal is pinned to one scalar, free over every nonzero
-    scalar, or zero."""
+def test_last_row_solutions_match_brute_force():
+    """The solver yields, in order, exactly the (v, c) whose last row gives
+    det == c * goal, against the first-row Laplace determinant of every last
+    row, on seeded random affine uppers with and without the diagonal one;
+    the goal is pinned to one scalar, free over every nonzero scalar, or zero
+    with c = 1, and one goal no last row can reach."""
     rng = random.Random(4127)
     for p in (2, 3, 5):
+        field = Fp(p)
         for k in (1, 2, 3):
-            n = rng.choice((1, 2))
-            monos = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
+            for offset in (False, True):
+                n = rng.choice((1, 2))
+                zero_e = (0,) * n
+                monos = [zero_e] + [tuple(int(i == l) for i in range(n)) for l in range(n)]
 
-            def entry():
-                return {e: c for e in monos if rng.random() < 0.4 and (c := rng.randrange(p))}
+                def entry():
+                    return {e: c for e in monos if (c := rng.randrange(p))}
 
-            tables = [[entry() for _ in range(rng.randint(1, 4))] for _ in range(k)]
-            # last-row entries completing the first sum to c * goal, every
-            # nonzero c in shuffled order, then repeated values
-            goal = entry() or {monos[-1]: 1}
-            first = next(_table_sums(tables[:-1], p))
-            scales = list(range(1, p))
-            rng.shuffle(scales)
-            tables[-1] += [
-                {e: v for e in {**goal, **first}
-                 if (v := (c * goal.get(e, 0) - first.get(e, 0)) % p)}
-                for c in scales
-            ]
-            tables[-1] += [dict(d) for d in rng.choices(tables[-1], k=2)]
-            indices = list(itertools.product(*(range(len(t)) for t in tables)))
-            sums = list(_table_sums(tables, p))
-            pin = rng.randrange(1, p)
-            for aim, scalars in ((goal, (pin,)), (goal, range(1, p)), ({}, (1,))):
-                want = [
-                    (v, c) for v, total in zip(indices, sums) for c in scalars
-                    if total == {e: g * c % p for e, g in aim.items()}
-                ]
-                assert list(_last_row_hits(tables, aim, scalars, p)) == want
+                upper = [[entry() for _ in range(k)] for _ in range(k - 1)]
+                linear = [_tuple_to_dict(t, n) for t in itertools.product(range(p), repeat=n)]
+                columns = [linear] * k
+                if offset:
+                    columns[-1] = [{**d, zero_e: 1} for d in linear]
+                rows = list(itertools.product(range(len(linear)), repeat=k))
+                dets = [_dict_det(upper + [[col[ix] for col, ix in zip(columns, v)]], p)
+                        for v in rows]
+                # a goal some last row reaches at the pinned scalar
+                pin = rng.randrange(1, p)
+                inv = pow(pin, p - 2, p)
+                goal = {e: c * inv % p for e, c in rng.choice([d for d in dets if d]).items()}
+                unreachable = {(k + 1,) + zero_e[1:]: 1}  # det has degree at most k
+                # reached: True or False where known, None where either may hold
+                for aim, scalars, reached in ((goal, (pin,), True), (goal, range(1, p), True),
+                                              ({}, (1,), None),
+                                              (unreachable, range(1, p), False)):
+                    want = [
+                        (v, c) for v, det in zip(rows, dets) for c in scalars
+                        if det == {e: g * c % p for e, g in aim.items()}
+                    ]
+                    assert list(_last_row_solutions(upper, n, aim, scalars, offset, field)) == want
+                    assert reached in (None, bool(want))
 
 
-def test_table_walk_work_gate(monkeypatch):
+def test_elimination_work_gate(monkeypatch):
     """Work per candidate, counted rather than timed. Forming every
-    candidate's determinant took 74,000 sums and 8,704 products here; the
-    indexed last row takes one prefix sum and one probe per choice of the
-    other last-row entries, and one product per distinct monomial of a
-    column."""
-    calls = {"_dict_add": 0, "_probe_key": 0, "_dict_mul": 0}
+    candidate's determinant took 74,000 sums and 8,704 products here; solving
+    for the last row takes one elimination and k minors per choice of the
+    rows above, and no product of an entry with a minor."""
+    calls = {"_dict_det": 0, "_dict_mul": 0, "rref": 0}
 
     def counting(name):
         real = getattr(search, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
         return counted
 
     for name in calls:
@@ -349,8 +327,18 @@ def test_table_walk_work_gate(monkeypatch):
     report = search_report(SearchSpec(poly("x*y + z*t", varset("x", "y", "z", "t")), 2))
     candidates = report.full_evaluations + report.blocks_pruned
     assert candidates == 69647
-    assert calls["_dict_add"] + calls["_probe_key"] < candidates / 4
-    assert calls["_dict_mul"] < candidates / 16
+    assert sum(calls.values()) < candidates / 64
+
+
+def test_search_with_27_entry_values():
+    """x^2 + y^2 + z^2 over F_3 at m = 2, where each entry ranges over 27
+    linear forms: hits, counters and the first and last witness are pinned."""
+    f = poly("x^2 + y^2 + z^2", varset("x", "y", "z"), F3)
+    report = search_report(SearchSpec(f, 2))
+    assert (len(report.found), report.full_evaluations, report.blocks_pruned,
+            report.ranks_searched, report.exhausted) == (1152, 20835, 530315, (1, 2, 0), True)
+    assert str(report.found[0]) == "[2*y + 2*z, 2*x + 2*z]\n[x + 2*z, 2*y + z]"
+    assert str(report.found[-1]) == "[2*x + 2*y + 2*z, 2*x + y]\n[2*x + y, x + y + 2*z]"
 
 
 def test_restricted_search_is_lossless_on_f2_2x2():
