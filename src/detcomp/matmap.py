@@ -4,7 +4,10 @@ An AffineMatrixMap is a square grid of degree <= 1 polynomials L(x) = C + Z(x)
 with constant part C and linear part Z. Determinants are computed exactly by
 one of two independent algorithms: memoized Laplace expansion and the
 division-free Berkowitz method. Both return the same canonical Polynomial,
-which the tests cross-check.
+which the tests cross-check. Laplace works on polynomials, one
+sum_of_products call per cofactor sum. Berkowitz works on the scalar
+coefficient matrices of the grid, one per monomial, so its matrix-vector
+steps are multiply-adds on ints; only its Toeplitz products are polynomial.
 
 symbolic_det chooses between them by work, not by size. A bit-mask walk
 over the row subsets the Laplace expansion would reach counts its
@@ -21,11 +24,13 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import lcm, prod
+from operator import add, mul
 from typing import Sequence
 
 from . import linalg
 from .fields import Field, FieldMismatchError, QQ
-from .poly import Polynomial, VarSet, mono_key, mono_str, point_values, sum_of_products
+from .poly import Polynomial, VarSet, _term_order, mono_key, mono_str, point_values, sum_of_products
 
 PERM_MAX_SIZE = 6          # largest permanent perm_polynomial builds (n! terms)
 GENERIC_DET_MAX_SIZE = 5   # largest generic determinant generic_det_polynomial builds
@@ -38,6 +43,26 @@ class FieldTooSmallError(ValueError):
     """Probabilistic verification needs a field larger than twice the degree."""
 
 
+def _check_grid(grid: Sequence[Sequence[Polynomial]],
+                vars: VarSet | None = None, field: Field | None = None):
+    """Raise unless grid is a nonempty square of polynomials over one ring.
+
+    The ring is (vars, field) when given, else that of the first entry.
+    ValueError for the shape, FieldMismatchError for an entry outside it.
+    """
+    m = len(grid)
+    if m < 1:
+        raise ValueError("matrix must have size >= 1")
+    if any(len(row) != m for row in grid):
+        raise ValueError("matrix must be square")
+    if vars is None:
+        vars, field = grid[0][0].vars, grid[0][0].field
+    for row in grid:
+        for p in row:
+            if p.vars != vars or p.field != field:
+                raise FieldMismatchError("entries must live in one ring")
+
+
 @dataclass(frozen=True)
 class AffineMatrixMap:
     """Square matrix of degree <= 1 polynomials over one ring."""
@@ -47,15 +72,9 @@ class AffineMatrixMap:
     entries: tuple  # tuple of row tuples of Polynomial
 
     def __post_init__(self):
-        m = len(self.entries)
-        if m < 1:
-            raise ValueError("matrix must have size >= 1")
+        _check_grid(self.entries, self.vars, self.field)
         for row in self.entries:
-            if len(row) != m:
-                raise ValueError("matrix must be square")
             for p in row:
-                if p.vars != self.vars or p.field != self.field:
-                    raise FieldMismatchError("entries must live in the declared ring")
                 if p.degree() > 1:
                     raise ValueError(f"entry {p} has degree > 1")
 
@@ -120,7 +139,7 @@ def det_laplace_memo(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
     some = grid[0][0]
     vars, field = some.vars, some.field
     memo = {1 << i: grid[i][m - 1] for i in range(m)}
-    negated = [[-p for p in row] for row in grid]
+    negated = {}  # (i, col) -> -grid[i][col], made on first use at an odd position
 
     def solve(rowmask: int) -> Polynomial:
         cached = memo.get(rowmask)
@@ -134,7 +153,12 @@ def det_laplace_memo(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
                 continue
             entry = grid[i][col]
             if not entry.is_zero():
-                products.append((negated[i][col] if negative else entry, solve(rowmask & ~(1 << i))))
+                if negative:
+                    neg = negated.get((i, col))
+                    if neg is None:
+                        neg = negated[i, col] = -entry
+                    entry = neg
+                products.append((entry, solve(rowmask & ~(1 << i))))
             negative = not negative
         total = memo[rowmask] = sum_of_products(vars, field, products)
         return total
@@ -148,42 +172,102 @@ def det_laplace_memo(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
 def det_berkowitz(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Division-free determinant via the Berkowitz Toeplitz recursion.
 
-    Every inner product (a matrix-vector entry, a row-vector diagonal, a
-    Toeplitz row) is one sum_of_products call.
+    Step k borders the leading (k-1) x (k-1) block A by a column C, a row R
+    and a corner a, and needs the Toeplitz column 1, -a, -R C, -R A C, ...,
+    -R A^(k-2) C. The entries are polynomials, so A is a sum over monomials e
+    of scalar coefficient matrices A_e times x^e, held as sparse columns, and
+    the Krylov vector A^s C is held as monomial -> k - 1 scalars. A
+    matrix-vector step is then scalar multiply-adds over the nonzero entries
+    of A_e and of the vector, with one exponent tuple per pair of monomials,
+    reduced mod p once; a diagonal is one scalar dot product per pair. Over Q
+    each row's denominators are cleared first, as linalg.mat_det does, so all
+    of this runs on ints and the determinant is divided once at the end. Each
+    diagonal becomes a Polynomial once, and each row of the Toeplitz product
+    is one sum_of_products call.
     """
     m = len(grid)
     some = grid[0][0]
     vars, field = some.vars, some.field
-    one = Polynomial.const(vars, field, 1)
+    p = field.char
+    if p:
+        rows = [[entry.terms for entry in row] for row in grid]
+        scale = 1
+    else:
+        scales = [lcm(*(c.denominator for entry in row for _, c in entry.terms)) for row in grid]
+        rows = [
+            [[(e, c.numerator * (d // c.denominator)) for e, c in entry.terms] for entry in row]
+            for row, d in zip(grid, scales)
+        ]
+        scale = prod(scales)
 
-    def berk_vector(k: int) -> list[Polynomial]:
-        # characteristic-vector of the leading k x k principal submatrix
-        if k == 1:
-            return [one, -grid[0][0]]
-        prev = berk_vector(k - 1)
-        block = [row[: k - 1] for row in grid[: k - 1]]
-        neg_row = [-grid[k - 1][j] for j in range(k - 1)]
-        # diagonal entries of the Toeplitz matrix: 1, -a, -R C, -R A C, ...
-        diags = [one, -grid[k - 1][k - 1]]
-        vec = [grid[i][k - 1] for i in range(k - 1)]
-        for step in range(k - 1):
+    def polynomial(acc: dict) -> Polynomial:
+        # raw ints -> canonical Polynomial: reduce, drop zeros, sort once
+        if p:
+            terms = [(e, r) for e, c in acc.items() if (r := c % p)]
+        else:
+            terms = [(e, Fraction(c)) for e, c in acc.items() if c]
+        terms.sort(key=_term_order)
+        return Polynomial(vars, field, tuple(terms))
+
+    one = Polynomial.const(vars, field, 1)
+    prev = [one, polynomial({e: -c for e, c in rows[0][0]})]
+    for k in range(2, m + 1):
+        n = k - 1
+        columns: dict = {}  # monomial -> column j -> [(i, c)]: A's coefficient matrix, sparse
+        for i in range(n):
+            for j in range(n):
+                for e, c in rows[i][j]:
+                    if e not in columns:
+                        columns[e] = [[] for _ in range(n)]
+                    columns[e][j].append((i, c))
+        neg_row: dict = {}  # monomial -> -R's k - 1 coefficients
+        for j in range(n):
+            for e, c in rows[n][j]:
+                neg_row.setdefault(e, [0] * n)[j] = -c
+        vec: dict = {}  # monomial -> A^s C's k - 1 coefficients
+        for i in range(n):
+            for e, c in rows[i][n]:
+                vec.setdefault(e, [0] * n)[i] = c
+        diags = [one, polynomial({e: -c for e, c in rows[n][n]})]
+        for step in range(n):
             if step:
-                vec = [sum_of_products(vars, field, zip(row, vec)) for row in block]
-            diags.append(sum_of_products(vars, field, zip(neg_row, vec)))
-        return [
-            sum_of_products(vars, field, [(diags[i - j], prev[j]) for j in range(min(i, k - 1) + 1)])
+                acc: dict = {}
+                nonzero = [(f, vals, [j for j in range(n) if vals[j]]) for f, vals in vec.items()]
+                for e, cols in columns.items():
+                    for f, vals, js in nonzero:
+                        key = tuple(map(add, e, f))
+                        out = acc.get(key)
+                        if out is None:
+                            out = acc[key] = [0] * n
+                        for j in js:
+                            v = vals[j]
+                            for i, c in cols[j]:
+                                out[i] += c * v
+                if p:
+                    vec = {f: r for f, out in acc.items() if any(r := [x % p for x in out])}
+                else:
+                    vec = {f: out for f, out in acc.items() if any(out)}
+            acc = {}
+            for e, coefs in neg_row.items():
+                for f, vals in vec.items():
+                    key = tuple(map(add, e, f))
+                    acc[key] = acc.get(key, 0) + sum(map(mul, coefs, vals))
+            diags.append(polynomial(acc))
+        prev = [
+            sum_of_products(vars, field, [(diags[i - j], prev[j]) for j in range(min(i, n) + 1)])
             for i in range(k + 1)
         ]
 
-    # berk_vector gives det(tI - M) coefficients [1, c1, ..., cm]; det = (-1)^m cm
-    vec = berk_vector(m)
-    det = vec[-1]
-    return -det if m % 2 == 1 else det
+    # prev holds det(tI - M)'s coefficients [1, c1, ..., cm]; det = (-1)^m cm
+    det = -prev[-1] if m % 2 else prev[-1]
+    return det.scale(Fraction(1, scale)) if scale != 1 else det
 
 
 def berkowitz_products(m: int) -> int:
-    """Polynomial products det_berkowitz makes on an m x m grid, about m^4 / 4."""
-    # step k: k - 1 row products of k - 1 products each, with k - 2
+    """det_berkowitz's work on an m x m grid, about m^4 / 4, in products of an
+    entry by a vector entry, formed on coefficients, plus its Toeplitz
+    products, made by sum_of_products."""
+    # step k: k - 1 diagonals of k - 1 products each, with k - 2
     # matrix-vector products of (k - 1)^2 between them, (k - 1)^3 in all,
     # then k (k + 3) / 2 for the Toeplitz product
     return sum((k - 1) ** 3 + k * (k + 3) // 2 for k in range(2, m + 1))
@@ -227,12 +311,18 @@ def symbolic_det(
 ) -> Polynomial:
     """Exact determinant of a polynomial matrix.
 
-    Runs Laplace-memo at any size when laplace_is_cheaper says so, else
-    Berkowitz. "auto" is the only algorithm; callers may still name it.
+    A raw grid is checked as AffineMatrixMap checks its entries, except that
+    entries may have any degree. Runs Laplace-memo at any size when
+    laplace_is_cheaper says so, else Berkowitz. "auto" is the only algorithm;
+    callers may still name it.
     """
     if algorithm != "auto":
         raise ValueError(f"unknown determinant algorithm {algorithm!r}")
-    grid = mapping.entries if isinstance(mapping, AffineMatrixMap) else mapping
+    if isinstance(mapping, AffineMatrixMap):
+        grid = mapping.entries
+    else:
+        grid = mapping
+        _check_grid(grid)
     if laplace_is_cheaper(grid):
         return det_laplace_memo(grid)
     return det_berkowitz(grid)

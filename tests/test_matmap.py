@@ -2,7 +2,7 @@
 
 import time
 import warnings
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -95,6 +95,22 @@ def test_shape_and_degree_validation():
         AffineMatrixMap(xy, QQ, ())
 
 
+def test_symbolic_det_checks_a_raw_grid():
+    """A raw grid must be a nonempty square over one ring, of any degree."""
+    xy, xyz = varset("x", "y"), varset("x", "y", "z")
+    x, one = Polynomial.parse("x", vars=xy), Polynomial.const(xy, QQ, 1)
+    z = Polynomial.parse("z", vars=xyz)
+    with pytest.raises(FieldMismatchError):
+        symbolic_det([[x, z], [one, x]])
+    with pytest.raises(FieldMismatchError):
+        symbolic_det([[x, Polynomial.parse("x", vars=xy, field=Fp(7))], [one, x]])
+    for grid in ([[x, one, x], [one, x, one]], [[x, one], [one]], [[x], [one]], []):
+        with pytest.raises(ValueError, match="square|size"):
+            symbolic_det(grid)
+    # entries of degree 2, as ParamTemplate.determinant passes, are allowed
+    assert symbolic_det([[x, one], [x * x, x]]) == Polynomial.zero(xy, QQ)
+
+
 def test_structure_accessors():
     xy = varset("x", "y")
     L = parse_map([["x + 2*y + 3", "y"], ["1", "x - 1"]], xy)
@@ -170,6 +186,55 @@ def test_laplace_and_berkowitz_agree(rng):
                 assert det_laplace_memo(L.entries) == det_berkowitz(L.entries)
 
 
+def cross_check_grid(kind, field, m, rng):
+    """An m x m grid in x, y, z of one kind, each entry zero with probability
+    1/3, with a zero row, a zero column or every entry zero for the kinds named
+    so. Over Q every nonzero coefficient is a fraction with a denominator up
+    to 6, different from entry to entry."""
+    vars = varset("x", "y", "z")
+
+    def scalar():
+        c = field.sample(rng, 7)
+        return c / rng.randint(1, 6) if field.char == 0 else c
+
+    def entry():
+        if kind == "bilinear":  # degree-2 entries, as ParamTemplate.determinant passes
+            p = random_polynomial(vars, field, rng, degree=2, terms=2)
+        elif kind == "one variable":
+            p = Polynomial.variable(vars, field, rng.randrange(3))
+        else:
+            affine = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+            p = Polynomial.from_dict(vars, field, {e: scalar() for e in affine})
+        return p.scale(scalar()) if field.char == 0 else p
+
+    def is_zero(i, j):
+        if kind == "zero matrix" or (kind == "zero row" and i == row) or (kind == "zero column" and j == col):
+            return True
+        return rng.random() < 1 / 3
+
+    zero = Polynomial.zero(vars, field)
+    row, col = rng.randrange(m), rng.randrange(m)
+    return [[zero if is_zero(i, j) else entry() for j in range(m)] for i in range(m)]
+
+
+@pytest.mark.parametrize("field", [QQ, Fp(2), Fp(32003)], ids=str)
+def test_berkowitz_matches_laplace_across_kinds_and_sizes(field, rng):
+    """Fractions over Q, degree-2 and one-variable entries, zero rows and
+    columns, and F_2, at every size from 1 to 9."""
+    kinds = ("affine", "bilinear", "one variable", "zero row", "zero column", "zero matrix")
+    for m in range(1, 10):
+        for kind in kinds:
+            grid = cross_check_grid(kind, field, m, rng)
+            det = det_laplace_memo(grid)
+            assert det_berkowitz(grid) == det, (kind, m)
+            if kind.startswith("zero"):
+                assert det.is_zero()
+    # the sweep reaches non-integral coefficients over Q
+    if field.char == 0:
+        grid = cross_check_grid("affine", field, 3, rng)
+        assert any(c.denominator > 1 for row in grid for p in row for _, c in p.terms)
+
+
 def test_det_evaluation_commutes_with_numeric_det(rng):
     field = Fp(101)
     vars = varset("x", "y", "z")
@@ -216,12 +281,16 @@ def count_kernel_products(monkeypatch):
 
 
 def test_berkowitz_products_counts_berkowitz_work(rng, monkeypatch):
-    """The chooser's bound is the number of products det_berkowitz really makes."""
+    """Only the Toeplitz products reach the polynomial kernel; the rest of
+    berkowitz_products(m), the (k - 1)^3 entry-by-vector-entry products of
+    step k, are formed on scalar coefficients."""
     products = count_kernel_products(monkeypatch)
     for m in range(1, 10):
         products.clear()
         det_berkowitz(dense_grid(m, rng))
-        assert len(products) == berkowitz_products(m)
+        toeplitz = sum(k * (k + 3) // 2 for k in range(2, m + 1))
+        assert len(products) == toeplitz
+        assert berkowitz_products(m) == toeplitz + sum((k - 1) ** 3 for k in range(2, m + 1))
 
 
 def test_laplace_products_count_laplace_work(rng, monkeypatch):
@@ -231,6 +300,25 @@ def test_laplace_products_count_laplace_work(rng, monkeypatch):
         products.clear()
         det_laplace_memo(dense_grid(m, rng))
         assert len(products) == m * 2 ** (m - 1) - m
+
+
+def test_laplace_negates_each_entry_once_on_first_use(rng, monkeypatch):
+    """Only entries that some row subset reads at an odd position are negated, each once."""
+    negated = []
+    real = Polynomial.__neg__
+    monkeypatch.setattr(Polynomial, "__neg__", lambda p: negated.append(p) or real(p))
+    for m in range(1, 8):
+        negated.clear()
+        grid = dense_grid(m, rng)
+        det_laplace_memo(grid)
+        where = {id(p): (i, j) for i, row in enumerate(grid) for j, p in enumerate(row)}
+        got = [where[id(p)] for p in negated]
+        # a subset of rows S expands along column m - |S|, its rows in order
+        want = {
+            (i, m - size) for size in range(2, m + 1) for rows in combinations(range(m), size) for i in rows[1::2]
+        }
+        assert sorted(got) == sorted(want)
+    assert len(got) == 31  # at 7x7; negating every entry up front made 49
 
 
 def test_auto_chooses_by_laplace_work(rng, monkeypatch):
@@ -278,9 +366,11 @@ def test_auto_chooser_bounds_hostile_input(monkeypatch):
         assert time.monotonic() - start < 10
 
 
-# CPU-time budgets about 5x the measured times (Python 3.11, 2-vCPU shared VM):
-# 0.3 s for the dense 12x12 and 0.2 s for the 200-point check, which took
-# 1.5 s and 0.65 s before the fused polynomial kernel and integer Bareiss.
+# CPU-time budgets (Python 3.11, 2-vCPU shared VM). The dense 12x12 takes
+# 0.05-0.1 s with Berkowitz on scalar coefficient matrices; it took 0.15-0.25 s
+# with one polynomial product per entry, and 1.5 s before the fused polynomial
+# kernel. The 200-point check takes 0.08-0.14 s; it took 0.65 s before
+# integer Bareiss.
 
 
 def test_dense_12x12_auto_determinant_budget(rng):
