@@ -3,11 +3,14 @@
 Matrices are lists of lists of raw field values (Fraction or int mod p).
 Everything here is Gaussian elimination in one costume or another; sizes in
 this package stay small (at most a few dozen rows), so clarity wins over
-blocking tricks. The determinant, the hot path of probabilistic
-verification, avoids Fractions altogether: over Q it clears each row's
-denominators and runs Bareiss's fraction-free elimination on ints, and over
-F_p it eliminates on ints reduced mod p. rref, which the exhaustive search
-calls once per choice of a grid's upper rows, does the same over F_p.
+blocking tricks. The determinant avoids Fractions altogether: over Q it
+clears each row's denominators and runs Bareiss's fraction-free elimination
+on ints, and over F_p it eliminates on ints reduced mod p. Bareiss prefers a
+pivot equal to +-the previous one, so that on sparse matrices most rows pass
+a step untouched. The probabilistic check, whose integer trials hand their
+int matrices to Bareiss directly, is its hot path. rref, which the
+exhaustive search calls once per choice of a grid's upper rows, eliminates
+on ints mod p too.
 """
 
 from __future__ import annotations
@@ -116,21 +119,42 @@ def _det_bareiss(rows: Matrix) -> int:
 
     Each step replaces the rows below the pivot by 2x2 minors divided by the
     previous pivot; the division is exact (Sylvester's identity), so every
-    entry stays an int, a minor of the input. Consumes rows.
+    entry stays an int, a minor of the input. The identity holds for any
+    choice of pivot row, so the step prefers a row whose pivot is +-prev, the
+    previous pivot, and negates it if need be (negating the determinant). A
+    row with a zero in the pivot column then stays as it is, with no
+    arithmetic; with any other pivot such a row is only scaled by piv / prev.
+    On a sparse matrix, such as an evaluated Grenet expression, most rows are
+    kept at most steps. Consumes rows.
     """
     sign, prev = 1, 1
     while len(rows) > 1:
-        pivot = next((i for i, row in enumerate(rows) if row[0]), None)
+        pivot = None
+        for i, row in enumerate(rows):
+            x = row[0]
+            if x:
+                if x == prev or x == -prev:
+                    pivot = i
+                    break
+                if pivot is None:
+                    pivot = i
         if pivot is None:
             return 0
         if pivot:
             rows[0], rows[pivot] = rows[pivot], rows[0]
             sign = -sign
         piv, rest = rows[0][0], rows[0][1:]
+        if piv == -prev:
+            piv, rest, sign = prev, [-y for y in rest], -sign
         below = []
         for row in rows[1:]:
             f = row[0]
-            below.append([(x * piv - f * y) // prev for x, y in zip(row[1:], rest)])
+            if f:
+                below.append([(x * piv - f * y) // prev for x, y in zip(row[1:], rest)])
+            elif piv == prev:
+                below.append(row[1:])
+            else:
+                below.append([x * piv // prev for x in row[1:]])
         rows, prev = below, piv
     return sign * rows[0][0] if rows else 1
 

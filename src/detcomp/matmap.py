@@ -24,13 +24,15 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import lcm, prod
+from math import lcm, prod, ulp
 from operator import add, mul
 from typing import Sequence
 
 from . import linalg
 from .fields import Field, FieldMismatchError, QQ
-from .poly import Polynomial, VarSet, _term_order, mono_key, mono_str, point_values, sum_of_products
+from .poly import (
+    Polynomial, VarSet, _term_order, evaluate_terms, mono_key, mono_str, point_values, sum_of_products,
+)
 
 PERM_MAX_SIZE = 6          # largest permanent perm_polynomial builds (n! terms)
 GENERIC_DET_MAX_SIZE = 5   # largest generic determinant generic_det_polynomial builds
@@ -93,9 +95,7 @@ class AffineMatrixMap:
     def evaluate(self, point: Sequence) -> list:
         """Raw value matrix L(point).
 
-        The point is converted once per call. Every entry has degree <= 1, so
-        its value is its constant plus one coefficient-times-coordinate product
-        per variable term. Over Q, integer coordinates and coefficients are
+        The point is converted once per call. Over Q, integer coordinates are
         taken as ints, so an integer point and coefficients add in ints, with
         one Fraction per nonzero entry.
         """
@@ -105,18 +105,8 @@ class AffineMatrixMap:
         if not p:
             vals = [x.numerator if x.denominator == 1 else x for x in vals]
         zero = field.zero
-        rows = []
-        for row in self.entries:
-            out = []
-            for entry in row:
-                total = 0
-                for e, c in entry.terms:
-                    if not p and c.denominator == 1:
-                        c = c.numerator
-                    total += c * vals[e.index(1)] if 1 in e else c
-                out.append(total % p if p else Fraction(total) if total else zero)
-            rows.append(out)
-        return rows
+        return [[x % p if p else Fraction(x) if x else zero for x in row]
+                for row in _evaluate_forms(_linear_forms(self), vals)]
 
     def scale_row(self, i: int, c) -> "AffineMatrixMap":
         rows = [tuple(row) for row in self.entries]
@@ -125,6 +115,41 @@ class AffineMatrixMap:
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(p) for p in row) + "]" for row in self.entries)
+
+
+def _linear_forms(mapping: AffineMatrixMap) -> list:
+    """The map's rows as (constants, linear terms), the terms as (column,
+    variable index, coefficient), on raw values. Over Q an integral
+    coefficient is an int, so an integer point evaluates in ints."""
+    q = not mapping.field.char
+    forms = []
+    for row in mapping.entries:
+        consts, terms = [], []
+        for j, entry in enumerate(row):
+            const = 0
+            for e, c in entry.terms:
+                if q and c.denominator == 1:
+                    c = c.numerator
+                if 1 in e:
+                    terms.append((j, e.index(1), c))
+                else:
+                    const = c
+            consts.append(const)
+        forms.append((consts, terms))
+    return forms
+
+
+def _evaluate_forms(forms: list, vals: Sequence) -> list:
+    """L at raw values vals from _linear_forms, unreduced: each entry its
+    constant plus one coefficient-times-coordinate product per linear term.
+    AffineMatrixMap.evaluate wraps it."""
+    rows = []
+    for consts, terms in forms:
+        row = consts[:]
+        for j, i, c in terms:
+            row[j] += c * vals[i]
+        rows.append(row)
+    return rows
 
 
 def det_laplace_memo(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -480,11 +505,23 @@ def verify_expression(
         )
     rng = random.Random(seed)
     n = len(mapping.vars)
+    p = field.char
+    forms = _linear_forms(mapping)
+    terms = target.terms
+    # Every sample is an integer (an int mod p, or an integral Fraction over
+    # Q), so with integer coefficients a trial over Q runs on ints: no
+    # Fraction per entry, and the matrix goes straight to Bareiss.
+    integral = not p and all(
+        c.denominator == 1 for poly in (target, *(entry for row in mapping.entries for entry in row))
+        for _, c in poly.terms)
+    if integral:
+        terms = [(e, c.numerator) for e, c in terms]
     for t in range(trials):
         point = [field.sample(rng, max(4 * deg_bound, 64)) for _ in range(n)]
-        det_val = linalg.mat_det(field, mapping.evaluate(point))
-        f_val = target.evaluate(point).value
-        if det_val != f_val:
+        vals = [x.numerator for x in point]
+        rows = _evaluate_forms(forms, vals)
+        det_val = linalg._det_bareiss(rows) if integral else linalg.mat_det(field, rows)
+        if det_val != evaluate_terms(terms, vals, p):
             return VerificationReport(
                 mode="probabilistic",
                 ok=False,
@@ -492,11 +529,13 @@ def verify_expression(
                 trials=t + 1,
                 notes=("determinant and target disagree at the witness point",),
             )
-    per_trial = deg_bound / sample_size
+    # The float may underflow; 0.0 would claim no false accept, so report
+    # the smallest positive float, still above the exact bound in the note.
+    bound = (deg_bound / sample_size) ** trials or ulp(0.0)
     return VerificationReport(
         mode="probabilistic",
         ok=True,
         trials=trials,
-        failure_bound=per_trial**trials,
+        failure_bound=bound,
         notes=(f"false-accept probability <= ({deg_bound}/{sample_size})^{trials}",),
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import add
 from typing import Iterable, Sequence
 
@@ -107,6 +108,25 @@ def point_values(vars: VarSet, field: Field, point: Sequence) -> list:
         else:
             vals.append(field.of(x))
     return vals
+
+
+def evaluate_terms(terms: Iterable, vals: Sequence, p: int = 0):
+    """Sum of c * x^e over (e, c) terms at raw values vals: reduced mod p
+    when p, else exact in whatever numbers terms and vals hold (ints for an
+    integer point and coefficients). Polynomial.evaluate wraps it."""
+    total = 0
+    if p:
+        for e, c in terms:
+            # the coordinates and exponents of e's variables, skipping the rest
+            for x, exp in zip(compress(vals, e), filter(None, e)):
+                c = c * pow(x, exp, p) % p
+            total += c
+        return total % p
+    for e, c in terms:
+        for x, exp in zip(compress(vals, e), filter(None, e)):
+            c *= x**exp
+        total += c
+    return total
 
 
 def mono_str(e: Monomial, vars: VarSet) -> str:
@@ -305,32 +325,20 @@ class Polynomial:
         return result
 
     def evaluate(self, point: Sequence) -> FieldElement:
-        """Exact evaluation at a point over this polynomial's field."""
+        """Exact evaluation at a point over this polynomial's field.
+
+        Over Q, an integer point and coefficients are taken as ints, so the
+        sum runs in ints with one Fraction at the end.
+        """
         field = self.field
-        vals = point_values(self.vars, field, point)
-        if field.char == 0:
-            terms = self.terms
-            if all(x.denominator == 1 for x in vals) and all(c.denominator == 1 for _, c in terms):
-                # an integer point and coefficients: ints throughout, one Fraction at the end
-                vals = [x.numerator for x in vals]
-                terms = [(e, c.numerator) for e, c in terms]
-            total = 0
-            for e, c in terms:
-                v = c
-                for x, exp in zip(vals, e):
-                    if exp:
-                        v *= x**exp
-                total += v
-            return FieldElement(field, Fraction(total))
         p = field.char
-        total = 0
-        for e, c in self.terms:
-            v = c
-            for x, exp in zip(vals, e):
-                if exp:
-                    v = v * pow(x, exp, p) % p
-            total = (total + v) % p
-        return FieldElement(field, total)
+        vals = point_values(self.vars, field, point)
+        terms = self.terms
+        if not p and all(x.denominator == 1 for x in vals) and all(c.denominator == 1 for _, c in terms):
+            vals = [x.numerator for x in vals]
+            terms = [(e, c.numerator) for e, c in terms]
+        total = evaluate_terms(terms, vals, p)
+        return FieldElement(field, total if p else Fraction(total))
 
     def extend(self, new_vars: VarSet) -> "Polynomial":
         """Lift into a superset ring; existing variables keep their names."""

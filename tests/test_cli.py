@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import pathlib
 
 import pytest
@@ -71,6 +72,22 @@ def test_verify_catalog_expression(capsys):
     assert rc == 0
     assert payload["mode"] == "probabilistic"
     assert payload["failure_bound"] < 1e-12
+
+
+def test_verify_failure_bound_underflow_stays_positive(capsys):
+    """(7/65)^600 is below the smallest positive float; the bound must not
+    read 0.0, which would claim that no false accept is possible."""
+    argv = ["verify", "--map", "catalog:grenet_perm_3", "--poly", "perm3",
+            "--mode", "probabilistic", "--trials", "600"]
+    rc, out, _ = run(capsys, argv + ["--format", "json"], schema="verification")
+    payload = json.loads(out)
+    assert rc == 0 and payload["ok"] is True
+    assert payload["failure_bound"] == math.ulp(0.0) > 0
+    assert payload["notes"] == ["false-accept probability <= (7/65)^600"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert f"consistent after 600 trials (failure bound {math.ulp(0.0)})" in out
+    assert "failure bound 0.0" not in out
 
 
 def test_verify_broken_map_exits_one(capsys, tmp_path):

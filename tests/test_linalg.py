@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from detcomp import linalg
+from detcomp.expressions import abp_to_determinant, grenet_abp
 from detcomp.fields import QQ, Fp
+from detcomp.matmap import det_laplace_memo
 
 
 def reference_det(field, a):
@@ -53,6 +55,13 @@ def zero_pivots(field, n, rng):
     return m
 
 
+def units(field, n, rng):
+    """Entries 0, 1 and -1 only, mostly 0. Bareiss then meets pivots equal to
+    the previous pivot, to its negative (it negates the pivot row), and to
+    neither, with rows under each that it keeps, scales and fully updates."""
+    return [[field.of(rng.choice((0, 0, 0, 1, -1))) for _ in range(n)] for _ in range(n)]
+
+
 @pytest.mark.parametrize("field", [QQ, Fp(2), Fp(101), Fp(32003)], ids=str)
 def test_mat_det_matches_reference_elimination(field):
     rng = random.Random(8)
@@ -61,10 +70,22 @@ def test_mat_det_matches_reference_elimination(field):
         for _ in range(4):
             cases.append(linalg.random_matrix(field, n, n, rng))
             cases.append(zero_pivots(field, n, rng))
+            cases.append(units(field, n, rng))
             if n >= 3:
                 cases.append(singular(field, n, rng))
             if field.char == 0:
                 cases.append(rational(n, rng))
+    # Grenet's 15x15 expression of perm4, evaluated: sparse, with a unit
+    # diagonal, at points of the probabilistic check's sample range and at
+    # points in {-1, 0, 1}; its determinant is known independently
+    grenet = abp_to_determinant(grenet_abp(4, field))
+    grenet_det = det_laplace_memo(grenet.entries)
+    points = [[field.sample(rng, 65) for _ in grenet.vars] for _ in range(6)]
+    points += [[rng.choice((0, 1, -1)) for _ in grenet.vars] for _ in range(6)]
+    for point in points:
+        a = grenet.evaluate(point)
+        assert linalg.mat_det(field, a) == grenet_det.evaluate(point).value
+        cases.append(a)
     for a in cases:
         want = reference_det(field, a)
         got = linalg.mat_det(field, a)

@@ -369,8 +369,8 @@ def test_auto_chooser_bounds_hostile_input(monkeypatch):
 # CPU-time budgets (Python 3.11, 2-vCPU shared VM). The dense 12x12 takes
 # 0.05-0.1 s with Berkowitz on scalar coefficient matrices; it took 0.15-0.25 s
 # with one polynomial product per entry, and 1.5 s before the fused polynomial
-# kernel. The 200-point check takes 0.08-0.14 s; it took 0.65 s before
-# integer Bareiss.
+# kernel. The 200-point check takes 0.02-0.04 s with unit pivots and trials
+# on ints; it took 0.08-0.14 s before them, and 0.65 s before integer Bareiss.
 
 
 def test_dense_12x12_auto_determinant_budget(rng):
@@ -390,6 +390,26 @@ def test_grenet_15_probabilistic_check_budget():
     report = verify_expression(mapping, target, mode="probabilistic", trials=200, seed=811)
     assert time.process_time() - start < 1.0
     assert report.ok and report.trials == 200
+
+
+def test_grenet_15_probabilistic_reports_are_pinned():
+    """Reports as computed when each trial evaluated L and f on Fractions:
+    trials on ints draw the same points, trial by trial."""
+    mapping = abp_to_determinant(grenet_abp(4))
+    target = perm_polynomial(4)
+    report = verify_expression(mapping, target, mode="probabilistic", trials=200, seed=811)
+    assert report.ok and report.trials == 200
+    assert report.failure_bound == 4.32096235389506e-128
+    assert report.notes == ("false-accept probability <= (15/65)^200",)
+    # one entry + 1; the first two points miss the difference, the third finds it
+    rows = [list(row) for row in mapping.entries]
+    rows[4][11] = rows[4][11] + Polynomial.const(mapping.vars, mapping.field, 1)
+    broken = AffineMatrixMap.from_rows(mapping.vars, mapping.field, rows)
+    report = verify_expression(broken, target, mode="probabilistic", trials=200, seed=30)
+    assert not report.ok and report.trials == 3
+    assert report.witness_point == tuple(
+        QQ.of(x) for x in (32, -22, -15, -1, 8, -17, -29, 20, 32, 6, -10, -9, 28, 10, 25, 10))
+    assert all(type(x) is type(QQ.zero) for x in report.witness_point)
 
 
 def test_grenet_15_laplace_matches_numeric_det(rng):
