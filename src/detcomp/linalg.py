@@ -3,14 +3,14 @@
 Matrices are lists of lists of raw field values (Fraction or int mod p).
 Everything here is Gaussian elimination in one costume or another; sizes in
 this package stay small (at most a few dozen rows), so clarity wins over
-blocking tricks. The determinant avoids Fractions altogether: over Q it
-clears each row's denominators and runs Bareiss's fraction-free elimination
-on ints, and over F_p it eliminates on ints reduced mod p. Bareiss prefers a
-pivot equal to +-the previous one, so that on sparse matrices most rows pass
-a step untouched. The probabilistic check, whose integer trials hand their
-int matrices to Bareiss directly, is its hot path. rref, which the
-exhaustive search calls once per choice of a grid's upper rows, eliminates
-on ints mod p too.
+blocking tricks. The determinant and the rank avoid Fractions altogether:
+over Q they clear each row's denominators and run Bareiss's fraction-free
+elimination on ints, and over F_p they eliminate on ints reduced mod p.
+Bareiss's determinant prefers a pivot equal to +-the previous one, so that
+on sparse matrices most rows pass a step untouched. The probabilistic check,
+whose integer trials hand their int matrices to Bareiss directly, is its hot
+path. rref, which the exhaustive search calls once per choice of a grid's
+upper rows, eliminates on ints mod p too.
 """
 
 from __future__ import annotations
@@ -99,9 +99,21 @@ def _rref_mod_p(m: Matrix, rhs: int, p: int) -> tuple[Matrix, list[int]]:
 
 
 def mat_rank(field: Field, a: Matrix) -> int:
+    """Rank; over Q by Bareiss's fraction-free elimination on ints, as mat_det."""
     if not a or not a[0]:
         return 0
-    return len(rref(field, a)[1])
+    if field.char:
+        return len(rref(field, a)[1])
+    rows = [[x.numerator * (d // x.denominator) for x in row]
+            for row in a for d in [lcm(*(x.denominator for x in row))]]
+    rank, prev = 0, 1
+    for c in range(len(a[0])):
+        pivot = next((row for row in rows if row[c]), None)
+        if pivot is not None:  # eliminate column c; every entry stays an int, a minor of the input
+            rows.remove(pivot)
+            rows = [[(x * pivot[c] - row[c] * y) // prev for x, y in zip(row, pivot)] for row in rows]
+            rank, prev = rank + 1, pivot[c]
+    return rank
 
 
 def mat_det(field: Field, a: Matrix):

@@ -5,9 +5,10 @@ with constant part C and linear part Z. Determinants are computed exactly by
 one of two independent algorithms: memoized Laplace expansion and the
 division-free Berkowitz method. Both return the same canonical Polynomial,
 which the tests cross-check. Laplace works on polynomials, one
-sum_of_products call per cofactor sum. Berkowitz works on the scalar
-coefficient matrices of the grid, one per monomial, so its matrix-vector
-steps are multiply-adds on ints; only its Toeplitz products are polynomial.
+sum_of_products call per cofactor sum. Berkowitz works on ints: on the
+scalar coefficient matrices of the grid, one per monomial, and on monomials
+packed into one int each, so a product of two monomials is one addition. It
+builds no Polynomial but the determinant.
 
 symbolic_det chooses between them by work, not by size. A bit-mask walk
 over the row subsets the Laplace expansion would reach counts its
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import lcm, prod, ulp
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -199,43 +200,38 @@ def det_berkowitz(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
 
     Step k borders the leading (k-1) x (k-1) block A by a column C, a row R
     and a corner a, and needs the Toeplitz column 1, -a, -R C, -R A C, ...,
-    -R A^(k-2) C. The entries are polynomials, so A is a sum over monomials e
-    of scalar coefficient matrices A_e times x^e, held as sparse columns, and
-    the Krylov vector A^s C is held as monomial -> k - 1 scalars. A
-    matrix-vector step is then scalar multiply-adds over the nonzero entries
-    of A_e and of the vector, with one exponent tuple per pair of monomials,
-    reduced mod p once; a diagonal is one scalar dot product per pair. Over Q
-    each row's denominators are cleared first, as linalg.mat_det does, so all
-    of this runs on ints and the determinant is divided once at the end. Each
-    diagonal becomes a Polynomial once, and each row of the Toeplitz product
-    is one sum_of_products call.
+    -R A^(k-2) C. Each monomial is packed into one int, w bits per variable
+    with w the bit length of m times the largest entry degree, which no
+    monomial formed here exceeds, so a product of monomials is one int
+    addition. A is a sum over monomials e of scalar coefficient matrices A_e
+    times x^e, held as sparse columns, and the Krylov vector A^s C as
+    monomial -> k - 1 scalars, so a matrix-vector step is scalar multiply-adds,
+    reduced mod p once, and a diagonal one dot product per pair of monomials.
+    Over Q each row's denominators are cleared first, as linalg.mat_det does,
+    so all of this runs on ints. Each Toeplitz row is one _packed_products
+    call, its product by the leading 1 a copy, and the last step forms only
+    row m, the determinant: the one Polynomial built.
     """
     m = len(grid)
     some = grid[0][0]
     vars, field = some.vars, some.field
     p = field.char
-    if p:
-        rows = [[entry.terms for entry in row] for row in grid]
-        scale = 1
-    else:
-        scales = [lcm(*(c.denominator for entry in row for _, c in entry.terms)) for row in grid]
-        rows = [
-            [[(e, c.numerator * (d // c.denominator)) for e, c in entry.terms] for entry in row]
-            for row, d in zip(grid, scales)
-        ]
-        scale = prod(scales)
+    top = max((entry.degree() for row in grid for entry in row if entry.terms), default=0)
+    w = (m * top).bit_length() or 1
+    shifts = range(0, w * len(vars), w)
+    scales = [1] * m if p else [lcm(*(c.denominator for entry in row for _, c in entry.terms)) for row in grid]
+    rows = [
+        [[(sum(x << s for x, s in zip(e, shifts)), c if p else c.numerator * (d // c.denominator))
+          for e, c in entry.terms] for entry in row]
+        for row, d in zip(grid, scales)
+    ]
 
-    def polynomial(acc: dict) -> Polynomial:
-        # raw ints -> canonical Polynomial: reduce, drop zeros, sort once
+    def reduced(acc: dict) -> dict:  # mod p, zeros dropped
         if p:
-            terms = [(e, r) for e, c in acc.items() if (r := c % p)]
-        else:
-            terms = [(e, Fraction(c)) for e, c in acc.items() if c]
-        terms.sort(key=_term_order)
-        return Polynomial(vars, field, tuple(terms))
+            return {e: r for e, c in acc.items() if (r := c % p)}
+        return {e: c for e, c in acc.items() if c}
 
-    one = Polynomial.const(vars, field, 1)
-    prev = [one, polynomial({e: -c for e, c in rows[0][0]})]
+    prev = [{0: 1}, reduced({e: -c for e, c in rows[0][0]})]
     for k in range(2, m + 1):
         n = k - 1
         columns: dict = {}  # monomial -> column j -> [(i, c)]: A's coefficient matrix, sparse
@@ -253,17 +249,16 @@ def det_berkowitz(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
         for i in range(n):
             for e, c in rows[i][n]:
                 vec.setdefault(e, [0] * n)[i] = c
-        diags = [one, polynomial({e: -c for e, c in rows[n][n]})]
+        diags = [None, reduced({e: -c for e, c in rows[n][n]})]  # diags[0] = 1 is never multiplied
         for step in range(n):
             if step:
                 acc: dict = {}
                 nonzero = [(f, vals, [j for j in range(n) if vals[j]]) for f, vals in vec.items()]
                 for e, cols in columns.items():
                     for f, vals, js in nonzero:
-                        key = tuple(map(add, e, f))
-                        out = acc.get(key)
+                        out = acc.get(e + f)
                         if out is None:
-                            out = acc[key] = [0] * n
+                            out = acc[e + f] = [0] * n
                         for j in js:
                             v = vals[j]
                             for i, c in cols[j]:
@@ -275,27 +270,40 @@ def det_berkowitz(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
             acc = {}
             for e, coefs in neg_row.items():
                 for f, vals in vec.items():
-                    key = tuple(map(add, e, f))
-                    acc[key] = acc.get(key, 0) + sum(map(mul, coefs, vals))
-            diags.append(polynomial(acc))
-        prev = [
-            sum_of_products(vars, field, [(diags[i - j], prev[j]) for j in range(min(i, n) + 1)])
-            for i in range(k + 1)
-        ]
+                    acc[e + f] = acc.get(e + f, 0) + sum(map(mul, coefs, vals))
+            diags.append(reduced(acc))
+        # row i is prev[i] plus diags[i - j] prev[j] for j < i; the last step forms row m only
+        prev = [reduced(_packed_products(dict(prev[i]) if i < k else {},
+                                         [(diags[i - j], prev[j]) for j in range(i)]))
+                for i in (range(k + 1) if k < m else (m,))]
 
-    # prev holds det(tI - M)'s coefficients [1, c1, ..., cm]; det = (-1)^m cm
-    det = -prev[-1] if m % 2 else prev[-1]
-    return det.scale(Fraction(1, scale)) if scale != 1 else det
+    # prev[-1] is det(tI - M)'s constant coefficient cm; det = (-1)^m cm
+    sign, scale, mask = -1 if m % 2 else 1, prod(scales), (1 << w) - 1
+    terms = [(tuple(e >> s & mask for s in shifts), sign * c % p if p else Fraction(sign * c, scale))
+             for e, c in prev[-1].items()]
+    terms.sort(key=_term_order)
+    return Polynomial(vars, field, tuple(terms))
+
+
+def _packed_products(acc: dict, pairs: list) -> dict:
+    """acc plus sum a * b over pairs of {packed monomial: int} dicts, formed in acc."""
+    get = acc.get
+    for a, b in pairs:
+        for e, c in a.items():
+            for f, d in b.items():
+                acc[e + f] = get(e + f, 0) + c * d
+    return acc
 
 
 def berkowitz_products(m: int) -> int:
-    """det_berkowitz's work on an m x m grid, about m^4 / 4, in products of an
-    entry by a vector entry, formed on coefficients, plus its Toeplitz
-    products, made by sum_of_products."""
+    """det_berkowitz's work on an m x m grid, about m^4 / 4: its products of
+    an entry by a vector entry, formed on coefficients, plus its Toeplitz
+    products of a diagonal by a coefficient of the step before."""
     # step k: k - 1 diagonals of k - 1 products each, with k - 2
     # matrix-vector products of (k - 1)^2 between them, (k - 1)^3 in all,
-    # then k (k + 3) / 2 for the Toeplitz product
-    return sum((k - 1) ** 3 + k * (k + 3) // 2 for k in range(2, m + 1))
+    # then k (k + 1) / 2 Toeplitz products, the product by the leading 1 a
+    # copy, or m at the last step, which forms only row m
+    return sum((k - 1) ** 3 + (k * (k + 1) // 2 if k < m else m) for k in range(2, m + 1))
 
 
 def laplace_is_cheaper(grid: Sequence[Sequence[Polynomial]]) -> bool:
@@ -498,7 +506,8 @@ def verify_expression(
 
     field = mapping.field
     deg_bound = max(mapping.size, int(target.degree()) if not target.is_zero() else 0)
-    sample_size = field.sample_set_size(max(4 * deg_bound, 64))
+    size = max(4 * deg_bound, 64)
+    sample_size = field.sample_set_size(size)
     if sample_size <= 2 * deg_bound:
         raise FieldTooSmallError(
             f"field of size {sample_size} is too small for degree bound {deg_bound}; use exact mode"
@@ -508,24 +517,25 @@ def verify_expression(
     p = field.char
     forms = _linear_forms(mapping)
     terms = target.terms
-    # Every sample is an integer (an int mod p, or an integral Fraction over
-    # Q), so with integer coefficients a trial over Q runs on ints: no
-    # Fraction per entry, and the matrix goes straight to Bareiss.
+    # Each coordinate is an int from the stream field.sample would use:
+    # randrange(p) over F_p, randint(-(size // 2), size // 2) over Q. With
+    # integer coefficients a trial over Q then runs on ints, and the matrix
+    # goes straight to Bareiss; a Fraction point is made only for a witness.
+    low, high = (0, p) if p else (-(size // 2), size // 2 + 1)
     integral = not p and all(
         c.denominator == 1 for poly in (target, *(entry for row in mapping.entries for entry in row))
         for _, c in poly.terms)
     if integral:
         terms = [(e, c.numerator) for e, c in terms]
     for t in range(trials):
-        point = [field.sample(rng, max(4 * deg_bound, 64)) for _ in range(n)]
-        vals = [x.numerator for x in point]
+        vals = [rng.randrange(low, high) for _ in range(n)]
         rows = _evaluate_forms(forms, vals)
         det_val = linalg._det_bareiss(rows) if integral else linalg.mat_det(field, rows)
         if det_val != evaluate_terms(terms, vals, p):
             return VerificationReport(
                 mode="probabilistic",
                 ok=False,
-                witness_point=tuple(point),
+                witness_point=tuple(map(field.of, vals)),
                 trials=t + 1,
                 notes=("determinant and target disagree at the witness point",),
             )

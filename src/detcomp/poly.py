@@ -15,8 +15,8 @@ sum a_i * b_i (plus plain addends) into a single dict of raw coefficients:
 ints reduced mod p once per output monomial over F_p, ints over Q when every
 factor coefficient is an integer, Fractions otherwise. Zeros are dropped and
 the terms sorted once. Polynomial.__mul__ and __add__ are single calls;
-matmap's Laplace expansion hands it a whole cofactor sum at a time, and its
-Berkowitz method a whole Toeplitz row.
+matmap's Laplace expansion hands it a whole cofactor sum at a time. (matmap's
+Berkowitz method packs its monomials into ints and multiplies them itself.)
 """
 
 from __future__ import annotations

@@ -164,3 +164,32 @@ def test_rref_over_q_takes_right_hand_sides():
     r, pivots = linalg.rref(QQ, a, rhs=1)
     assert pivots == [0, 1]
     assert r == [[1, 0, Fraction(1, 2)], [0, 1, 0]]
+
+
+def test_mat_rank_over_q_matches_rref(monkeypatch):
+    """Fraction-free rank against rref's pivot count on random rational
+    matrices, among them products B C of an inner dimension below both
+    sides (rank-deficient), zero rows and zero columns."""
+    rng = random.Random(54)
+    cases = []
+    for _ in range(150):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        inner = rng.randint(1, min(rows, cols))
+        b = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(inner)] for _ in range(rows)]
+        c = [[Fraction(rng.randint(-9, 9), rng.choice((1, 5, 12))) for _ in range(cols)] for _ in range(inner)]
+        a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b]
+        if rng.random() < 0.3:
+            a[rng.randrange(rows)] = [Fraction(0)] * cols
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in a:
+                row[j] = Fraction(0)
+        cases.append((a, inner))
+    cases += [(rational(n, rng), n) for n in range(1, 7)]
+    expected = [len(linalg.rref(QQ, a)[1]) for a, _ in cases]
+    assert min(expected) == 0 and any(r < min(len(a), len(a[0])) for r, (a, _) in zip(expected, cases))
+    monkeypatch.setattr(linalg, "rref", lambda *args: pytest.fail("rref over Q"))
+    for (a, inner), rank in zip(cases, expected):
+        before = [row[:] for row in a]
+        assert linalg.mat_rank(QQ, a) == rank <= inner
+        assert a == before

@@ -1,12 +1,15 @@
 """Affine matrix maps: determinants, rank normalization, verification."""
 
+import random
 import time
 import warnings
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
 from detcomp import linalg, matmap
+from detcomp.explore import _random_linear_map
 from detcomp.expressions import abp_to_determinant, catalog_get, grenet_abp
 from detcomp.fields import QQ, FieldElement, FieldMismatchError, Fp
 from detcomp.matmap import (
@@ -235,6 +238,34 @@ def test_berkowitz_matches_laplace_across_kinds_and_sizes(field, rng):
         assert any(c.denominator > 1 for row in grid for p in row for _, c in p.terms)
 
 
+@pytest.mark.parametrize("field", [QQ, Fp(2), Fp(32003)], ids=str)
+def test_berkowitz_packing_matches_laplace(field, rng):
+    """Packed monomials at the edges of their fields: one-variable entries up
+    to degree 7, mixed degrees in several variables, a ring with no
+    variables, 1x1 grids, and over Q coefficients with denominators."""
+
+    def grid(vars, m, degree, terms):
+        def entry():
+            p = random_polynomial(vars, field, rng, degree=rng.randint(0, degree), terms=terms)
+            return p.scale(Fraction(1, rng.randint(1, 6))) if field.char == 0 else p
+        return [[entry() for _ in range(m)] for _ in range(m)]
+
+    x = varset("x")
+    x7 = Polynomial.parse("x^7", vars=x, field=field)
+    # x^7 on the diagonal, lower degrees off it: x^35 reaches the top of a 6-bit field
+    top = grid(x, 5, 6, 3)
+    for i in range(5):
+        top[i][i] = top[i][i] + x7
+    cases = [top] + [grid(x, m, 7, 3) for m in range(1, 7)]
+    cases += [grid(varset("x", "y", "z", "w"), m, 3, 4) for m in range(1, 7)]
+    cases += [grid(varset(), m, 0, 1) for m in range(1, 9)]
+    for g in cases:
+        assert det_berkowitz(g) == det_laplace_memo(g), g
+    assert det_berkowitz(top).leading_monomial() == (35,)
+    if field.char == 0:
+        assert any(c.denominator > 1 for g in cases for row in g for p in row for _, c in p.terms)
+
+
 def test_det_evaluation_commutes_with_numeric_det(rng):
     field = Fp(101)
     vars = varset("x", "y", "z")
@@ -281,16 +312,28 @@ def count_kernel_products(monkeypatch):
 
 
 def test_berkowitz_products_counts_berkowitz_work(rng, monkeypatch):
-    """Only the Toeplitz products reach the polynomial kernel; the rest of
-    berkowitz_products(m), the (k - 1)^3 entry-by-vector-entry products of
-    step k, are formed on scalar coefficients."""
-    products = count_kernel_products(monkeypatch)
-    for m in range(1, 10):
-        products.clear()
-        det_berkowitz(dense_grid(m, rng))
-        toeplitz = sum(k * (k + 3) // 2 for k in range(2, m + 1))
-        assert len(products) == toeplitz
+    """Step k < m of det_berkowitz forms k (k + 1) / 2 (diagonal, coefficient)
+    Toeplitz products on packed dicts, none by the leading 1, and the last step
+    m, for row m alone; with the (k - 1)^3 entry-by-vector-entry products of
+    each step they make berkowitz_products(m). It calls neither sum_of_products
+    nor Polynomial arithmetic, and the only Polynomial it builds is the result."""
+    grids = [dense_grid(m, rng) for m in range(1, 10)]
+    pairs, built = [], []
+    real_products, real_init = matmap._packed_products, Polynomial.__init__
+    monkeypatch.setattr(matmap, "_packed_products", lambda acc, ps: pairs.extend(ps) or real_products(acc, ps))
+    monkeypatch.setattr(Polynomial, "__init__", lambda self, *args: built.append(self) or real_init(self, *args))
+    monkeypatch.setattr(matmap, "sum_of_products", lambda *args: pytest.fail("a sum_of_products call"))
+    for name in ("__mul__", "__add__", "__sub__", "__neg__", "scale"):
+        monkeypatch.setattr(Polynomial, name, lambda *args, name=name: pytest.fail(f"Polynomial.{name}"))
+    for m, grid in enumerate(grids, 1):
+        pairs.clear()
+        built.clear()
+        det = det_berkowitz(grid)
+        toeplitz = sum(k * (k + 1) // 2 for k in range(2, m)) + (m if m > 1 else 0)
+        assert len(pairs) == toeplitz
+        assert all(diag != {0: 1} for diag, _ in pairs)
         assert berkowitz_products(m) == toeplitz + sum((k - 1) ** 3 for k in range(2, m + 1))
+        assert built == [det]
 
 
 def test_laplace_products_count_laplace_work(rng, monkeypatch):
@@ -321,7 +364,7 @@ def test_laplace_negates_each_entry_once_on_first_use(rng, monkeypatch):
     assert len(got) == 31  # at 7x7; negating every entry up front made 49
 
 
-def test_auto_chooses_by_laplace_work(rng, monkeypatch):
+def test_auto_chooses_by_laplace_work(rng):
     # dense grids: m 2^(m-1) - m Laplace products, within Berkowitz's count up to 7x7
     for m in range(1, 8):
         assert laplace_is_cheaper(dense_grid(m, rng))
@@ -330,6 +373,15 @@ def test_auto_chooses_by_laplace_work(rng, monkeypatch):
     grenet = abp_to_determinant(grenet_abp(4))
     assert grenet.size == 15
     assert laplace_is_cheaper(grenet.entries)
+
+
+def test_symbolic_det_routing_is_pinned(rng, monkeypatch):
+    """The algorithm symbolic_det runs for the grids the package meets: the
+    15x15 Grenet expression, explore's 3x3 and 4x4 linear maps and dense
+    grids up to 7x7 go to Laplace, dense grids from 8x8 to Berkowitz."""
+    grenet = abp_to_determinant(grenet_abp(4))
+    linear = [_random_linear_map(n, m, Fp(101), random.Random(seed))
+              for n, m in ((4, 3), (5, 3), (6, 4), (9, 4)) for seed in range(5)]
 
     class Ran(Exception):
         pass
@@ -342,9 +394,10 @@ def test_auto_chooses_by_laplace_work(rng, monkeypatch):
     # both algorithms raise their own name, so only the routing runs
     monkeypatch.setattr(matmap, "det_berkowitz", refuse("berkowitz"))
     monkeypatch.setattr(matmap, "det_laplace_memo", refuse("laplace"))
-    with pytest.raises(Ran, match="laplace"):
-        symbolic_det(grenet, algorithm="auto")
-    for m in (8, 10):
+    for mapping in [grenet, *linear, *(dense_grid(m, rng) for m in range(1, 8))]:
+        with pytest.raises(Ran, match="laplace"):
+            symbolic_det(mapping)
+    for m in (8, 9, 10, 12):
         with pytest.raises(Ran, match="berkowitz"):
             symbolic_det(dense_grid(m, rng))
 
@@ -367,10 +420,11 @@ def test_auto_chooser_bounds_hostile_input(monkeypatch):
 
 
 # CPU-time budgets (Python 3.11, 2-vCPU shared VM). The dense 12x12 takes
-# 0.05-0.1 s with Berkowitz on scalar coefficient matrices; it took 0.15-0.25 s
-# with one polynomial product per entry, and 1.5 s before the fused polynomial
-# kernel. The 200-point check takes 0.02-0.04 s with unit pivots and trials
-# on ints; it took 0.08-0.14 s before them, and 0.65 s before integer Bareiss.
+# 0.03-0.045 s with Berkowitz on packed int monomials; it took 0.05-0.1 s with
+# exponent tuples and Polynomial Toeplitz products, 0.15-0.25 s with one
+# polynomial product per entry, and 1.5 s before the fused polynomial kernel.
+# The 200-point check takes 0.02-0.04 s with unit pivots and trials on ints;
+# it took 0.08-0.14 s before them, and 0.65 s before integer Bareiss.
 
 
 def test_dense_12x12_auto_determinant_budget(rng):
