@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import lcm, prod, ulp
+from math import inf, lcm, nextafter, prod
 from operator import mul
 from typing import Sequence
 
@@ -485,6 +485,18 @@ def exact_report(det: Polynomial, target: Polynomial) -> VerificationReport:
     )
 
 
+def float_at_or_above(num: int, den: int) -> float:
+    """The smallest float at or above num / den, for ints num >= 0, den > 0.
+
+    Int true division rounds correctly, to nearest; one step up mends a
+    quotient that rounded down. A quotient that underflows to 0.0 steps to
+    the smallest positive float, so a bound never claims probability 0.
+    """
+    q = num / den
+    a, b = q.as_integer_ratio()
+    return nextafter(q, inf) if a * den < num * b else q
+
+
 def verify_expression(
     mapping: AffineMatrixMap,
     target: Polynomial,
@@ -539,13 +551,10 @@ def verify_expression(
                 trials=t + 1,
                 notes=("determinant and target disagree at the witness point",),
             )
-    # The float may underflow; 0.0 would claim no false accept, so report
-    # the smallest positive float, still above the exact bound in the note.
-    bound = (deg_bound / sample_size) ** trials or ulp(0.0)
     return VerificationReport(
         mode="probabilistic",
         ok=True,
         trials=trials,
-        failure_bound=bound,
+        failure_bound=float_at_or_above(deg_bound ** trials, sample_size ** trials),
         notes=(f"false-accept probability <= ({deg_bound}/{sample_size})^{trials}",),
     )

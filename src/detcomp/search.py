@@ -10,15 +10,17 @@ nonexistence over that field, and every hit is rescaled into an exact
 witness. Ranks below m - mindeg(f) are skipped outright: the graded parts of
 det(J_r + Z) live in degrees [m - r, m], so such ranks cannot reach f.
 
-The inner loop runs on raw coefficient dicts, not Polynomial objects; the
-upper-left all-linear block is enumerated first and its determinant (the
-lowest graded part of the full determinant) is checked against f before the
-remaining entries are touched. Consecutive candidates of each odometer walk
-differ only in the last row, so both walks (the block, then the full grid)
-split off that row. A determinant is linear in any one row: for each choice
-of the rows above, the k minors of the last row are computed once, and the
-last rows with det = c * goal are the solutions of one linear system over F_p
-in their n * k coefficients, solved for every admissible scalar c by one
+The entries are Polynomials, each of the p^n linear forms made once per rank
+and shared by every candidate; the search does no polynomial arithmetic of
+its own. The upper-left all-linear block is enumerated first and its
+determinant (the lowest graded part of the full determinant) is checked
+against f before the remaining entries are touched. Consecutive candidates
+of each odometer walk differ only in the last row, so both walks (the block,
+then the full grid) split off that row. A determinant is linear in any one
+row: for each choice of the rows above, the k minors of the last row are
+computed once, by matmap.det_laplace_memo, and the last rows with
+det = c * goal are the solutions of one linear system over F_p in their
+n * k coefficients, solved for every admissible scalar c by one
 elimination. No candidate's determinant is formed, and a choice of the rows
 above costs one elimination for its P^k candidates, plus the work of
 listing its hits.
@@ -32,7 +34,7 @@ from itertools import product
 
 from .fields import PrimeField
 from .linalg import rref
-from .matmap import AffineMatrixMap, verify_expression
+from .matmap import AffineMatrixMap, det_laplace_memo, verify_expression
 from .poly import Polynomial
 
 DEFAULT_CANDIDATE_CAP = 1 << 30
@@ -123,67 +125,29 @@ class SearchReport:
         }
 
 
-# -- raw-dict polynomial arithmetic (exponent tuple -> int coefficient) ---------
-
-
-def _dict_mul(a: dict, b: dict, p: int) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            val = (out.get(key, 0) + ca * cb) % p
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _dict_det(grid, p: int) -> dict:
-    """First-row Laplace expansion over dict entries; grid is small."""
-    m = len(grid)
-    if m == 1:
-        return dict(grid[0][0])
-    out: dict = {}
-    for j in range(m):
-        entry = grid[0][j]
-        if not entry:
-            continue
-        minor = [[row[k] for k in range(m) if k != j] for row in grid[1:]]
-        sub = _dict_det(minor, p)
-        sign = -1 if j % 2 else 1
-        for e, c in _dict_mul(entry, sub, p).items():
-            val = (out.get(e, 0) + sign * c) % p
-            if val:
-                out[e] = val
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _last_row_solutions(upper, n: int, goal: dict, scalars, offset: bool, field):
+def _last_row_solutions(upper, n: int, goal: tuple, scalars, offset: bool, field):
     """Yield (v, c) for every last row v and scalar c in scalars with
     det(upper + [last row]) == c * goal, in (v, c) order.
 
-    upper holds the first k - 1 rows of a k x k grid of dicts. Entry j of the
-    last row is the linear form whose coefficient tuple is number v_j in
-    odometer order, plus 1 in entry k - 1 when offset is set. The determinant
-    is linear in that row, so with the k signed minors computed once, the rows
-    are the solutions of one linear system over F_p: unknown q = j * n + i,
-    the coefficient of x_i in entry j, has the column x_i * minor_j, and the
-    right-hand side is c * goal less the offset's minor. The unknowns are
-    eliminated in reversed odometer order, so each pivot unknown depends only
-    on free unknowns before it, and enumerating the free ones in odometer
-    order yields each scalar's solutions in odometer order of v. The scalars'
-    streams are merged lazily.
+    upper holds the first k - 1 rows of a k x k grid of Polynomials, and goal
+    holds (exponent, coefficient) terms. Entry j of the last row is the linear
+    form whose coefficient tuple is number v_j in odometer order, plus 1 in
+    entry k - 1 when offset is set. The determinant is linear in that row, so
+    with the k signed minors computed once, the rows are the solutions of one
+    linear system over F_p: unknown q = j * n + i, the coefficient of x_i in
+    entry j, has the column x_i * minor_j, and the right-hand side is c * goal
+    less the offset's minor. The unknowns are eliminated in reversed odometer
+    order, so each pivot unknown depends only on free unknowns before it, and
+    enumerating the free ones in odometer order yields each scalar's
+    solutions in odometer order of v. The scalars' streams are merged lazily.
     """
     p = field.char
     k = len(upper) + 1
     if k == 1:
-        minors = [{(0,) * n: 1}]  # the empty minor is 1; _dict_det([]) would give 0
+        minors = [(((0,) * n, 1),)]  # the empty minor is 1
     else:
         minors = [
-            _dict_det([[row[l] for l in range(k) if l != j] for row in upper], p)
+            det_laplace_memo([[row[l] for l in range(k) if l != j] for row in upper]).terms
             for j in range(k)
         ]
     unknowns = n * k
@@ -191,11 +155,11 @@ def _last_row_solutions(upper, n: int, goal: dict, scalars, offset: bool, field)
     # the goal and the offset's minor in the last two
     terms = [
         (e[:i] + (e[i] + 1,) + e[i + 1:], unknowns - 1 - j * n - i, -c if (k - 1 + j) % 2 else c)
-        for j, minor in enumerate(minors) for e, c in minor.items() for i in range(n)
+        for j, minor in enumerate(minors) for e, c in minor for i in range(n)
     ]
-    terms += [(e, unknowns, c) for e, c in goal.items()]
+    terms += [(e, unknowns, c) for e, c in goal]
     if offset:  # entry k - 1's cofactor sign is +1
-        terms += [(e, unknowns + 1, c) for e, c in minors[-1].items()]
+        terms += [(e, unknowns + 1, c) for e, c in minors[-1]]
     equations: dict = {}
     for e, col, c in terms:
         row = equations.get(e)
@@ -228,38 +192,28 @@ def _last_row_solutions(upper, n: int, goal: dict, scalars, offset: bool, field)
     return heapq.merge(*(solutions(c) for c in scalars))
 
 
-def _poly_to_dict(f: Polynomial) -> dict:
-    return {e: c for e, c in f.terms}
-
-
-def _tuple_to_dict(coeffs, n: int) -> dict:
-    out = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            e = tuple(1 if k == i else 0 for k in range(n))
-            out[e] = c
-    return out
-
-
 def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
-    """Yield (grid_of_dicts, scalar) hits for one constant-part rank."""
+    """Yield (grid of Polynomials, scalar) hits for one constant-part rank."""
     f = spec.target
     field = f.field
     p = field.char
     n = len(f.vars)
     m = spec.size
-    zero_e = (0,) * n
 
-    target = _poly_to_dict(f)
+    target = f.terms
     block = m - r  # side of the all-linear upper-left block
-    low_part = {e: c for e, c in target.items() if sum(e) == block}
+    low_part = tuple(t for t in target if sum(t[0]) == block)
     nonzero = range(1, p)  # the scalars c of det = c * f while none is pinned
 
-    # coefficient tuples in odometer order, their dict forms precomputed;
-    # plus_one[v] is dicts[v] on a diagonal one of J_r
-    dicts = [_tuple_to_dict(t, n) for t in product(range(p), repeat=n)]
-    plus_one = [{**d, zero_e: 1} for d in dicts]
-    P = len(dicts)
+    # the linear forms, by coefficient tuple in odometer order; plus_one[v] is
+    # forms[v] on a diagonal one of J_r
+    units = [tuple(int(l == i) for l in range(n)) for i in range(n)]
+    forms = [
+        Polynomial.from_dict(f.vars, field, dict(zip(units, t)))
+        for t in product(range(p), repeat=n)
+    ]
+    plus_one = [form + 1 for form in forms]
+    P = len(forms)
 
     def rank_of(last):
         """Odometer rank of a last-row index tuple among its P^len candidates."""
@@ -274,7 +228,7 @@ def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
         (i, j) for i in range(m - 1) for j in range(m) if not (i < block and j < block)
     ]
     # row m - 1 lies outside the block unless block == m; its J_r one is at m - 1
-    last_columns = [plus_one if j == m - 1 else dicts for j in range(m)]
+    last_columns = [plus_one if j == m - 1 else forms for j in range(m)]
     grid = [[None] * m for _ in range(m)]
 
     def full_walk(pin):
@@ -283,7 +237,7 @@ def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
         scalars = (1,) if not target else nonzero if pin is None else (pin,)
         for rest_choice in product(range(P), repeat=len(rest_upper)):
             for (i, j), ix in zip(rest_upper, rest_choice):
-                grid[i][j] = plus_one[ix] if i == j else dicts[ix]
+                grid[i][j] = plus_one[ix] if i == j else forms[ix]
             # candidates of this choice counted so far: a hit brings the
             # count to its odometer rank, as if each were decided in turn
             decided = 0
@@ -297,7 +251,7 @@ def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
 
     if block == 0:
         # rank m: the degree-0 part of the determinant is det(J_m) = 1
-        const = target.get(zero_e, 0)
+        const = f.constant_term()
         if const:  # else 1 = c*0 has no solution; the whole rank dies
             yield from full_walk(pow(const, p - 2, p))
         return
@@ -306,14 +260,14 @@ def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
     block_scalars = nonzero if low_part else (1,)
     for ul_choice in product(range(P), repeat=len(ul_upper)):
         for (i, j), ix in zip(ul_upper, ul_choice):
-            grid[i][j] = dicts[ix]
+            grid[i][j] = forms[ix]
         upper = [row[:block] for row in grid[:block - 1]]
         decided = 0
         for last, c in _last_row_solutions(upper, n, low_part, block_scalars, False, field):
             rank = rank_of(last)
             report.blocks_pruned += rank - decided
             decided = rank + 1
-            grid[block - 1][:block] = [dicts[ix] for ix in last]
+            grid[block - 1][:block] = [forms[ix] for ix in last]
             if block < m:
                 yield from full_walk(c if low_part else None)
                 continue
@@ -327,18 +281,12 @@ def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
 
 def _grid_to_map(grid, scalar, f: Polynomial) -> AffineMatrixMap:
     """Materialize a hit as an exact witness: row 0 is rescaled by 1/scalar."""
-    field = f.field
-    p = field.char
+    p = f.field.char
     inv = pow(scalar, p - 2, p)
-    rows = []
-    for i, row in enumerate(grid):
-        out = []
-        for d in row:
-            if i == 0 and inv != 1:
-                d = {e: c * inv % p for e, c in d.items()}
-            out.append(Polynomial.from_dict(f.vars, field, d))
-        rows.append(tuple(out))
-    return AffineMatrixMap(f.vars, field, tuple(rows))
+    rows = [tuple(row) for row in grid]
+    if inv != 1:
+        rows[0] = tuple(entry.scale(inv) for entry in rows[0])
+    return AffineMatrixMap(f.vars, f.field, tuple(rows))
 
 
 def search_expressions(spec: SearchSpec, report: SearchReport | None = None):
@@ -449,17 +397,15 @@ def enumerate_all_expressions(f: Polynomial, m: int, cap: int = 1 << 22) -> int:
     total = p ** (m * m * (n + 1))
     if total > cap:
         raise EnumerationCapError(total, cap, "unrestricted enumeration")
-    target = _poly_to_dict(f)
-    zero_e = (0,) * n
-    affine = []
-    for coeffs in product(range(p), repeat=n + 1):
-        d = _tuple_to_dict(coeffs[:n], n)
-        if coeffs[n]:
-            d[zero_e] = coeffs[n]
-        affine.append(d)
+    # x_1, ..., x_n, then 1: the coefficient tuple of each affine entry
+    monomials = [tuple(int(l == i) for l in range(n)) for i in range(n + 1)]
+    affine = [
+        Polynomial.from_dict(f.vars, field, dict(zip(monomials, coeffs)))
+        for coeffs in product(range(p), repeat=n + 1)
+    ]
     count = 0
-    for choice in product(range(len(affine)), repeat=m * m):
-        grid = [[affine[choice[i * m + j]] for j in range(m)] for i in range(m)]
-        if _dict_det(grid, p) == target:
+    for choice in product(affine, repeat=m * m):
+        grid = [choice[i * m:i * m + m] for i in range(m)]
+        if det_laplace_memo(grid) == f:
             count += 1
     return count

@@ -1,5 +1,6 @@
 """Affine matrix maps: determinants, rank normalization, verification."""
 
+import math
 import random
 import time
 import warnings
@@ -18,6 +19,7 @@ from detcomp.matmap import (
     berkowitz_products,
     det_berkowitz,
     det_laplace_memo,
+    float_at_or_above,
     generic_det_polynomial,
     laplace_is_cheaper,
     perm_polynomial,
@@ -453,7 +455,7 @@ def test_grenet_15_probabilistic_reports_are_pinned():
     target = perm_polynomial(4)
     report = verify_expression(mapping, target, mode="probabilistic", trials=200, seed=811)
     assert report.ok and report.trials == 200
-    assert report.failure_bound == 4.32096235389506e-128
+    assert report.failure_bound == 4.3209623538950125e-128  # (15/65)^200, rounded up
     assert report.notes == ("false-accept probability <= (15/65)^200",)
     # one entry + 1; the first two points miss the difference, the third finds it
     rows = [list(row) for row in mapping.entries]
@@ -464,6 +466,19 @@ def test_grenet_15_probabilistic_reports_are_pinned():
     assert report.witness_point == tuple(
         QQ.of(x) for x in (32, -22, -15, -1, 8, -17, -29, 20, 32, 6, -10, -9, 28, 10, 25, 10))
     assert all(type(x) is type(QQ.zero) for x in report.witness_point)
+
+
+def test_failure_bound_is_the_tightest_float_at_or_above_the_exact_bound():
+    """(15/32003)^t rounded to nearest falls below the exact value for 96 of
+    the t < 2000, t = 1 among them; rounded up it never does, and the next
+    float down is below it. Past the subnormal range the bound stays at the
+    smallest positive float."""
+    for t in range(1, 2000):
+        exact = Fraction(15, 32003) ** t
+        bound = float_at_or_above(15**t, 32003**t)
+        assert Fraction(math.nextafter(bound, -math.inf)) < exact <= Fraction(bound)
+    assert float_at_or_above(15**2000, 32003**2000) == math.ulp(0.0)
+    assert float_at_or_above(0, 7) == 0.0
 
 
 def test_grenet_15_laplace_matches_numeric_det(rng):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from detcomp import search
+from detcomp import matmap, search
 from detcomp.fields import QQ, Fp
 from detcomp.matmap import AffineMatrixMap, symbolic_det, verify_expression
 from detcomp.poly import Polynomial, varset
@@ -14,10 +14,7 @@ from detcomp.search import (
     EnumerationCapError,
     SearchReport,
     SearchSpec,
-    _dict_det,
     _last_row_solutions,
-    _poly_to_dict,
-    _tuple_to_dict,
     dc_exact,
     enumerate_all_expressions,
     rank_order,
@@ -32,6 +29,54 @@ XY = varset("x", "y")
 
 def poly(text, vars=XY, field=F2):
     return Polynomial.parse(text, vars=vars, field=field)
+
+
+# A first-row Laplace expansion on raw {exponent: int} dicts, independent of
+# matmap's determinants, for the reference walks below.
+
+
+def _dict_mul(a: dict, b: dict, p: int) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            val = (out.get(key, 0) + ca * cb) % p
+            if val:
+                out[key] = val
+            else:
+                out.pop(key, None)
+    return out
+
+
+def _dict_det(grid, p: int) -> dict:
+    """First-row Laplace expansion over dict entries; grid is small."""
+    m = len(grid)
+    if m == 1:
+        return dict(grid[0][0])
+    out: dict = {}
+    for j in range(m):
+        entry = grid[0][j]
+        if not entry:
+            continue
+        minor = [[row[k] for k in range(m) if k != j] for row in grid[1:]]
+        sub = _dict_det(minor, p)
+        sign = -1 if j % 2 else 1
+        for e, c in _dict_mul(entry, sub, p).items():
+            val = (out.get(e, 0) + sign * c) % p
+            if val:
+                out[e] = val
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _tuple_to_dict(coeffs, n: int) -> dict:
+    """The linear form with coefficient tuple coeffs, as a dict."""
+    return {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(coeffs) if c}
+
+
+def _dict_grid_to_polys(grid, vars, field):
+    return [[Polynomial.from_dict(vars, field, d) for d in row] for row in grid]
 
 
 def _proportional(det: dict, target: dict, pin, key, key_inv: int, p: int):
@@ -67,7 +112,7 @@ def reference_search_rank(spec, r, report):
     m = spec.size
     zero_e = (0,) * n
 
-    target = _poly_to_dict(f)
+    target = dict(f.terms)
     lead_key = f.terms[0][0] if f.terms else None
     block = m - r
     low_part = {e: c for e, c in target.items() if sum(e) == block} if target else {}
@@ -120,11 +165,11 @@ def reference_search_rank(spec, r, report):
             det = _dict_det(grid, p)
             if not target:
                 if not det:
-                    yield [row[:] for row in grid], 1
+                    yield _dict_grid_to_polys(grid, f.vars, f.field), 1
                 continue
             c = _proportional(det, target, pin, lead_key, pow(target[lead_key], p - 2, p), p)
             if c is not None:
-                yield [row[:] for row in grid], c
+                yield _dict_grid_to_polys(grid, f.vars, f.field), c
 
 
 # ---------------------------------------------------------------------- spec
@@ -283,6 +328,7 @@ def test_last_row_solutions_match_brute_force():
                     return {e: c for e in monos if (c := rng.randrange(p))}
 
                 upper = [[entry() for _ in range(k)] for _ in range(k - 1)]
+                polys = _dict_grid_to_polys(upper, varset(*"xy"[:n]), field)
                 linear = [_tuple_to_dict(t, n) for t in itertools.product(range(p), repeat=n)]
                 columns = [linear] * k
                 if offset:
@@ -303,7 +349,8 @@ def test_last_row_solutions_match_brute_force():
                         (v, c) for v, det in zip(rows, dets) for c in scalars
                         if det == {e: g * c % p for e, g in aim.items()}
                     ]
-                    assert list(_last_row_solutions(upper, n, aim, scalars, offset, field)) == want
+                    solved = _last_row_solutions(polys, n, tuple(aim.items()), scalars, offset, field)
+                    assert list(solved) == want
                     assert reached in (None, bool(want))
 
 
@@ -311,19 +358,21 @@ def test_elimination_work_gate(monkeypatch):
     """Work per candidate, counted rather than timed. Forming every
     candidate's determinant took 74,000 sums and 8,704 products here; solving
     for the last row takes one elimination and k minors per choice of the
-    rows above, and no product of an entry with a minor."""
-    calls = {"_dict_det": 0, "_dict_mul": 0, "rref": 0}
+    rows above, and no product of an entry with a minor. The sum_of_products
+    calls of the minors and of the witnesses' checks count too."""
+    calls = {(search, "det_laplace_memo"): 0, (search, "rref"): 0,
+             (matmap, "sum_of_products"): 0}
 
-    def counting(name):
-        real = getattr(search, name)
+    def counting(key):
+        real = getattr(*key)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return real(*args, **kwargs)
         return counted
 
-    for name in calls:
-        monkeypatch.setattr(search, name, counting(name))
+    for module, name in calls:
+        monkeypatch.setattr(module, name, counting((module, name)))
     report = search_report(SearchSpec(poly("x*y + z*t", varset("x", "y", "z", "t")), 2))
     candidates = report.full_evaluations + report.blocks_pruned
     assert candidates == 69647
@@ -381,21 +430,24 @@ def test_restricted_search_is_lossless_on_f2_2x2():
     assert found == realizable
 
 
-# Targets whose leading or lowest-degree coefficient is not 1; 2*x*y has no
-# expression of size 1, so both sides must say so.
+# Targets whose leading or lowest-degree coefficient is not 1, with the
+# number of unrestricted affine maps of that size whose determinant is the
+# target; 2*x*y has no expression of size 1, so both sides must say so.
 NON_MONIC = [
-    ("2*x^2", "x", 3, 2), ("2*x^2 + x", "x", 3, 2), ("x^2 + 2*x", "x", 3, 2),
-    ("2*x + 1", "x", 3, 2), ("2*x^2 + 2", "x", 3, 2), ("2*x", "x", 3, 2),
-    ("2*x + 3*y", "xy", 5, 1), ("4*y + 2", "xy", 5, 1), ("3", "xy", 5, 1),
-    ("2*x*y", "xy", 5, 1),
+    ("2*x^2", "x", 3, 2, 216), ("2*x^2 + x", "x", 3, 2, 288), ("x^2 + 2*x", "x", 3, 2, 288),
+    ("2*x + 1", "x", 3, 2, 288), ("2*x^2 + 2", "x", 3, 2, 144), ("2*x", "x", 3, 2, 288),
+    ("2*x + 3*y", "xy", 5, 1, 1), ("4*y + 2", "xy", 5, 1, 1), ("3", "xy", 5, 1, 1),
+    ("2*x*y", "xy", 5, 1, 0),
 ]
 
 
-@pytest.mark.parametrize("text, names, p, m", NON_MONIC)
-def test_search_agrees_with_unrestricted_count_on_non_monic_targets(text, names, p, m):
+@pytest.mark.parametrize("text, names, p, m, count", NON_MONIC,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}" for c in NON_MONIC])
+def test_search_agrees_with_unrestricted_count_on_non_monic_targets(text, names, p, m, count):
     f = poly(text, varset(*names), Fp(p))
     report = search_report(SearchSpec(f, m), max_found=1)
-    assert bool(report.found) == (enumerate_all_expressions(f, m) > 0)
+    assert enumerate_all_expressions(f, m) == count
+    assert bool(report.found) == (count > 0)
     assert report.found or report.exhausted
 
 
@@ -407,7 +459,7 @@ def test_unrestricted_count_for_xy():
 
 @pytest.mark.parametrize("text", ["0", "1"])
 def test_unrestricted_count_rejects_size_below_one(text):
-    # the empty matrix has determinant 1, but the raw-dict expansion reads it as 0
+    # the empty matrix has determinant 1, but a Laplace expansion needs an entry
     with pytest.raises(ValueError, match="size"):
         enumerate_all_expressions(poly(text), 0)
 
