@@ -6,9 +6,11 @@ one of two independent algorithms: memoized Laplace expansion and the
 division-free Berkowitz method. Both return the same canonical Polynomial,
 which the tests cross-check. Laplace works on polynomials, one
 sum_of_products call per cofactor sum. Berkowitz works on ints: on the
-scalar coefficient matrices of the grid, one per monomial, and on monomials
-packed into one int each, so a product of two monomials is one addition. It
-builds no Polynomial but the determinant.
+scalar coefficient matrices of the grid, one per monomial, whose columns
+are packed into one int of signed slots each, so a matrix-vector step is one
+big-int multiply-add per vector entry, and on monomials packed into one int
+each, so a product of two monomials is one addition. It builds no
+Polynomial but the determinant.
 
 symbolic_det chooses between them by work, not by size. A bit-mask walk
 over the row subsets the Laplace expansion would reach counts its
@@ -204,13 +206,19 @@ def det_berkowitz(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
     with w the bit length of m times the largest entry degree, which no
     monomial formed here exceeds, so a product of monomials is one int
     addition. A is a sum over monomials e of scalar coefficient matrices A_e
-    times x^e, held as sparse columns, and the Krylov vector A^s C as
-    monomial -> k - 1 scalars, so a matrix-vector step is scalar multiply-adds,
-    reduced mod p once, and a diagonal one dot product per pair of monomials.
-    Over Q each row's denominators are cleared first, as linalg.mat_det does,
-    so all of this runs on ints. Each Toeplitz row is one _packed_products
-    call, its product by the leading 1 a copy, and the last step forms only
-    row m, the determinant: the one Polynomial built.
+    times x^e, and the Krylov vector A^s C is held as monomial -> k - 1
+    scalars. Each column j of A_e is packed into one int of signed W-bit
+    slots, row i in slot i, with W wide enough for any entry of A^(s+1) C
+    (the largest |coefficient| of A, times the largest |entry| of A^s C, p - 1
+    over F_p, times the monomials of A, times k - 1, plus a sign bit). So the
+    whole vector that (e, f) adds to monomial e + f is one C-level
+    sum(map(mul, ...)) of big ints, each output is unpacked once per step,
+    then reduced mod p, and a diagonal is one dot product per pair of
+    monomials. Over Q each row's denominators are cleared first, as
+    linalg.mat_det does, so all of this runs on ints; there W grows with the
+    vector, and the columns are packed again when it does. Each Toeplitz row
+    is one _packed_products call, its product by the leading 1 a copy, and
+    the last step forms only row m, the determinant: the one Polynomial built.
     """
     m = len(grid)
     some = grid[0][0]
@@ -250,23 +258,34 @@ def det_berkowitz(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
             for e, c in rows[i][n]:
                 vec.setdefault(e, [0] * n)[i] = c
         diags = [None, reduced({e: -c for e, c in rows[n][n]})]  # diags[0] = 1 is never multiplied
+        # |entry of A^(s+1) C| <= big * max|entry of A^s C| * len(columns) * n: at most one
+        # (e, f) per monomial of A meets in each output monomial, each with n products
+        big = max((abs(c) for cols in columns.values() for col in cols for _, c in col), default=0)
+        width = 0
         for step in range(n):
             if step:
-                acc: dict = {}
-                nonzero = [(f, vals, [j for j in range(n) if vals[j]]) for f, vals in vec.items()]
-                for e, cols in columns.items():
-                    for f, vals, js in nonzero:
-                        out = acc.get(e + f)
-                        if out is None:
-                            out = acc[e + f] = [0] * n
-                        for j in js:
-                            v = vals[j]
-                            for i, c in cols[j]:
-                                out[i] += c * v
-                if p:
-                    vec = {f: r for f, out in acc.items() if any(r := [x % p for x in out])}
-                else:
-                    vec = {f: out for f, out in acc.items() if any(out)}
+                top = p - 1 if p else max((abs(x) for vals in vec.values() for x in vals), default=0)
+                need = (big * top * len(columns) * n).bit_length() + 1  # + a sign bit
+                if need > width:  # column j of A_e as one int, row i in the signed width-bit slot i
+                    width, half = need, 1 << need - 1
+                    packed = [(e, [sum(c << width * i for i, c in col) for col in cols])
+                              for e, cols in columns.items()]
+                    slots, mask = range(0, width * n, width), (1 << width) - 1
+                    bias = sum(half << s for s in slots)  # lifts each slot to [0, 2^width)
+                acc = {}
+                get = acc.get
+                for e, cols in packed:
+                    for f, vals in vec.items():
+                        acc[e + f] = get(e + f, 0) + sum(map(mul, vals, cols))
+                vec = {}
+                for f, x in acc.items():
+                    x += bias
+                    if p:
+                        out = [((x >> s & mask) - half) % p for s in slots]
+                    else:
+                        out = [(x >> s & mask) - half for s in slots]
+                    if any(out):
+                        vec[f] = out
             acc = {}
             for e, coefs in neg_row.items():
                 for f, vals in vec.items():
@@ -297,7 +316,8 @@ def _packed_products(acc: dict, pairs: list) -> dict:
 
 def berkowitz_products(m: int) -> int:
     """det_berkowitz's work on an m x m grid, about m^4 / 4: its products of
-    an entry by a vector entry, formed on coefficients, plus its Toeplitz
+    an entry by a vector entry, formed on coefficients k - 1 at a time in one
+    big-int product of a vector entry by a packed column, plus its Toeplitz
     products of a diagonal by a coefficient of the step before."""
     # step k: k - 1 diagonals of k - 1 products each, with k - 2
     # matrix-vector products of (k - 1)^2 between them, (k - 1)^3 in all,
@@ -316,10 +336,13 @@ def laplace_is_cheaper(grid: Sequence[Sequence[Polynomial]]) -> bool:
     polynomial arithmetic and stops as soon as the count passes the bound, or
     LAPLACE_MAX_PRODUCTS, so its time and the subsets it holds stay below
     that many. A dense m x m grid makes m 2^(m-1) - m products, within the
-    bound up to m = 7 and past it from 8.
+    bound up to m = 7 and past it from 8; no grid makes more, so up to 7x7
+    the answer is True without a walk.
     """
     m = len(grid)
     limit = min(berkowitz_products(m), LAPLACE_MAX_PRODUCTS)
+    if m * 2 ** (m - 1) - m <= limit:
+        return True
     columns = [sum(1 << i for i in range(m) if not grid[i][j].is_zero()) for j in range(m - 1)]
     level = {(1 << m) - 1}
     products = 0
@@ -473,9 +496,9 @@ class VerificationReport:
 
 def exact_report(det: Polynomial, target: Polynomial) -> VerificationReport:
     """verify_expression's exact verdict, from a determinant already computed."""
-    diff = det - target
-    if diff.is_zero():
+    if det == target:
         return VerificationReport(mode="exact", ok=True)
+    diff = det - target
     witness = mono_str(diff.leading_monomial(), diff.vars)
     return VerificationReport(
         mode="exact",

@@ -268,6 +268,41 @@ def test_berkowitz_packing_matches_laplace(field, rng):
         assert any(c.denominator > 1 for g in cases for row in g for p in row for _, c in p.terms)
 
 
+@pytest.mark.parametrize("field, degree", [(Fp(2**61 - 1), 1), (Fp(2**61 - 1), 2), (QQ, 1), (Fp(2), 1), (Fp(2), 2)],
+                         ids=["F_(2^61-1)", "F_(2^61-1), degree 2", "Q", "F_2", "F_2, degree 2"])
+def test_berkowitz_packed_krylov_steps_on_dense_grids(field, degree, rng):
+    """Dense grids in x, y, every entry of the given degree, whose Krylov
+    steps fill the packed slots: over F_(2^61 - 1) the slots are wider than
+    64 bits, over Q numerators reach +-10^20 over denominators up to 6, over
+    F_2 the slots are narrow. Sizes 8 and 9 match Laplace; 10 to 12 match
+    elimination on the evaluated matrix at seeded points. (Degree 2 over Q
+    costs Laplace seconds; the cross-check sweep covers it to 9x9.)"""
+    vars = varset("x", "y")
+    monomials = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+
+    def scalar():
+        if field.char == 0:
+            return Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 6))
+        return rng.randrange(field.char)
+
+    def entry():
+        while True:
+            p = Polynomial.from_dict(vars, field, {e: scalar() for e in monomials})
+            if not p.is_zero():
+                return p
+
+    for m in range(8, 13):
+        grid = [[entry() for _ in range(m)] for _ in range(m)]
+        det = det_berkowitz(grid)
+        if m < 10:
+            assert det == det_laplace_memo(grid), m
+            continue
+        for _ in range(2):
+            point = [field.of(rng.randrange(1, 1000)) for _ in vars]
+            values = [[p.evaluate(point).value for p in row] for row in grid]
+            assert det.evaluate(point).value == linalg.mat_det(field, values), m
+
+
 def test_det_evaluation_commutes_with_numeric_det(rng):
     field = Fp(101)
     vars = varset("x", "y", "z")
