@@ -34,7 +34,7 @@ from .jsonio import (
 )
 from .matmap import generic_det_polynomial, perm_polynomial, verify_expression
 from .parsing import PolynomialSyntaxError, parse_polynomial
-from .poly import Polynomial, VarSet, mono_str
+from .poly import Polynomial, VarSet, mono_str, sum_of_products
 from .search import (
     DEFAULT_CANDIDATE_CAP,
     EnumerationCapError,
@@ -104,10 +104,8 @@ def resolve_poly(text: str, field: Field, vars: VarSet | None = None) -> Polynom
             raise ValueError("fermat alias is fermat:<degree>:<variables>")
         d, n = int(parts[1]), int(parts[2])
         names = VarSet(tuple(f"x{i + 1}" for i in range(n)))
-        acc = Polynomial.zero(names, field)
-        for i in range(n):
-            acc = acc + Polynomial.variable(names, field, i) ** d
-        return acc
+        return sum_of_products(names, field, (),
+                               [Polynomial.variable(names, field, i) ** d for i in range(n)])
     return parse_polynomial(t, vars=vars, field=field)
 
 
@@ -303,16 +301,13 @@ def cmd_search(args) -> int:
     f = poly_arg(args)
     report = search_report(SearchSpec(f, args.size, max_candidates=args.max_candidates),
                            args.max_found)
-    if args.format == "json":
-        payload = report.to_json()
-        payload["witnesses"] = [dump_matrix_map(w) for w in report.found]
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for k, witness in enumerate(report.found, 1):
-            print(f"witness {k}:\n{witness}")
-        state = "exhausted" if report.exhausted else "stopped early"
-        print(f"{len(report.found)} witness(es) shown, search {state},"
-              f" {report.full_evaluations} full-size candidates decided")
+    payload = report.to_json()
+    payload["witnesses"] = [dump_matrix_map(w) for w in report.found]
+    state = "exhausted" if report.exhausted else "stopped early"
+    lines = [f"witness {k}:\n{witness}" for k, witness in enumerate(report.found, 1)]
+    lines.append(f"{len(report.found)} witness(es) shown, search {state},"
+                 f" {report.full_evaluations} full-size candidates decided")
+    emit(args, payload, "\n".join(lines))
     return 0 if report.found else 1
 
 

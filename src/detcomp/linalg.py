@@ -9,8 +9,9 @@ elimination on ints, and over F_p they eliminate on ints reduced mod p.
 Bareiss's determinant prefers a pivot equal to +-the previous one, so that
 on sparse matrices most rows pass a step untouched. The probabilistic check,
 whose integer trials hand their int matrices to Bareiss directly, is its hot
-path. rref, which the exhaustive search calls once per choice of a grid's
-upper rows, eliminates on ints mod p too.
+path. rref is one Gauss-Jordan loop for both rings, on ints mod p over F_p
+(the exhaustive search calls it once per choice of a grid's upper rows) and
+on Fractions over Q.
 """
 
 from __future__ import annotations
@@ -23,56 +24,16 @@ from .fields import Field
 Matrix = list  # list of rows; each row a list of raw field values
 
 
-def zeros(field: Field, rows: int, cols: int) -> Matrix:
-    return [[field.zero for _ in range(cols)] for _ in range(rows)]
-
-
-def identity(field: Field, n: int) -> Matrix:
-    m = zeros(field, n, n)
-    for i in range(n):
-        m[i][i] = field.one
-    return m
-
-
-def mat_copy(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
-
-
 def rref(field: Field, a: Matrix, rhs: int = 0) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (R, pivot_columns).
 
     The last rhs columns are right-hand sides: they take part in every row
     operation but never take a pivot, so one call solves a system for each of
-    them. Over F_p the elimination runs on ints reduced mod p.
+    them. Over F_p the elimination runs on ints reduced mod p, over Q on the
+    exact Fractions.
     """
     p = field.char
-    if p:
-        return _rref_mod_p([[x % p for x in row] for row in a], rhs, p)
-    m = mat_copy(a)
-    rows = len(m)
-    cols = len(m[0]) - rhs if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != field.zero), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(x, inv) for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def _rref_mod_p(m: Matrix, rhs: int, p: int) -> tuple[Matrix, list[int]]:
-    """rref of a matrix of ints in [0, p) whose last rhs columns take no pivot. Consumes m."""
+    m = [[x % p for x in row] if p else row[:] for row in a]
     rows = len(m)
     cols = len(m[0]) - rhs if rows else 0
     pivots: list[int] = []
@@ -85,13 +46,14 @@ def _rref_mod_p(m: Matrix, rhs: int, p: int) -> tuple[Matrix, list[int]]:
             continue
         row, m[i] = m[i], m[r]
         if row[c] != 1:
-            inv = pow(row[c], p - 2, p)
-            row = [x * inv % p for x in row]
+            inv = field.inv(row[c])
+            row = [x * inv % p for x in row] if p else [x * inv for x in row]
         m[r] = row
         for i, other in enumerate(m):
             f = other[c]
             if f and i != r:
-                m[i] = [(x - f * y) % p for x, y in zip(other, row)]
+                m[i] = ([(x - f * y) % p for x, y in zip(other, row)] if p
+                        else [x - f * y for x, y in zip(other, row)])
         pivots.append(c)
         if r + 1 == rows:
             break
@@ -207,9 +169,9 @@ def rank_normal_decomposition(field: Field, c: Matrix) -> tuple[Matrix, Matrix, 
     """Invertible (P, Q) and r with (P c Q) having ones exactly at
     (i, i) for i >= n - r (0-indexed lower-right block), zeros elsewhere."""
     n = len(c)
-    work = mat_copy(c)
-    left = identity(field, n)
-    right = identity(field, n)
+    work = [row[:] for row in c]
+    left = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    right = [row[:] for row in left]
     r = 0
     for col in range(n):
         pivot = None

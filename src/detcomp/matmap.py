@@ -406,34 +406,19 @@ class NormalizedExpression:
 
 def rank_and_normalize(mapping: AffineMatrixMap) -> NormalizedExpression:
     field = mapping.field
-    m = mapping.size
     left, right, rank = linalg.rank_normal_decomposition(field, mapping.constant_part())
-    # sandwich the polynomial grid: (P L Q)_ij = sum_kl P_ik L_kl Q_lj
     zero = Polynomial.zero(mapping.vars, field)
-    mid = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = zero
-            for k in range(m):
-                c = left[i][k]
-                if c == field.zero:
-                    continue
-                acc = acc + mapping.entries[k][j].scale(c)
-            row.append(acc)
-        mid.append(row)
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = zero
-            for k in range(m):
-                c = right[k][j]
-                if c == field.zero:
-                    continue
-                acc = acc + mid[i][k].scale(c)
-            row.append(acc)
-        rows.append(tuple(row))
+
+    def combine(coefficients, polys):
+        acc = zero
+        for c, poly in zip(coefficients, polys):
+            if c != field.zero:
+                acc = acc + poly.scale(c)
+        return acc
+
+    # sandwich the polynomial grid: (P L Q)_ij = sum_kl P_ik L_kl Q_lj
+    mid = [[combine(p_row, l_col) for l_col in zip(*mapping.entries)] for p_row in left]
+    rows = [tuple(combine(q_col, mid_row) for q_col in zip(*right)) for mid_row in mid]
     normalized = AffineMatrixMap(mapping.vars, field, tuple(rows))
     scalar = field.mul(linalg.mat_det(field, left), linalg.mat_det(field, right))
     return NormalizedExpression(normalized, rank, left, right, scalar)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb
 
 from .fields import Field, QQ
-from .poly import Polynomial, VarSet
+from .poly import Polynomial, VarSet, sum_of_products
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -110,15 +110,17 @@ class _Parser:
         return p
 
     def expr(self) -> Polynomial:
-        p = self.term()
+        """One sum_of_products over all the terms: adding them one at a time
+        would rebuild the whole sum at each '+', quadratic in the term count."""
+        terms = [self.term()]
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "+-":
                 self.take()
                 q = self.term()
-                p = p + q if tok.text == "+" else p - q
+                terms.append(q if tok.text == "+" else -q)
             else:
-                return p
+                return sum_of_products(self.vars, self.field, (), terms)
 
     def term(self) -> Polynomial:
         p = self.factor()

@@ -27,7 +27,7 @@ from itertools import compress
 from operator import add
 from typing import Iterable, Sequence
 
-from .fields import Coefficient, Field, FieldElement, FieldMismatchError, QQ
+from .fields import Coefficient, Field, FieldElement, FieldMismatchError
 
 Monomial = tuple  # exponent tuple, one slot per variable
 
@@ -188,12 +188,6 @@ class Polynomial:
         i = vars.index(which) if isinstance(which, str) else which
         e = tuple(1 if j == i else 0 for j in range(len(vars)))
         return cls(vars, field, ((e, field.one),))
-
-    @classmethod
-    def parse(cls, text: str, vars: VarSet | None = None, field: Field = QQ) -> "Polynomial":
-        from .parsing import parse_polynomial
-
-        return parse_polynomial(text, vars=vars, field=field)
 
     # -- structure ----------------------------------------------------------
 

@@ -227,15 +227,6 @@ class AvoidanceReport:
         }
 
 
-def _minor_map(mapping: AffineMatrixMap, skip_row: int, skip_col: int) -> AffineMatrixMap:
-    rows = []
-    for i, row in enumerate(mapping.entries):
-        if i == skip_row:
-            continue
-        rows.append(tuple(p for j, p in enumerate(row) if j != skip_col))
-    return AffineMatrixMap(mapping.vars, mapping.field, tuple(rows))
-
-
 def check_avoids_singular_locus(
     mapping: AffineMatrixMap,
     f: Polynomial,
@@ -276,10 +267,9 @@ def check_avoids_singular_locus(
 
     witness, sampled = None, 0
     if mode == "exact":
-        minors = []
-        for i in range(m):
-            for j in range(m):
-                minors.append(symbolic_det(_minor_map(mapping, i, j)))
+        grid = mapping.entries
+        minors = [symbolic_det([row[:j] + row[j + 1:] for row in grid[:i] + grid[i + 1:]])
+                  for i in range(m) for j in range(m)]
         minors = [p for p in minors if not p.is_zero()]
         # every (m-1)-minor vanishing identically means rank <= m-2 everywhere
         avoids = bool(minors) and buchberger(

@@ -11,7 +11,8 @@ from detcomp.cli import main, make_parser
 from detcomp.fields import Fp
 from detcomp.jsonio import load_matrix_map, read_json, validate_payload, write_json
 from detcomp.matmap import AffineMatrixMap
-from detcomp.poly import Polynomial, varset
+from detcomp.parsing import parse_polynomial
+from detcomp.poly import varset
 
 pytest.importorskip("jsonschema")
 
@@ -274,7 +275,7 @@ def test_cone_reduce_command(capsys, tmp_path):
     vs = varset("x1", "x2", "x3")
     F = Fp(7)
     rows = [
-        [Polynomial.parse(c, vars=vs, field=F) for c in row]
+        [parse_polynomial(c, vars=vs, field=F) for c in row]
         for row in (("x1", "0"), ("0", "x1"))
     ]
     in_path = tmp_path / "map.json"
@@ -456,6 +457,10 @@ GOLDEN = [
      ["coeff-eqs", "--template", "cubic_rank3_full", "--filter", "deg3"], 0),
     ("analyze_cubic_5x5.json", "analysis",
      ["analyze", "--map", "catalog:cubic_5x5", "--poly", "cubic"], 0),
+    ("analyze_grenet_perm_3.json", "analysis",
+     ["analyze", "--map", "catalog:grenet_perm_3", "--poly", "perm3"], 0),
+    ("avoid_check_grenet_perm_3.json", "avoidance",
+     ["avoid-check", "--map", "catalog:grenet_perm_3", "--poly", "perm3"], 0),
     ("dc_x2_plus_yz_Fp3.json", "dc",
      ["dc", "--poly", "x^2 + y*z", "--vars", "x,y,z", "--field", "Fp:3", "--m-max", "2"], 0),
     ("catalog_quadric_2x2.json", "catalog", ["catalog", "--name", "quadric_2x2"], 0),
@@ -570,7 +575,7 @@ def test_dc_searches_once(capsys, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(detcomp.search, "search_expressions", counted)
-    f = Polynomial.parse("x^2 + y*z", vars=varset("x", "y", "z"), field=Fp(3))
+    f = parse_polynomial("x^2 + y*z", vars=varset("x", "y", "z"), field=Fp(3))
     detcomp.search.dc_exact(f, 2)
     library_calls = len(calls)
     calls.clear()

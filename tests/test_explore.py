@@ -6,13 +6,14 @@ from detcomp.explore import SampleReport, cone_reduce, sample_codim
 from detcomp.fields import Fp
 from detcomp.groebner import EngineLimits
 from detcomp.matmap import AffineMatrixMap, symbolic_det
+from detcomp.parsing import parse_polynomial
 from detcomp.poly import Polynomial, varset
 from detcomp.singularity import codim_sing
 
 
 def linear_map(rows, vars, field):
     grid = [
-        [Polynomial.parse(cell, vars=vars, field=field) for cell in row]
+        [parse_polynomial(cell, vars=vars, field=field) for cell in row]
         for row in rows
     ]
     return AffineMatrixMap.from_rows(vars, field, grid)
@@ -112,7 +113,7 @@ def test_cone_reduce_drops_unused_directions():
     assert kernel_dim == 2
     assert len(reduced.vars) == 1
     assert tuple(reduced.vars) == ("y1",)
-    assert symbolic_det(reduced) == Polynomial.parse("y1^2", vars=reduced.vars, field=F)
+    assert symbolic_det(reduced) == parse_polynomial("y1^2", vars=reduced.vars, field=F)
 
 
 def test_cone_reduce_injective_is_isomorphic():

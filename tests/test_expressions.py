@@ -15,6 +15,7 @@ from detcomp.expressions import (
 )
 from detcomp.fields import QQ, FieldMismatchError, Fp
 from detcomp.matmap import det_berkowitz, perm_polynomial, symbolic_det, verify_expression
+from detcomp.parsing import parse_polynomial
 from detcomp.poly import Polynomial, varset
 
 SIX_EQUATIONS = (
@@ -58,7 +59,7 @@ def brute_path_sum(abp):
 
 def test_abp_validation():
     vs = varset("x")
-    x = Polynomial.parse("x", vars=vs)
+    x = parse_polynomial("x", vars=vs)
     with pytest.raises(ValueError):
         ABP(vs, QQ, (("s",),), ())
     with pytest.raises(ValueError):
@@ -71,7 +72,7 @@ def test_abp_validation():
 
 def test_path_sum_single_edge():
     vs = varset("x")
-    x = Polynomial.parse("x", vars=vs)
+    x = parse_polynomial("x", vars=vs)
     abp = ABP(vs, QQ, (("s",), ("t",)), ((0, 0, 0, x),))
     assert abp.path_sum() == x
     assert vertex_count(abp) == 2
@@ -137,7 +138,7 @@ def test_grenet_abp_size_cap():
 
 def test_abp_to_determinant_single_edge():
     vs = varset("x")
-    x = Polynomial.parse("x", vars=vs)
+    x = parse_polynomial("x", vars=vs)
     abp = ABP(vs, QQ, (("s",), ("t",)), ((0, 0, 0, x),))
     mapping = abp_to_determinant(abp)
     assert mapping.size == 1
@@ -146,7 +147,7 @@ def test_abp_to_determinant_single_edge():
 
 def test_abp_to_determinant_parallel_paths():
     vs = varset("a", "b", "c", "d")
-    a, b, c, d = (Polynomial.parse(n, vars=vs) for n in ("a", "b", "c", "d"))
+    a, b, c, d = (parse_polynomial(n, vars=vs) for n in ("a", "b", "c", "d"))
     abp = ABP(
         vs,
         QQ,
@@ -155,7 +156,7 @@ def test_abp_to_determinant_parallel_paths():
     )
     mapping = abp_to_determinant(abp)
     assert mapping.size == 3
-    assert symbolic_det(mapping) == Polynomial.parse("a*b + c*d", vars=vs)
+    assert symbolic_det(mapping) == parse_polynomial("a*b + c*d", vars=vs)
 
 
 def test_abp_to_determinant_random_agrees_with_path_sum(rng):
@@ -225,7 +226,7 @@ def test_catalog_entries_verify():
 def test_catalog_cubic_target():
     mapping, target = catalog_get("cubic_5x5")
     assert mapping.size == 5
-    assert target == Polynomial.parse(
+    assert target == parse_polynomial(
         "x*y^2 + y*t^2 + z^3", vars=varset("x", "y", "z", "t")
     )
     assert symbolic_det(mapping) == target
@@ -254,10 +255,10 @@ def test_template_validation():
     main = varset("x")
     params = varset("c")
     combined = varset("x", "c")
-    bad_main = Polynomial.parse("x^2", vars=combined)
+    bad_main = parse_polynomial("x^2", vars=combined)
     with pytest.raises(ValueError):
         ParamTemplate(main, params, QQ, ((bad_main,),))
-    bad_param = Polynomial.parse("c^2", vars=combined)
+    bad_param = parse_polynomial("c^2", vars=combined)
     with pytest.raises(ValueError):
         ParamTemplate(main, params, QQ, ((bad_param,),))
 
@@ -266,9 +267,9 @@ def test_one_by_one_template_equation():
     main = varset("x")
     params = varset("c")
     combined = varset("x", "c")
-    entry = Polynomial.parse("c*x", vars=combined)
+    entry = parse_polynomial("c*x", vars=combined)
     template = ParamTemplate(main, params, QQ, ((entry,),))
-    target = Polynomial.parse("2*x", vars=main)
+    target = parse_polynomial("2*x", vars=main)
     eqs = extract_coefficient_equations(template, target)
     rendered = [eq.render() for eq in eqs if not eq.residual().is_zero()]
     assert rendered == ["x: c = 2"]
@@ -278,9 +279,9 @@ def test_unreachable_target_monomial_surfaces():
     main = varset("x", "y")
     params = varset("c")
     combined = varset("x", "y", "c")
-    entry = Polynomial.parse("c*x", vars=combined)
+    entry = parse_polynomial("c*x", vars=combined)
     template = ParamTemplate(main, params, QQ, ((entry,),))
-    target = Polynomial.parse("y", vars=main)
+    target = parse_polynomial("y", vars=main)
     eqs = extract_coefficient_equations(template, target)
     # the y equation is 0 = 1: no parameter choice can produce y
     y_eq = [eq for eq in eqs if eq.monomial == (0, 1)]
@@ -290,7 +291,7 @@ def test_unreachable_target_monomial_surfaces():
 
 def test_ring_mismatch_rejected():
     template, target = cubic_rank3_template()
-    wrong = Polynomial.parse("x", vars=varset("x"))
+    wrong = parse_polynomial("x", vars=varset("x"))
     with pytest.raises(FieldMismatchError):
         extract_coefficient_equations(template, wrong)
 

@@ -23,6 +23,7 @@ from detcomp.groebner import (
     staircase_dimension,
 )
 from detcomp.matmap import perm_polynomial
+from detcomp.parsing import parse_polynomial
 from detcomp.poly import (
     Polynomial,
     mono_divides,
@@ -53,7 +54,7 @@ def mono_div(b, a):
 
 
 def P(text, vars=XYZ, field=QQ):
-    return Polynomial.parse(text, vars=vars, field=field)
+    return parse_polynomial(text, vars=vars, field=field)
 
 
 def ideal(*texts, vars=XYZ, field=QQ):

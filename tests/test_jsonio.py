@@ -14,7 +14,8 @@ from detcomp.jsonio import (
     write_json,
 )
 from detcomp.matmap import AffineMatrixMap
-from detcomp.poly import Polynomial, varset
+from detcomp.parsing import parse_polynomial
+from detcomp.poly import varset
 
 SCHEMA_NAMES = (
     "analysis", "avoidance", "case_analysis", "catalog", "certificate",
@@ -26,10 +27,10 @@ SCHEMA_NAMES = (
 def demo_map(field=QQ):
     vs = varset("x", "y")
     rows = [
-        [Polynomial.parse("x + 1", vars=vs, field=field),
-         Polynomial.parse("y", vars=vs, field=field)],
-        [Polynomial.parse("-y", vars=vs, field=field),
-         Polynomial.parse("x", vars=vs, field=field)],
+        [parse_polynomial("x + 1", vars=vs, field=field),
+         parse_polynomial("y", vars=vs, field=field)],
+        [parse_polynomial("-y", vars=vs, field=field),
+         parse_polynomial("x", vars=vs, field=field)],
     ]
     return AffineMatrixMap.from_rows(vs, field, rows)
 

@@ -159,6 +159,41 @@ def test_rref_over_fp_is_reduced_with_the_same_row_space(p):
         assert linalg.mat_rank(field, aug + r_aug) == linalg.mat_rank(field, aug)
 
 
+def test_rref_over_q_is_reduced_with_the_same_row_space():
+    """The Q twin of the F_p test: random rational matrices, among them
+    products B C of a small inner dimension (low rank), zero rows and zero
+    columns."""
+    rng = random.Random(26)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        inner = rng.randint(1, min(rows, cols))
+        b = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(inner)] for _ in range(rows)]
+        c = [[Fraction(rng.randint(-9, 9), rng.choice((1, 5, 12))) for _ in range(cols)] for _ in range(inner)]
+        a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b]
+        if rng.random() < 0.3:
+            a[rng.randrange(rows)] = [Fraction(0)] * cols
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in a:
+                row[j] = Fraction(0)
+        before = [row[:] for row in a]
+        r, pivots = linalg.rref(QQ, a)
+        assert a == before
+        assert all(type(x) is Fraction for row in r for x in row)
+        assert is_reduced_echelon(r, pivots, cols)
+        rank = linalg.mat_rank(QQ, a)
+        assert rank == len(pivots) == linalg.mat_rank(QQ, a + r) <= inner
+        if rows == cols:
+            assert (rank == rows) == (linalg.mat_det(QQ, a) != 0)
+        # trailing right-hand sides take every row operation and no pivot
+        extra = rng.randint(1, 3)
+        aug = [row + [Fraction(rng.randint(-9, 9), rng.choice((1, 4))) for _ in range(extra)] for row in a]
+        r_aug, pivots_aug = linalg.rref(QQ, aug, rhs=extra)
+        assert pivots_aug == pivots
+        assert [row[:cols] for row in r_aug] == r
+        assert linalg.mat_rank(QQ, aug + r_aug) == linalg.mat_rank(QQ, aug)
+
+
 def test_rref_over_q_takes_right_hand_sides():
     a = [[Fraction(2), Fraction(4), Fraction(1)], [Fraction(1), Fraction(3), Fraction(1, 2)]]
     r, pivots = linalg.rref(QQ, a, rhs=1)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from detcomp.fields import QQ, FieldMismatchError, Fp
+from detcomp.parsing import parse_polynomial
 from detcomp.poly import (
     MINUS_INF,
     ArityError,
@@ -22,7 +23,7 @@ XYZT = varset("x", "y", "z", "t")
 
 
 def P(text, vars=XYZ, field=QQ):
-    return Polynomial.parse(text, vars=vars, field=field)
+    return parse_polynomial(text, vars=vars, field=field)
 
 
 def rand(vars, field, rng, **kw):
@@ -255,9 +256,9 @@ def test_partial_derivative_examples():
 
 
 def test_partial_derivative_char_p_kills_pth_powers():
-    f = Polynomial.parse("x^2", vars=XY, field=Fp(2))
+    f = parse_polynomial("x^2", vars=XY, field=Fp(2))
     assert f.partial_derivative(0).is_zero()
-    g = Polynomial.parse("x^3", vars=XY, field=Fp(3))
+    g = parse_polynomial("x^3", vars=XY, field=Fp(3))
     assert g.partial_derivative(0).is_zero()
 
 
@@ -390,7 +391,7 @@ def test_parse_print_round_trip(rng):
     for field in (QQ, Fp(7)):
         for _ in range(40):
             f = rand(XYZT, field, rng, degree=4, terms=6)
-            assert Polynomial.parse(str(f), vars=XYZT, field=field) == f
+            assert parse_polynomial(str(f), vars=XYZT, field=field) == f
 
 
 def test_parse_rational_and_negative_literals():

@@ -9,6 +9,7 @@ from detcomp.expressions import catalog_get
 from detcomp.fields import QQ, Fp
 from detcomp.groebner import Ideal, buchberger, normal_form, staircase_dimension
 from detcomp.matmap import AffineMatrixMap, perm_polynomial, symbolic_det
+from detcomp.parsing import parse_polynomial
 from detcomp.poly import Polynomial, varset
 from detcomp.singularity import (
     analyze_expression,
@@ -20,7 +21,7 @@ from detcomp.singularity import (
 )
 
 XYZT = varset("x", "y", "z", "t")
-CUBIC = Polynomial.parse("x*y^2 + y*t^2 + z^3", vars=XYZT)
+CUBIC = parse_polynomial("x*y^2 + y*t^2 + z^3", vars=XYZT)
 
 
 def poly_ring(vars, field):
@@ -30,7 +31,7 @@ def poly_ring(vars, field):
 def fermat(degree, n, field=QQ):
     vs = varset(*(f"x{i+1}" for i in range(n)))
     text = " + ".join(f"x{i+1}^{degree}" for i in range(n))
-    return Polynomial.parse(text, vars=vs, field=field)
+    return parse_polynomial(text, vars=vs, field=field)
 
 
 # ------------------------------------------------------------ jacobian ideal
@@ -50,7 +51,7 @@ def test_jacobian_ideal_generators_frozen():
 
 def test_jacobian_ideal_keeps_f_when_euler_fails():
     """In characteristic p dividing deg f the partials can miss f itself."""
-    f = Polynomial.parse("x^3 + y^3", vars=varset("x", "y"), field=Fp(3))
+    f = parse_polynomial("x^3 + y^3", vars=varset("x", "y"), field=Fp(3))
     idl = jacobian_ideal(f)
     assert str(idl.generators[0]) == "x^3 + y^3"
     # all partials vanish identically here, so dropping f would make the
@@ -62,7 +63,7 @@ def test_jacobian_ideal_keeps_f_when_euler_fails():
 
 
 def test_codim_quadric():
-    f = Polynomial.parse("x^2 + y*z", vars=varset("x", "y", "z"))
+    f = parse_polynomial("x^2 + y*z", vars=varset("x", "y", "z"))
     assert codim_sing(f) == 3
 
 
@@ -79,7 +80,7 @@ def test_codim_fermat_cubic_five_vars():
 
 def test_codim_empty_singular_locus_sentinel():
     # f and f' share no root: Sing is empty, reported as n + 1
-    f = Polynomial.parse("x^3 + x", vars=varset("x"))
+    f = parse_polynomial("x^3 + x", vars=varset("x"))
     assert codim_sing(f) == 2
 
 
@@ -120,14 +121,14 @@ def test_certificate_cubic_not_applicable():
 
 
 def test_certificate_low_degree_not_applicable():
-    f = Polynomial.parse("x^2 + y*z", vars=varset("x", "y", "z"))
+    f = parse_polynomial("x^2 + y*z", vars=varset("x", "y", "z"))
     cert = certify_lower_bound(f)
     assert not cert.applicable
     assert "degree 2" in cert.reason
 
 
 def test_certificate_inhomogeneous_not_applicable():
-    f = Polynomial.parse("x^3 + x", vars=varset("x", "y", "z", "t", "u"))
+    f = parse_polynomial("x^3 + x", vars=varset("x", "y", "z", "t", "u"))
     cert = certify_lower_bound(f)
     assert not cert.applicable
     assert cert.reason == "not homogeneous"
@@ -138,7 +139,7 @@ def test_certificate_bound_iff_preconditions():
         fermat(3, 5),
         fermat(3, 6),
         CUBIC,
-        Polynomial.parse("x^2 + y*z", vars=varset("x", "y", "z")),
+        parse_polynomial("x^2 + y*z", vars=varset("x", "y", "z")),
     ]
     for f in cases:
         cert = certify_lower_bound(f)
@@ -187,7 +188,7 @@ def test_linear_span_and_membership():
     # the reduced basis of linear forms is their reduced row echelon form
     assert set(buchberger(Ideal(vs, QQ, (x + y, y))).polys) == {x, y}
     assert set(buchberger(Ideal(vs, QQ, (x + y + z, 2 * y - z))).polys) == {
-        x + Polynomial.parse("3/2*z", vars=vs), y - Polynomial.parse("1/2*z", vars=vs)}
+        x + parse_polynomial("3/2*z", vars=vs), y - parse_polynomial("1/2*z", vars=vs)}
     assert not in_linear_ideal(x, []) and in_linear_ideal(Polynomial.zero(vs, QQ), [])
 
 
@@ -348,7 +349,7 @@ def test_analysis_lower_rank_branch():
 def _rank_zero_diagonal():
     """diag(x, x, x) with its determinant x^3: constant part of rank 0."""
     vs = varset("x")
-    x = Polynomial.parse("x", vars=vs)
+    x = parse_polynomial("x", vars=vs)
     diag = AffineMatrixMap(
         vs,
         QQ,
@@ -357,7 +358,7 @@ def _rank_zero_diagonal():
             for i in range(3)
         ),
     )
-    return diag, Polynomial.parse("x^3", vars=vs)
+    return diag, parse_polynomial("x^3", vars=vs)
 
 
 def _scaled_cubic_5x5():
