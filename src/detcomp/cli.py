@@ -139,6 +139,11 @@ def emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def point_text(point) -> str:
+    """A witness point as (0, -27): each coordinate as the field prints it."""
+    return "(" + ", ".join(map(str, point)) + ")"
+
+
 # -- subcommand handlers ---------------------------------------------------------
 
 
@@ -164,7 +169,7 @@ def cmd_verify(args) -> int:
     if report.witness_monomial:
         lines.append(f"witness monomial: {report.witness_monomial}")
     if report.witness_point:
-        lines.append(f"witness point: {report.witness_point}")
+        lines.append("witness point: " + point_text(report.witness_point))
     if report.mode == "probabilistic" and report.ok:
         lines.append(f"consistent after {report.trials} trials"
                      f" (failure bound {report.failure_bound})")
@@ -215,7 +220,7 @@ def cmd_avoid_check(args) -> int:
         limits=build_limits(args))
     lines = [f"mode: {report.mode}", f"avoids rank <= m-2 locus: {report.avoids}"]
     if report.witness_point is not None:
-        lines.append(f"witness point: {report.witness_point}")
+        lines.append("witness point: " + point_text(report.witness_point))
     for note in report.notes:
         lines.append(f"note: {note}")
     emit(args, report.to_json(), "\n".join(lines))

@@ -131,7 +131,7 @@ def _random_linear_map(n: int, m: int, field: PrimeField, rng: random.Random) ->
             for k in range(n):
                 c = rng.randrange(field.char)
                 if c:
-                    e = tuple(1 if t == k else 0 for t in range(n))
+                    e = (0,) * k + (1,) + (0,) * (n - k - 1)
                     coeffs[e] = c
             row.append(Polynomial.from_dict(names, field, coeffs))
         rows.append(tuple(row))
@@ -219,7 +219,7 @@ def cone_reduce(mapping: AffineMatrixMap):
             for s, col in enumerate(pivots):
                 c = coeffs[col]
                 if c != field.zero:
-                    e = tuple(1 if t == s else 0 for t in range(rank))
+                    e = (0,) * s + (1,) + (0,) * (rank - s - 1)
                     d[e] = c
             grid_row.append(Polynomial.from_dict(names, field, d))
         grid.append(tuple(grid_row))

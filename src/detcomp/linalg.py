@@ -11,7 +11,7 @@ on sparse matrices most rows pass a step untouched. The probabilistic check,
 whose integer trials hand their int matrices to Bareiss directly, is its hot
 path. rref is one Gauss-Jordan loop for both rings, on ints mod p over F_p
 (the exhaustive search calls it once per choice of a grid's upper rows) and
-on Fractions over Q.
+on Fractions over Q; rank_normal_decomposition runs on the same raw values.
 """
 
 from __future__ import annotations
@@ -166,50 +166,49 @@ def random_invertible(field: Field, n: int, rng, size: int = 101) -> Matrix:
 
 
 def rank_normal_decomposition(field: Field, c: Matrix) -> tuple[Matrix, Matrix, int]:
-    """Invertible (P, Q) and r with (P c Q) having ones exactly at
-    (i, i) for i >= n - r (0-indexed lower-right block), zeros elsewhere."""
+    """Invertible (P, Q) and r with P c Q = J_r: ones at (i, i) for i >= n - r
+    (the lower-right block), zeros elsewhere.
+
+    One loop on raw values, as rref: ints mod p over F_p, Fractions over Q.
+    Step r takes the first nonzero of the trailing block c[r:, r:] in
+    row-major order and swaps it to (r, r), its row in c and P and its column
+    in c and Q. It scales that row to a pivot of 1 and clears the column below
+    it by row operations, which P records. Rows above r are already zero from
+    column r on, so column r is now e_r, and clearing row r by column
+    operations changes only that row, which no later step reads, and Q.
+    """
+    p = field.char
     n = len(c)
-    work = [row[:] for row in c]
+    work = [[x % p for x in row] if p else row[:] for row in c]
     left = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
     right = [row[:] for row in left]
     r = 0
-    for col in range(n):
-        pivot = None
-        for i in range(r, n):
-            for j in range(r, n):
-                if work[i][j] != field.zero:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+    while r < n:
+        pivot = next(((i, j) for i in range(r, n) for j in range(r, n) if work[i][j]), None)
         if pivot is None:
             break
         pi, pj = pivot
-        if pi != r:
-            work[r], work[pi] = work[pi], work[r]
-            left[r], left[pi] = left[pi], left[r]
-        if pj != r:
-            for row in work:
-                row[r], row[pj] = row[pj], row[r]
-            for row in right:
-                row[r], row[pj] = row[pj], row[r]
+        work[r], work[pi] = work[pi], work[r]
+        left[r], left[pi] = left[pi], left[r]
+        for line in work + right:
+            line[r], line[pj] = line[pj], line[r]
         inv = field.inv(work[r][r])
-        work[r] = [field.mul(x, inv) for x in work[r]]
-        left[r] = [field.mul(x, inv) for x in left[r]]
-        for i in range(n):
-            if i != r and work[i][r] != field.zero:
-                f = work[i][r]
-                work[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i], work[r])]
-                left[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(left[i], left[r])]
-        for j in range(n):
-            if j != r and work[r][j] != field.zero:
-                f = work[r][j]
-                for row in work:
-                    row[j] = field.sub(row[j], field.mul(f, row[r]))
-                for row in right:
-                    row[j] = field.sub(row[j], field.mul(f, row[r]))
+        row = work[r] = [x * inv % p for x in work[r]] if p else [x * inv for x in work[r]]
+        lrow = left[r] = [x * inv % p for x in left[r]] if p else [x * inv for x in left[r]]
+        for i in range(r + 1, n):
+            f = work[i][r]
+            if f:
+                work[i] = ([(x - f * y) % p for x, y in zip(work[i], row)] if p
+                           else [x - f * y for x, y in zip(work[i], row)])
+                left[i] = ([(x - f * y) % p for x, y in zip(left[i], lrow)] if p
+                           else [x - f * y for x, y in zip(left[i], lrow)])
+        for j in range(r + 1, n):
+            f = row[j]
+            if f:
+                for q in right:
+                    q[j] = (q[j] - f * q[r]) % p if p else q[j] - f * q[r]
         r += 1
-    # work == diag(I_r, 0); reverse coordinates on both sides to park the
+    # P c Q == diag(I_r, 0); reverse coordinates on both sides to park the
     # identity block in the lower right: (R P) c (Q R) = J_r
     rev = list(range(n - 1, -1, -1))
     left = [left[i] for i in rev]

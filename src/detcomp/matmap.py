@@ -384,46 +384,6 @@ def symbolic_det(
     return det_berkowitz(grid)
 
 
-@dataclass(frozen=True)
-class NormalizedExpression:
-    """P L Q with constant part in rank-normal form.
-
-    normalized has constant part J_r (ones on the last r diagonal slots) and
-    det(normalized) = scalar * det(L) with scalar = det(P) det(Q).
-    """
-
-    normalized: AffineMatrixMap
-    rank: int
-    left: list
-    right: list
-    scalar: object
-
-    def linear_entry(self, i: int, j: int) -> Polynomial:
-        return self.normalized.entries[i][j] - Polynomial.const(
-            self.normalized.vars, self.normalized.field, self.normalized.entries[i][j].constant_term()
-        )
-
-
-def rank_and_normalize(mapping: AffineMatrixMap) -> NormalizedExpression:
-    field = mapping.field
-    left, right, rank = linalg.rank_normal_decomposition(field, mapping.constant_part())
-    zero = Polynomial.zero(mapping.vars, field)
-
-    def combine(coefficients, polys):
-        acc = zero
-        for c, poly in zip(coefficients, polys):
-            if c != field.zero:
-                acc = acc + poly.scale(c)
-        return acc
-
-    # sandwich the polynomial grid: (P L Q)_ij = sum_kl P_ik L_kl Q_lj
-    mid = [[combine(p_row, l_col) for l_col in zip(*mapping.entries)] for p_row in left]
-    rows = [tuple(combine(q_col, mid_row) for q_col in zip(*right)) for mid_row in mid]
-    normalized = AffineMatrixMap(mapping.vars, field, tuple(rows))
-    scalar = field.mul(linalg.mat_det(field, left), linalg.mat_det(field, right))
-    return NormalizedExpression(normalized, rank, left, right, scalar)
-
-
 def perm_polynomial(n: int, field: Field = QQ) -> Polynomial:
     """Permanent of the generic n x n matrix; n! terms, all coefficients 1."""
     if n < 1 or n > PERM_MAX_SIZE:

@@ -153,8 +153,10 @@ class _Parser:
     def atom(self) -> Polynomial:
         tok = self.take()
         if tok.kind == "number":
-            value = Fraction(tok.text)
-            return Polynomial.const(self.vars, self.field, value)
+            try:  # 1/0 anywhere, and a denominator divisible by p over F_p
+                return Polynomial.const(self.vars, self.field, Fraction(tok.text))
+            except ZeroDivisionError:
+                self.fail(f"coefficient {tok.text} divides by zero in {self.field}", tok)
         if tok.kind == "name":
             if tok.text not in self.vars:
                 self.fail(f"unknown variable {tok.text!r}", tok)

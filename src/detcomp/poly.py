@@ -186,7 +186,9 @@ class Polynomial:
     @classmethod
     def variable(cls, vars: VarSet, field: Field, which) -> "Polynomial":
         i = vars.index(which) if isinstance(which, str) else which
-        e = tuple(1 if j == i else 0 for j in range(len(vars)))
+        if not 0 <= i < len(vars):
+            raise IndexError(f"variable index {i} out of range for {len(vars)} variables")
+        e = (0,) * i + (1,) + (0,) * (len(vars) - i - 1)
         return cls(vars, field, ((e, field.one),))
 
     # -- structure ----------------------------------------------------------

@@ -207,7 +207,7 @@ def _search_rank(spec: SearchSpec, r: int, report: SearchReport):
 
     # the linear forms, by coefficient tuple in odometer order; plus_one[v] is
     # forms[v] on a diagonal one of J_r
-    units = [tuple(int(l == i) for l in range(n)) for i in range(n)]
+    units = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
     forms = [
         Polynomial.from_dict(f.vars, field, dict(zip(units, t)))
         for t in product(range(p), repeat=n)
@@ -398,7 +398,7 @@ def enumerate_all_expressions(f: Polynomial, m: int, cap: int = 1 << 22) -> int:
     if total > cap:
         raise EnumerationCapError(total, cap, "unrestricted enumeration")
     # x_1, ..., x_n, then 1: the coefficient tuple of each affine entry
-    monomials = [tuple(int(l == i) for l in range(n)) for i in range(n + 1)]
+    monomials = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)] + [(0,) * n]
     affine = [
         Polynomial.from_dict(f.vars, field, dict(zip(monomials, coeffs)))
         for coeffs in product(range(p), repeat=n + 1)

@@ -26,15 +26,9 @@ from .groebner import (
     normal_form,
     staircase_dimension,
 )
-from .linalg import mat_rank, rref
-from .matmap import (
-    AffineMatrixMap,
-    NormalizedExpression,
-    rank_and_normalize,
-    symbolic_det,
-    verify_expression,
-)
-from .poly import Polynomial
+from .linalg import mat_det, mat_rank, rank_normal_decomposition, rref
+from .matmap import AffineMatrixMap, symbolic_det, verify_expression
+from .poly import Polynomial, sum_of_products
 
 MIN_USEFUL_CODIM = 4  # the certificate only bites past this
 
@@ -161,8 +155,9 @@ def isotropic_dimension(vectors, field: Field):
     Q(w) = sum w_j * w_{h+j} on 2h coordinates.
 
     Isotropy of the span is checked through Q on a basis together with the
-    bilinear form Q0(v, w) = Q(v + w) - Q(v) - Q(w), which stays valid in
-    characteristic 2 where Q itself does not polarize.
+    polar form Q0(v, w) = Q(v + w) - Q(v) - Q(w) = sum v_j w_{h+j} + w_j v_{h+j},
+    which needs no division by 2 and so stays exact in characteristic 2. Both
+    are plain sums of products of the raw values.
     """
     vecs = [list(map(field.of, v)) for v in vectors]
     if not vecs:
@@ -174,23 +169,14 @@ def isotropic_dimension(vectors, field: Field):
         if len(v) != width:
             raise ValueError("inconsistent vector arities")
     half = width // 2
-
-    def q(v):
-        acc = field.zero
-        for j in range(half):
-            acc = field.add(acc, field.mul(v[j], v[half + j]))
-        return acc
-
-    def q0(v, w):
-        s = [field.add(a, b) for a, b in zip(v, w)]
-        return field.sub(field.sub(q(s), q(v)), q(w))
-
-    reduced, pivots = rref(field, [list(v) for v in vecs])
+    reduced, pivots = rref(field, vecs)
     basis = reduced[: len(pivots)]
     dim = len(pivots)
-    iso = all(q(b) == field.zero for b in basis) and all(
-        q0(basis[i], basis[j]) == field.zero for i in range(dim) for j in range(i + 1, dim)
-    )
+    values = [sum(v[j] * v[half + j] for j in range(half)) for v in basis]
+    values += [sum(v[j] * w[half + j] + w[j] * v[half + j] for j in range(half))
+               for i, v in enumerate(basis) for w in basis[i + 1:]]
+    p = field.char
+    iso = all(x % p == 0 if p else x == 0 for x in values)
     if iso and dim > half:
         raise RuntimeError("isotropic subspace larger than half the ambient dimension")
     return iso, dim
@@ -219,7 +205,8 @@ class AvoidanceReport:
             "rank_constant_ok": self.rank_constant_ok,
             "mode": self.mode,
             "avoids": self.avoids,
-            "witness_point": list(self.witness_point) if self.witness_point is not None else None,
+            "witness_point": (None if self.witness_point is None
+                              else [str(x) for x in self.witness_point]),
             "trials": self.trials,
             "codim": self.codim,
             "precondition_holds": self.precondition_holds,
@@ -299,7 +286,6 @@ class AnalysisReport:
     degree: int
     rank: int
     scalar: object
-    normalization: NormalizedExpression
     branch: str  # "corank_one" (r = m-1) or "lower_rank"
     # corank-one fields
     z11_zero: bool | None = None
@@ -413,18 +399,23 @@ def analyze_expression(mapping: AffineMatrixMap, f: Polynomial) -> AnalysisRepor
 
     m = mapping.size
     d = int(f.degree())
-    norm = rank_and_normalize(mapping)
-    r = norm.rank
     field = mapping.field
+    left, right, r = rank_normal_decomposition(field, mapping.constant_part())
+    scalar = field.mul(mat_det(field, left), mat_det(field, right))
 
     if r == m - 1:
-        z = [[norm.linear_entry(i, j) for j in range(m)] for i in range(m)]
-        z11_zero = z[0][0].is_zero()
-        quad = Polynomial.zero(mapping.vars, field)
-        for j in range(1, m):
-            quad = quad + z[0][j] * z[j][0]
-        forms = [z[0][j] for j in range(m)] + [z[i][0] for i in range(1, m)]
-        forms = [p for p in forms if not p.is_zero()]
+        # P L Q = J_r + P Z Q, with Z = L - L(0) the linear part
+        linear = [[entry - entry.constant_term() for entry in row] for row in mapping.entries]
+
+        def z(i, j):  # (P Z Q)_ij = sum_kl P_ik Z_kl Q_lj
+            return sum_of_products(mapping.vars, field, (), [
+                linear[k][l].scale(left[i][k] * right[l][j])
+                for k in range(m) if left[i][k] for l in range(m) if right[l][j]])
+
+        row = [z(0, j) for j in range(m)]
+        col = [z(i, 0) for i in range(m)]
+        quad = sum_of_products(mapping.vars, field, zip(row[1:], col[1:]))
+        forms = [p for p in row + col[1:] if not p.is_zero()]
         # the reduced basis of linear forms is their row echelon form, so
         # the normal form by it substitutes out the pivot variables
         basis = buchberger(Ideal(f.vars, field, tuple(forms)))
@@ -432,22 +423,21 @@ def analyze_expression(mapping: AffineMatrixMap, f: Polynomial) -> AnalysisRepor
                      for i in range(len(f.vars)))
         # f is in I^2 iff f and each of its partials are in I, in any characteristic
         f_in_sq = jac_in and normal_form(f, basis).is_zero()
-        n = len(mapping.vars)
-        cols = []
-        for k in range(n):
-            e = tuple(1 if t == k else 0 for t in range(n))
-            col = [z[0][j].coefficient(e) for j in range(1, m)]
-            col += [z[i][0].coefficient(e) for i in range(1, m)]
-            cols.append(col)
+        # the image of x -> (Z_12..Z_1m, Z_21..Z_m1) is spanned by one column
+        # per variable; each term of a linear form carries a unit exponent
+        border = row[1:] + col[1:]
+        cols = [[field.zero] * len(border) for _ in mapping.vars]
+        for slot, form in enumerate(border):
+            for e, c in form.terms:
+                cols[e.index(1)][slot] = c
         iso, dim_im = isotropic_dimension(cols, field)
         return AnalysisReport(
             size=m,
             degree=d,
             rank=r,
-            scalar=norm.scalar,
-            normalization=norm,
+            scalar=scalar,
             branch="corank_one",
-            z11_zero=z11_zero,
+            z11_zero=row[0].is_zero(),
             quadric_relation_zero=quad.is_zero(),
             ideal_generators=tuple(forms),
             jacobian_in_ideal=jac_in,
@@ -460,15 +450,14 @@ def analyze_expression(mapping: AffineMatrixMap, f: Polynomial) -> AnalysisRepor
 
     # det(P L Q) = det(P) det(Q) det(L), and det(L) = f was checked exactly
     # above; f is homogeneous, so this is det's only graded part
-    parts = ((d, f.scale(norm.scalar)),)
+    parts = ((d, f.scale(scalar)),)
     window = (max(0, m - r), m)
     forced = tuple(k for k in range(window[0], window[1] + 1) if k != d)
     return AnalysisReport(
         size=m,
         degree=d,
         rank=r,
-        scalar=norm.scalar,
-        normalization=norm,
+        scalar=scalar,
         branch="lower_rank",
         graded_parts=parts,
         possible_degree_window=window,

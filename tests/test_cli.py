@@ -109,6 +109,40 @@ def test_verify_broken_map_exits_one(capsys, tmp_path):
     assert payload["witness_monomial"]
 
 
+@pytest.mark.parametrize("field", ["Q", {"Fp": 7}], ids=["Q", "F_7"])
+def test_avoid_check_probabilistic_witness_is_printed_as_field_values(capsys, tmp_path, field):
+    """x in one corner of a 2x2 map, zeros elsewhere: the rank drops to 0
+    where x = 0, which the seeded sampler meets. The verdict is negative
+    (exit 1), and the witness coordinates are strings in JSON."""
+    path = tmp_path / "corner.json"
+    write_json(str(path), {"field": field, "vars": ["x", "y"], "m": 2,
+                           "entries": [["x", "0"], ["0", "0"]]})
+    argv = ["avoid-check", "--map", str(path), "--poly", "0", "--mode", "probabilistic"]
+    rc, out, _ = run(capsys, argv + ["--format", "json"], schema="avoidance")
+    payload = json.loads(out)
+    assert rc == 1
+    assert payload["avoids"] is False
+    point = payload["witness_point"]
+    assert len(point) == 2 and all(isinstance(x, str) for x in point)
+    rc, out, _ = run(capsys, argv)
+    assert rc == 1
+    assert f"witness point: ({', '.join(point)})" in out
+
+
+def test_zero_denominator_exits_two(capsys, tmp_path):
+    for argv in (["parse", "--poly", "1/0*x"],
+                 ["parse", "--poly", "1/7*x + y", "--field", "Fp:7"]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and not out
+        assert "parse error" in err and "divides by zero" in err
+    path = tmp_path / "map.json"
+    write_json(str(path), {"field": {"Fp": 7}, "vars": ["x", "y"], "m": 1,
+                           "entries": [["1/7*x + y"]]})
+    rc, out, err = run(capsys, ["verify", "--map", str(path), "--poly", "x + y"])
+    assert rc == 2 and not out
+    assert "divides by zero" in err
+
+
 def test_codim_and_certify(capsys):
     rc, out, _ = run(capsys,
                      ["codim", "--poly", "cubic", "--format", "json",
@@ -488,6 +522,8 @@ def test_golden_json_outputs(capsys, name, schema, argv, code):
 TEXT_GOLDEN = [
     ("cubic_case.txt", ["cubic-case"], 1),
     ("analyze_cubic_5x5.txt", ["analyze", "--map", "catalog:cubic_5x5", "--poly", "cubic"], 0),
+    ("analyze_grenet_perm_3.txt",
+     ["analyze", "--map", "catalog:grenet_perm_3", "--poly", "perm3"], 0),
 ]
 
 

@@ -228,3 +228,30 @@ def test_mat_rank_over_q_matches_rref(monkeypatch):
         before = [row[:] for row in a]
         assert linalg.mat_rank(QQ, a) == rank <= inner
         assert a == before
+
+
+@pytest.mark.parametrize("field", [QQ, Fp(2), Fp(3), Fp(32003)], ids=str)
+def test_rank_normal_decomposition_brings_low_rank_matrices_to_j_r(field):
+    """P c Q = J_r with P, Q invertible and r the rank, on products B C of a
+    small inner dimension; the input is left as it was and, over F_p, every
+    value of P and Q is an int in [0, p)."""
+    rng = random.Random(field.char)
+    p = field.char
+    for _ in range(60):
+        n, k = rng.randint(0, 6), rng.randint(0, 6)
+        b = linalg.random_matrix(field, n, k, rng, 7)
+        c = linalg.random_matrix(field, k, n, rng, 7)
+        a = [[field.of(sum(b[i][t] * c[t][j] for t in range(k))) for j in range(n)]
+             for i in range(n)]
+        before = [row[:] for row in a]
+        P, Q, r = linalg.rank_normal_decomposition(field, a)
+        assert a == before
+        assert r == (linalg.mat_rank(field, a) if n else 0)
+        if p:
+            assert all(0 <= x < p for row in P + Q for x in row)
+        if n:
+            assert linalg.mat_det(field, P) != field.zero != linalg.mat_det(field, Q)
+        pa = [[field.of(sum(x * y for x, y in zip(row, col))) for col in zip(*a)] for row in P]
+        paq = [[field.of(sum(x * y for x, y in zip(row, col))) for col in zip(*Q)] for row in pa]
+        assert paq == [[field.one if i == j >= n - r else field.zero for j in range(n)]
+                       for i in range(n)]

@@ -23,7 +23,6 @@ from detcomp.matmap import (
     generic_det_polynomial,
     laplace_is_cheaper,
     perm_polynomial,
-    rank_and_normalize,
     symbolic_det,
     verify_expression,
 )
@@ -541,73 +540,73 @@ def test_laplace_and_berkowitz_agree_on_sparse_maps_auto_routes_to_laplace(rng):
 # -------------------------------------------------------- rank normalization
 
 
+def sandwich(L, P, Q):
+    """P L Q as a map: (P L Q)_ij = sum_kl P_ik L_kl Q_lj."""
+    field, m = L.field, L.size
+    zero = Polynomial.zero(L.vars, field)
+    return AffineMatrixMap.from_rows(L.vars, field, [[
+        sum((L.entries[k][l].scale(field.mul(P[i][k], Q[l][j]))
+             for k in range(m) for l in range(m)), zero)
+        for j in range(m)] for i in range(m)])
+
+
+def mat_mul(field, a, b):
+    return [[field.of(sum(x * y for x, y in zip(row, col))) for col in zip(*b)] for row in a]
+
+
 def test_rank_normalize_zero_constant_part():
     xy = varset("x", "y")
     L = parse_map([["x", "y"], ["y", "x"]], xy)
-    norm = rank_and_normalize(L)
-    assert norm.rank == 0
-    assert norm.normalized.entries == L.entries
-    assert norm.scalar == QQ.of(1)
+    P, Q, r = linalg.rank_normal_decomposition(QQ, L.constant_part())
+    assert r == 0
+    # P and Q reverse the coordinates, which maps this L to itself
+    assert sandwich(L, P, Q).entries == L.entries
+    assert QQ.mul(linalg.mat_det(QQ, P), linalg.mat_det(QQ, Q)) == QQ.of(1)
 
 
 def test_rank_normalize_constant_block_shape(rng):
-    """P L Q has ones exactly on the trailing diagonal slots, r of them."""
+    """P C Q is J_r: ones exactly on the trailing diagonal slots, r of them."""
     field = Fp(7)
     vars = varset("x", "y")
+    m = 4
     for _ in range(20):
-        L = random_map(vars, field, 4, rng)
-        norm = rank_and_normalize(L)
-        m = 4
-        c = norm.normalized.constant_part()
-        expected_rank = linalg.mat_rank(field, L.constant_part())
-        assert norm.rank == expected_rank
-        for i in range(m):
-            for j in range(m):
-                want = field.one if (i == j and i >= m - norm.rank) else field.zero
-                assert c[i][j] == want
+        L = random_map(vars, field, m, rng)
+        C = L.constant_part()
+        P, Q, r = linalg.rank_normal_decomposition(field, C)
+        assert r == linalg.mat_rank(field, C)
+        J = [[field.one if (i == j and i >= m - r) else field.zero for j in range(m)]
+             for i in range(m)]
+        assert mat_mul(field, mat_mul(field, P, C), Q) == J
+        assert sandwich(L, P, Q).constant_part() == J
 
 
 def test_rank_normalize_recomposition(rng):
-    """normalized = P L Q entrywise, and det picks up det(P) det(Q)."""
+    """P L Q evaluates to P L(x) Q at every point, and its determinant picks
+    up det(P) det(Q)."""
     field = Fp(7)
     vars = varset("x", "y")
     for _ in range(10):
         L = random_map(vars, field, 4, rng)
-        norm = rank_and_normalize(L)
-        P, Q = norm.left, norm.right
-        m = 4
-        zero = Polynomial.zero(vars, field)
-        for i in range(m):
-            for j in range(m):
-                acc = zero
-                for k in range(m):
-                    for l in range(m):
-                        c = field.mul(P[i][k], Q[l][j])
-                        if c != field.zero:
-                            acc = acc + L.entries[k][l].scale(c)
-                assert acc == norm.normalized.entries[i][j]
-        assert norm.scalar == field.mul(
-            linalg.mat_det(field, P), linalg.mat_det(field, Q)
-        )
-        lhs = symbolic_det(norm.normalized)
-        rhs = symbolic_det(L).scale(norm.scalar)
-        assert lhs == rhs
+        P, Q, _ = linalg.rank_normal_decomposition(field, L.constant_part())
+        normalized = sandwich(L, P, Q)
+        for _ in range(3):
+            point = [field.sample(rng, 7) for _ in vars]
+            assert normalized.evaluate(point) == mat_mul(field, mat_mul(field, P, L.evaluate(point)), Q)
+        scalar = field.mul(linalg.mat_det(field, P), linalg.mat_det(field, Q))
+        assert symbolic_det(normalized) == symbolic_det(L).scale(scalar)
 
 
 def test_rank_normalize_full_rank_constant():
     vars = varset("x")
     rows = [["x + 1", "0", "0"], ["0", "1", "x"], ["0", "0", "1"]]
     L = parse_map(rows, vars)
-    norm = rank_and_normalize(L)
-    assert norm.rank == 3
+    P, Q, r = linalg.rank_normal_decomposition(QQ, L.constant_part())
+    assert r == 3
+    normalized = sandwich(L, P, Q)
     ident = [[QQ.one if i == j else QQ.zero for j in range(3)] for i in range(3)]
-    assert norm.normalized.constant_part() == ident
-    assert symbolic_det(norm.normalized) == symbolic_det(L).scale(norm.scalar)
-    # linear_entry strips the constant part of an entry
-    e00 = norm.normalized.entries[0][0]
-    assert norm.linear_entry(0, 0) == e00 - Polynomial.const(
-        vars, QQ, e00.constant_term()
-    )
+    assert normalized.constant_part() == ident
+    scalar = QQ.mul(linalg.mat_det(QQ, P), linalg.mat_det(QQ, Q))
+    assert symbolic_det(normalized) == symbolic_det(L).scale(scalar)
 
 
 # ------------------------------------------------- generic perm and det

@@ -52,6 +52,16 @@ def test_error_carries_position():
     assert ei.value.column == 5
 
 
+def test_zero_denominator_is_a_syntax_error_at_the_literal():
+    """1/0, and over F_p a denominator divisible by p, name no field value."""
+    for text, field, column in (("1/0*x", QQ, 1), ("x + 2/0", QQ, 5),
+                                ("1/7*x + y", Fp(7), 1), ("x +\n 3/14*y", Fp(7), 2)):
+        with pytest.raises(PolynomialSyntaxError, match="divides by zero") as ei:
+            parse_polynomial(text, XY, field=field)
+        assert (ei.value.line, ei.value.column) == (text.count("\n") + 1, column)
+    assert parse_polynomial("1/7*x", XY, field=Fp(5)).coefficient((1, 0)) == 3
+
+
 def test_unknown_variable_rejected():
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("x + q", XY)

@@ -50,6 +50,14 @@ def test_difference_of_squares():
     assert (x + y) * (x - y) == P("x^2 - y^2", XY)
 
 
+def test_variable_by_name_or_index():
+    assert Polynomial.variable(XYZ, QQ, "y").terms == (((0, 1, 0), QQ.one),)
+    assert Polynomial.variable(XYZ, Fp(5), 2) == P("z", field=Fp(5))
+    for bad in (-1, 3):
+        with pytest.raises(IndexError):
+            Polynomial.variable(XYZ, QQ, bad)
+
+
 def test_canonical_form_invariants(rng):
     """No zero coefficients, exponents strictly descending in the term order."""
     for _ in range(60):

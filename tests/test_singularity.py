@@ -206,6 +206,9 @@ def test_isotropic_examples():
     assert iso and dim == 0
     iso, dim = isotropic_dimension([[1, 0, 1, 0]], F)
     assert not iso and dim == 1
+    # Q vanishes on both vectors; only the polar term w_2 v_4 = 1 pairs them
+    iso, dim = isotropic_dimension([[1, 0, 0, 1], [0, 1, 0, 0]], F)
+    assert not iso and dim == 2
     with pytest.raises(ValueError):
         isotropic_dimension([[1, 0, 0]], F)
 
@@ -378,10 +381,22 @@ def test_analysis_rank_zero_diagonal():
 
 
 def test_analysis_scalar_matches_normalization():
+    """The report's rank and scalar are those of rank_normal_decomposition:
+    det(P L Q) = scalar * det(L), and the lower-rank graded part is that
+    determinant, f.scale(scalar)."""
     for mapping, target in (catalog_get("grenet_perm_3"), catalog_get("cubic_5x5"),
                             _rank_zero_diagonal(), _scaled_cubic_5x5()):
         report = analyze_expression(mapping, target)
-        lhs = symbolic_det(report.normalization.normalized)
+        field, m = mapping.field, mapping.size
+        P, Q, r = linalg.rank_normal_decomposition(field, mapping.constant_part())
+        assert report.rank == r
+        assert report.scalar == field.mul(linalg.mat_det(field, P), linalg.mat_det(field, Q))
+        zero = Polynomial.zero(mapping.vars, field)
+        normalized = AffineMatrixMap.from_rows(mapping.vars, field, [[
+            sum((mapping.entries[k][l].scale(field.mul(P[i][k], Q[l][j]))
+                 for k in range(m) for l in range(m)), zero)
+            for j in range(m)] for i in range(m)])
+        lhs = symbolic_det(normalized)
         rhs = symbolic_det(mapping).scale(report.scalar)
         assert lhs == rhs
         if report.branch == "lower_rank":
