@@ -14,6 +14,7 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     ResourceCapError,
+    StaircaseBound,
     buchberger,
     normal_form,
     staircase_dimension,
@@ -43,6 +44,7 @@ __all__ = [
     "QQ",
     "RationalField",
     "ResourceCapError",
+    "StaircaseBound",
     "VarSet",
     "analyze_expression",
     "buchberger",

@@ -1,11 +1,17 @@
 """Random-sampling harness for the codimension law of determinant pullbacks.
 
-For a linear map L into m x m matrices, the singular locus of det(L(x)) has
-codimension at most min(4, n), whatever the entries are; equality is the
-generic behaviour. The "at most" direction is characteristic-free, so a
-single sampled violation is a bug somewhere. The genericity direction is a
-characteristic-zero statement, so over a finite field the modal frequency is
-reported rather than asserted.
+For a linear map L into m x m matrices with det L != 0, the singular locus
+of det(L(x)) has codimension at most min(4, n); equality is the generic
+behaviour. "At most" is a theorem in every characteristic: where rank L(x)
+<= m - 2 the adjugate, hence det L and all its partials, vanish (chain
+rule), and that rank locus has codim 4 and contains 0, so its preimage is
+nonempty of codim <= 4. So min(4, n) is a cap, not a sample, and "at most"
+is used, not only checked: a trial's Groebner run stops once its staircase
+lower bound reaches the cap (codim_sing's at_most), and a trial that never
+gets there reports its full staircase. A bound above the cap is a
+violation, and a single one is a bug: an element made outside the ideal.
+The genericity direction is a characteristic-zero statement, so over a
+finite field the modal frequency is reported rather than asserted.
 
 Because the constant part is zero, det(L(x)) is homogeneous and its singular
 locus is a cone through the origin; codimension can never exceed n and the
@@ -161,7 +167,7 @@ def sample_codim(n: int, m: int, p: int, trials: int, seed: int = 0,
         limits = sample_limits if sample_limits is not None else EngineLimits(
             time_limit=SAMPLE_TIME_LIMIT)
         try:
-            codim = codim_sing(det, limits=limits)
+            codim = codim_sing(det, limits=limits, at_most=bound)
         except ResourceCapError:
             timeouts += 1
             continue

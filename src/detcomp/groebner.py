@@ -124,6 +124,13 @@ class GroebnerStats:
 
 
 @dataclass(frozen=True)
+class StaircaseBound:
+    """A run stopped by stop_codim: codim J >= codim; stats count the pairs reduced."""
+    codim: int
+    stats: GroebnerStats
+
+
+@dataclass(frozen=True)
 class GroebnerBasis:
     vars: VarSet
     field: Field
@@ -411,8 +418,19 @@ def _reduce_terms(terms, reducers, field, deadline=None):
 
 
 def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
-               use_criteria: bool = True) -> GroebnerBasis:
-    """Reduced degrevlex Groebner basis of the ideal."""
+               use_criteria: bool = True,
+               stop_codim: int | None = None) -> GroebnerBasis | StaircaseBound:
+    """Reduced degrevlex Groebner basis of the ideal J.
+
+    stop_codim=c may end the run early with a StaircaseBound. Every element
+    made lies in J, so for those made so far, H, LT(H) is inside LT(J) and
+    codim J = codim LT(J) >= codim LT(H) (Macaulay). At a pair boundary,
+    after the caps, once a new lm support has joined the subset-minimal ones,
+    the run stops if their staircase codim has reached c: it returns that
+    lower bound and no partial basis, so VERIFY_BASES never sees one.
+    """
+    if stop_codim is not None and stop_codim < 1:
+        raise ValueError(f"stop_codim must be at least 1, got {stop_codim}")
     limits = limits or DEFAULT_LIMITS
     field = ideal.field
     start = time.monotonic()
@@ -440,6 +458,8 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
     zero_reductions = 0
     max_degree_processed = 0
     pairs_created = pruned_product = pruned_m = pruned_chain = 0
+    supports: list[int] = []  # subset-minimal lm supports, under a stop
+    grown = False             # supports changed since the last stop test
 
     def check_caps(stage: str):
         if pairs_processed > limits.max_pairs:
@@ -451,7 +471,7 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
 
     def add_element(terms):
         """Gebauer-Moeller update with the new monic element."""
-        nonlocal pairs_created, pruned_product, pruned_m, pruned_chain
+        nonlocal pairs_created, pruned_product, pruned_m, pruned_chain, grown
         elem = _Elem(terms, n)
         t = len(basis)
         lm, m = elem.packed, elem.mask
@@ -496,6 +516,17 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
         lms.append(lm)
         masks.append(m)
         reducers.add(elem)
+        if stop_codim is not None and all(o & m != o for o in supports):
+            # m joins the subset-minimal supports, replacing those above it
+            supports[:] = [o for o in supports if o & m != m] + [m]
+            grown = True
+
+    def stats(pairs: int, basis_size: int) -> GroebnerStats:
+        return GroebnerStats(
+            pairs_processed=pairs, zero_reductions=zero_reductions,
+            basis_size=basis_size, max_degree_processed=max_degree_processed,
+            wall_time=time.monotonic() - start, pairs_created=pairs_created,
+            pruned_product=pruned_product, pruned_m=pruned_m, pruned_chain=pruned_chain)
 
     # seed with the reduced nonzero generators
     for g in ideal.generators:
@@ -516,6 +547,12 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
         if limits.max_degree is not None and deg_l > limits.max_degree:
             raise ResourceCapError("pair processing", f"degree limit {limits.max_degree} hit at {deg_l}")
         check_caps("pair processing")
+        if grown:
+            grown = False
+            if not _meets(supports, stop_codim - 1):
+                # the pair just popped is not reduced
+                codim = n - staircase_dimension([g.exps for g in basis], n)
+                return StaircaseBound(codim, stats(pairs_processed - 1, len(basis)))
         # S-polynomial from the two tails, the lcm's key a field-wise select
         f, g = basis[i], basis[j]
         sel = ((f.key | key_guards) - g.key) & key_guards
@@ -551,12 +588,7 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
     final_terms.sort(key=lambda ts: ts[0][0], reverse=True)  # ascending leading monomials
     polys = tuple(Polynomial(ideal.vars, field, tuple([(_exps(k, n), c) for k, c in ts]))
                   for ts in final_terms)
-    stats = GroebnerStats(
-        pairs_processed=pairs_processed, zero_reductions=zero_reductions,
-        basis_size=len(polys), max_degree_processed=max_degree_processed,
-        wall_time=time.monotonic() - start, pairs_created=pairs_created,
-        pruned_product=pruned_product, pruned_m=pruned_m, pruned_chain=pruned_chain)
-    result = GroebnerBasis(ideal.vars, field, polys, stats)
+    result = GroebnerBasis(ideal.vars, field, polys, stats(pairs_processed, len(polys)))
     if VERIFY_BASES:
         failure = groebner_failure_witness(result)
         if failure is not None:

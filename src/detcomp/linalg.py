@@ -154,17 +154,6 @@ def _det_mod_p(rows: Matrix, p: int) -> int:
     return det % p
 
 
-def random_matrix(field: Field, rows: int, cols: int, rng, size: int = 101) -> Matrix:
-    return [[field.sample(rng, size) for _ in range(cols)] for _ in range(rows)]
-
-
-def random_invertible(field: Field, n: int, rng, size: int = 101) -> Matrix:
-    while True:
-        m = random_matrix(field, n, n, rng, size)
-        if mat_det(field, m) != field.zero:
-            return m
-
-
 def rank_normal_decomposition(field: Field, c: Matrix) -> tuple[Matrix, Matrix, int]:
     """Invertible (P, Q) and r with P c Q = J_r: ones at (i, i) for i >= n - r
     (the lower-right block), zeros elsewhere.

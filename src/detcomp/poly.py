@@ -430,24 +430,3 @@ def sum_of_products(
         terms = [(e, c) for e, c in acc.items() if c]
     terms.sort(key=_term_order)
     return Polynomial(vars, field, tuple(terms))
-
-
-def random_polynomial(
-    vars: VarSet,
-    field: Field,
-    rng,
-    degree: int = 3,
-    terms: int = 6,
-    homogeneous: bool = False,
-    coeff_size: int = 101,
-) -> Polynomial:
-    """Random sparse polynomial for property tests (seeded rng)."""
-    n = len(vars)
-    acc: dict = {}
-    for _ in range(terms):
-        d = degree if homogeneous else rng.randint(0, degree)
-        e = [0] * n
-        for _ in range(d):
-            e[rng.randrange(n)] += 1
-        acc[tuple(e)] = field.add(acc.get(tuple(e), field.zero), field.sample(rng, coeff_size))
-    return Polynomial.from_dict(vars, field, {e: c for e, c in acc.items() if c != field.zero})

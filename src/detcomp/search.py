@@ -381,31 +381,3 @@ def dc_exact(f: Polynomial, m_max: int, max_candidates: int = DEFAULT_CANDIDATE_
             return DcResult(f, m, m_max, None, tuple(evaluations), witness)
         evaluations.append((m, report.full_evaluations))
     return DcResult(f, None, m_max, None, tuple(evaluations))
-
-
-def enumerate_all_expressions(f: Polynomial, m: int, cap: int = 1 << 22) -> int:
-    """Count of ALL affine maps (unrestricted) whose determinant is exactly f.
-
-    Exponential in m^2 (n+1); exists to validate that the canonical search
-    loses nothing on tiny instances.
-    """
-    if m < 1:
-        raise ValueError(f"size must be at least 1, got {m}")
-    field = f.field
-    p = field.char
-    n = len(f.vars)
-    total = p ** (m * m * (n + 1))
-    if total > cap:
-        raise EnumerationCapError(total, cap, "unrestricted enumeration")
-    # x_1, ..., x_n, then 1: the coefficient tuple of each affine entry
-    monomials = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)] + [(0,) * n]
-    affine = [
-        Polynomial.from_dict(f.vars, field, dict(zip(monomials, coeffs)))
-        for coeffs in product(range(p), repeat=n + 1)
-    ]
-    count = 0
-    for choice in product(affine, repeat=m * m):
-        grid = [choice[i * m:i * m + m] for i in range(m)]
-        if det_laplace_memo(grid) == f:
-            count += 1
-    return count

@@ -22,6 +22,7 @@ from .groebner import (
     EngineLimits,
     GroebnerStats,
     Ideal,
+    StaircaseBound,
     buchberger,
     normal_form,
     staircase_dimension,
@@ -43,9 +44,19 @@ def jacobian_ideal(f: Polynomial) -> Ideal:
     return Ideal(f.vars, f.field, tuple(gens))
 
 
-def codim_sing(f: Polynomial, limits: EngineLimits | None = None) -> int:
-    """Codimension of Sing(f) in affine n-space; n + 1 when Sing(f) is empty."""
-    return certify_lower_bound(f, limits).codim
+def codim_sing(f: Polynomial, limits: EngineLimits | None = None,
+               at_most: int | None = None) -> int:
+    """Codimension of Sing(f) in affine n-space; n + 1 when Sing(f) is empty.
+
+    at_most=c, for a caller who knows codim Sing(f) <= c, stops the engine
+    once its staircase lower bound reaches c (buchberger's stop_codim) and
+    returns that bound; a value above c contradicts what the caller knows.
+    """
+    n = len(f.vars)
+    run = buchberger(jacobian_ideal(f), limits=limits, stop_codim=at_most)
+    if isinstance(run, StaircaseBound):
+        return run.codim
+    return n - staircase_dimension(run.leading_monomials(), n)
 
 
 @dataclass(frozen=True)
@@ -262,11 +273,11 @@ def check_avoids_singular_locus(
         avoids = bool(minors) and buchberger(
             Ideal(mapping.vars, field, tuple(minors)), limits=limits).is_trivial()
     else:
-        avoids, sampled = None, trials
+        avoids = None
         rng = random.Random(seed)
         n = len(mapping.vars)
         sample_width = max(128, 4 * m)
-        for _ in range(trials):
+        for sampled in range(1, trials + 1):
             point = [field.sample(rng, sample_width) for _ in range(n)]
             if mat_rank(field, mapping.evaluate(point)) <= m - 2:
                 avoids, witness = False, tuple(point)

@@ -95,10 +95,6 @@ class _Division:
             k = (k << self.width) | x
         return k
 
-    def exponents(self, k: int) -> tuple:
-        mask = (1 << self.width) - 1
-        return tuple([(k >> s) & mask for s, _ in self.columns])
-
     def spoly(self, a: int, b: int) -> dict:
         """S-polynomial of divisors a and b, monic, without the leading terms
         that cancel: a key -> coefficient dict."""
@@ -154,14 +150,6 @@ class _Division:
                 else:
                     work[tk] = old - c * tc
         return remainder
-
-
-def naive_normal_form(p: Polynomial, basis) -> Polynomial:
-    """Full remainder of textbook division by basis, tried in list order."""
-    division = _Division(list(basis), p.vars, p.field, max(p.degree(), 0))
-    remainder = division.divide({division.key(e): c for e, c in p.terms}, full=True)
-    return Polynomial.from_dict(p.vars, p.field,
-                                {division.exponents(k): c for k, c in remainder.items()})
 
 
 def membership_failure_witness(gb, generators):

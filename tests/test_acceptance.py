@@ -35,9 +35,10 @@ from detcomp.matmap import (
     verify_expression,
 )
 from detcomp.parsing import parse_polynomial
-from detcomp.poly import Polynomial, random_polynomial, varset
+from detcomp.poly import Polynomial, varset
 from detcomp.search import dc_exact
 from detcomp.singularity import analyze_expression, certify_lower_bound, codim_sing
+from support import random_polynomial
 
 stretch = pytest.mark.skipif(
     os.environ.get("DETCOMP_STRETCH") != "1",

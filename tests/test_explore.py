@@ -1,14 +1,16 @@
 """Codimension sampling across random determinantal hypersurfaces."""
 
+import random
+
 import pytest
 
-from detcomp.explore import SampleReport, cone_reduce, sample_codim
-from detcomp.fields import Fp
-from detcomp.groebner import EngineLimits
+from detcomp.explore import SEED_STRIDE, SampleReport, _random_linear_map, cone_reduce, sample_codim
+from detcomp.fields import Fp, PrimeField
+from detcomp.groebner import EngineLimits, StaircaseBound, buchberger
 from detcomp.matmap import AffineMatrixMap, symbolic_det
 from detcomp.parsing import parse_polynomial
 from detcomp.poly import Polynomial, varset
-from detcomp.singularity import codim_sing
+from detcomp.singularity import codim_sing, jacobian_ideal
 
 
 def linear_map(rows, vars, field):
@@ -82,6 +84,34 @@ def test_sampling_argument_validation():
         sample_codim(n=0, m=2, p=5, trials=3)
     with pytest.raises(ValueError):
         sample_codim(n=2, m=2, p=5, trials=0)
+
+
+@pytest.mark.parametrize("p", [101, 2])
+@pytest.mark.parametrize("n, m", [(5, 3), (4, 4), (3, 3), (2, 2)])
+def test_law_capped_codim_matches_the_full_engine(n, m, p):
+    """Each trial stops once its staircase reaches min(4, n); the codim it
+    reports is the full run's, at the cap and, over F_2, often below it.
+    Here every trial at the cap stops before its run ends."""
+    field = PrimeField(p)
+    cap = min(4, n)
+    seed = 3
+    full, stopped = {}, 0
+    for t in range(8):
+        rng = random.Random(seed * SEED_STRIDE + t)
+        det = symbolic_det(_random_linear_map(n, m, field, rng))
+        if det.is_zero():
+            continue
+        codim = codim_sing(det)
+        full[codim] = full.get(codim, 0) + 1
+        assert codim_sing(det, at_most=cap) == codim
+        run = buchberger(jacobian_ideal(det), stop_codim=cap)
+        if isinstance(run, StaircaseBound):
+            stopped += 1
+            assert run.codim == codim == cap
+    assert stopped == full.get(cap, 0)
+    report = sample_codim(n=n, m=m, p=p, trials=8, seed=seed)
+    assert report.histogram == tuple(sorted(full.items()))
+    assert report.violations == ()
 
 
 def test_timeout_bin_counts_capped_samples():

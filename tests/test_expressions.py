@@ -82,7 +82,7 @@ def test_path_sum_matches_brute_enumeration(rng):
     """Random layered programs against the recursive oracle."""
     vs = varset("x", "y", "z")
     field = Fp(7)
-    from detcomp.poly import random_polynomial
+    from support import random_polynomial
 
     for _ in range(15):
         widths = [1] + [rng.randint(1, 3) for _ in range(rng.randint(1, 3))] + [1]
@@ -162,7 +162,7 @@ def test_abp_to_determinant_parallel_paths():
 def test_abp_to_determinant_random_agrees_with_path_sum(rng):
     vs = varset("x", "y")
     field = Fp(11)
-    from detcomp.poly import random_polynomial
+    from support import random_polynomial
 
     checked = 0
     for _ in range(12):

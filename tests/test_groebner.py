@@ -18,26 +18,26 @@ from detcomp.groebner import (
     GroebnerBasis,
     Ideal,
     ResourceCapError,
+    StaircaseBound,
     buchberger,
     normal_form,
     staircase_dimension,
 )
-from detcomp.matmap import perm_polynomial
+from detcomp.matmap import generic_det_polynomial, perm_polynomial
 from detcomp.parsing import parse_polynomial
 from detcomp.poly import (
     Polynomial,
     mono_divides,
     mono_key,
-    random_polynomial,
     varset,
 )
-from detcomp.singularity import jacobian_ideal
+from detcomp.singularity import codim_sing, jacobian_ideal
 from detcomp.verify import (
     groebner_failure_witness,
     is_groebner_basis,
     membership_failure_witness,
-    naive_normal_form,
 )
+from support import naive_normal_form, random_polynomial
 
 XY = varset("x", "y")
 XYZ = varset("x", "y", "z")
@@ -817,6 +817,81 @@ def test_golden_perm3_certificate_json(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out == (DATA / "certify_perm3_Fp32003.json").read_text()
+
+
+# --------------------------------------------------------- the staircase stop
+#
+# buchberger(stop_codim=c) returns a StaircaseBound once the leading monomials
+# made so far have staircase codim >= c, a lower bound on codim J; a run that
+# never gets there returns the full reduced basis.
+
+
+@pytest.mark.parametrize("field", [Fp(32003), QQ, Fp(2)], ids=["Fp32003", "Q", "F2"])
+def test_stop_det3_at_four(field):
+    """The 2x2 minors seeded from det3's partials already reach codim 4, so
+    the run stops at its first pair boundary, before reducing any pair."""
+    idl = jacobian_ideal(generic_det_polynomial(3, field))
+    run = buchberger(idl, stop_codim=4)
+    assert isinstance(run, StaircaseBound)
+    assert run.codim == 4 == len(idl.vars) - dimension(idl)
+    assert run.stats.pairs_processed == 0
+
+
+@pytest.mark.parametrize("field", [Fp(32003), QQ], ids=["Fp32003", "Q"])
+def test_stop_perm3_at_six_takes_fewer_pairs(field):
+    idl = jacobian_ideal(perm_polynomial(3, field))
+    full = buchberger(idl)
+    run = buchberger(idl, stop_codim=6)
+    assert isinstance(run, StaircaseBound)
+    assert run.codim == 6 == len(idl.vars) - dimension(full)
+    assert run.stats.pairs_processed == 17 < full.stats.pairs_processed == 86
+
+
+@pytest.mark.parametrize("field", [Fp(32003), QQ, Fp(2)], ids=["Fp32003", "Q", "F2"])
+def test_stop_above_the_codim_runs_out(field):
+    """det3 has codim 4, so a stop at 5 is never reached: the run returns the
+    full reduced basis, with the full run's work."""
+    f = generic_det_polynomial(3, field)
+    idl = jacobian_ideal(f)
+    full = buchberger(idl)
+    run = buchberger(idl, stop_codim=5)
+    assert isinstance(run, GroebnerBasis)
+    assert run.polys == full.polys
+    assert work(run) == work(full) and criteria(run) == criteria(full)
+    assert codim_sing(f, at_most=5) == codim_sing(f) == 4
+
+
+def test_stop_comes_after_the_caps():
+    idl = jacobian_ideal(generic_det_polynomial(3, Fp(32003)))
+    with pytest.raises(ResourceCapError):
+        buchberger(idl, EngineLimits(max_pairs=0), stop_codim=4)
+
+
+@pytest.mark.parametrize("c", [0, -1])
+def test_stop_below_one_is_rejected(c):
+    with pytest.raises(ValueError):
+        buchberger(ideal("x", "y"), stop_codim=c)
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_RANDOM))
+def test_stop_is_a_lower_bound_on_pinned_ideals(k):
+    """For every target c: a stopped run's bound lies in [c, codim J], so an
+    ideal of codim below c never stops, and a run that is not stopped is the
+    full run. Some of these have the basis {1}, codim n + 1. A stop at 1
+    fires at the first pair boundary."""
+    idl = pinned_random_ideal(k)
+    full = buchberger(idl)
+    codim = len(idl.vars) - dimension(full)
+    stopped = []
+    for c in range(1, len(idl.vars) + 2):
+        run = buchberger(idl, stop_codim=c)
+        if isinstance(run, StaircaseBound):
+            stopped.append(c)
+            assert c <= run.codim <= codim
+            assert run.stats.pairs_processed < full.stats.pairs_processed
+        else:
+            assert run.polys == full.polys and work(run) == work(full)
+    assert (1 in stopped) == (full.stats.pairs_processed > 0)
 
 
 # ------------------------------------------------------- M-criterion reference

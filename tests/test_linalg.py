@@ -9,6 +9,7 @@ from detcomp import linalg
 from detcomp.expressions import abp_to_determinant, grenet_abp
 from detcomp.fields import QQ, Fp
 from detcomp.matmap import det_laplace_memo
+from support import random_matrix
 
 
 def reference_det(field, a):
@@ -35,7 +36,7 @@ def reference_det(field, a):
 
 def singular(field, n, rng):
     """A random n x n matrix whose last row is a combination of two others."""
-    m = linalg.random_matrix(field, n, n, rng)
+    m = random_matrix(field, n, n, rng)
     a, b = field.sample(rng, 9), field.sample(rng, 9)
     m[-1] = [field.add(field.mul(a, x), field.mul(b, y)) for x, y in zip(m[0], m[1])]
     return m
@@ -48,7 +49,7 @@ def rational(n, rng):
 
 def zero_pivots(field, n, rng):
     """Zeros on and left of the diagonal of early rows, so elimination must swap rows."""
-    m = linalg.random_matrix(field, n, n, rng)
+    m = random_matrix(field, n, n, rng)
     for i in range(n // 2):
         for j in range(i + 1):
             m[i][j] = field.zero
@@ -68,7 +69,7 @@ def test_mat_det_matches_reference_elimination(field):
     cases = [[], [[field.of(7)]], [[field.zero]]]
     for n in range(1, 9):
         for _ in range(4):
-            cases.append(linalg.random_matrix(field, n, n, rng))
+            cases.append(random_matrix(field, n, n, rng))
             cases.append(zero_pivots(field, n, rng))
             cases.append(units(field, n, rng))
             if n >= 3:
@@ -94,7 +95,7 @@ def test_mat_det_matches_reference_elimination(field):
         if field.char:
             assert 0 <= got < field.char
     # the input is left as it was
-    a = rational(4, rng) if field.char == 0 else linalg.random_matrix(field, 4, 4, rng)
+    a = rational(4, rng) if field.char == 0 else random_matrix(field, 4, 4, rng)
     before = [row[:] for row in a]
     linalg.mat_det(field, a)
     assert a == before
@@ -134,7 +135,7 @@ def test_rref_over_fp_is_reduced_with_the_same_row_space(p):
     rng = random.Random(p)
     for _ in range(60):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-        a = linalg.random_matrix(field, rows, cols, rng)
+        a = random_matrix(field, rows, cols, rng)
         for row in rng.sample(a, rng.randint(0, rows)):  # sparse rows, low ranks
             for j in range(cols):
                 if rng.random() < 0.5:
@@ -239,8 +240,8 @@ def test_rank_normal_decomposition_brings_low_rank_matrices_to_j_r(field):
     p = field.char
     for _ in range(60):
         n, k = rng.randint(0, 6), rng.randint(0, 6)
-        b = linalg.random_matrix(field, n, k, rng, 7)
-        c = linalg.random_matrix(field, k, n, rng, 7)
+        b = random_matrix(field, n, k, rng, 7)
+        c = random_matrix(field, k, n, rng, 7)
         a = [[field.of(sum(b[i][t] * c[t][j] for t in range(k))) for j in range(n)]
              for i in range(n)]
         before = [row[:] for row in a]

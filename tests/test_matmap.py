@@ -27,7 +27,8 @@ from detcomp.matmap import (
     verify_expression,
 )
 from detcomp.parsing import parse_polynomial
-from detcomp.poly import ArityError, Polynomial, random_polynomial, varset
+from detcomp.poly import ArityError, Polynomial, varset
+from support import random_invertible, random_polynomial
 
 
 def parse_map(rows, vars, field=QQ):
@@ -668,8 +669,8 @@ def test_det_is_multiplicative_under_constant_sandwich(rng):
     vars = varset("x", "y")
     for _ in range(10):
         L = random_map(vars, field, 3, rng)
-        P = linalg.random_invertible(field, 3, rng)
-        Q = linalg.random_invertible(field, 3, rng)
+        P = random_invertible(field, 3, rng)
+        Q = random_invertible(field, 3, rng)
         zero = Polynomial.zero(vars, field)
         rows = []
         for i in range(3):

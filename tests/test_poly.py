@@ -12,10 +12,10 @@ from detcomp.poly import (
     ArityError,
     Polynomial,
     mono_key,
-    random_polynomial,
     sum_of_products,
     varset,
 )
+from support import random_polynomial
 
 XY = varset("x", "y")
 XYZ = varset("x", "y", "z")

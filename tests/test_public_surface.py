@@ -19,10 +19,6 @@ PACKAGE = ROOT / "src" / "detcomp"
 
 # names kept without a caller, each with its reason
 ALLOWED = {
-    "enumerate_all_expressions": "the reference enumeration the search tests compare against",
-    "random_polynomial": "seeded random inputs for the property tests",
-    "random_invertible": "seeded random inputs for the property tests",
-    "naive_normal_form": "the textbook division that normal_form and the oracle are tested against",
     "load_schema": "reads a shipped output schema, for validate_payload",
     "validate_payload": "checks a payload against its shipped schema; the CLI tests run it on every JSON output",
 }

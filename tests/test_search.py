@@ -17,11 +17,11 @@ from detcomp.search import (
     SearchSpec,
     _last_row_solutions,
     dc_exact,
-    enumerate_all_expressions,
     rank_order,
     search_expressions,
     search_report,
 )
+from support import enumerate_all_expressions
 
 F2 = Fp(2)
 F3 = Fp(3)

@@ -19,6 +19,7 @@ from detcomp.singularity import (
     isotropic_dimension,
     jacobian_ideal,
 )
+from support import random_invertible
 
 XYZT = varset("x", "y", "z", "t")
 CUBIC = parse_polynomial("x*y^2 + y*t^2 + z^3", vars=XYZT)
@@ -88,7 +89,7 @@ def test_codim_invariant_under_linear_substitution(rng):
     """Sample of the full 20-change sweep run by the acceptance suite."""
     gens = poly_ring(XYZT, QQ)
     for _ in range(5):
-        mat = linalg.random_invertible(QQ, 4, rng, size=7)
+        mat = random_invertible(QQ, 4, rng, size=7)
         images = []
         for i in range(4):
             acc = Polynomial.zero(XYZT, QQ)
@@ -292,12 +293,30 @@ def test_avoidance_probabilistic_witness_for_zero_column():
     assert linalg.mat_rank(QQ, mapping.evaluate(pt)) <= 1
 
 
+@pytest.mark.parametrize("field, ran", [(QQ, 8), (Fp(7), 3)])
+def test_avoidance_probabilistic_reports_the_trials_it_ran(field, ran):
+    """A run that stops at a witness reports the trials it ran, as
+    verify_expression does, not the number requested."""
+    vs = varset("x", "y")
+    zero = Polynomial.zero(vs, field)
+    x, _ = poly_ring(vs, field)
+    mapping = AffineMatrixMap(vs, field, ((x, zero), (zero, zero)))
+    report = check_avoids_singular_locus(
+        mapping, symbolic_det(mapping), mode="probabilistic", trials=1000)
+    # the rank drops to 0 = m - 2 exactly where x = 0
+    assert report.avoids is False
+    assert report.witness_point[0] == 0
+    assert report.trials == ran
+    assert report.to_json()["trials"] == ran
+
+
 def test_avoidance_probabilistic_clean_run_is_inconclusive():
     mapping, target = catalog_get("grenet_perm_3", field=Fp(32003))
     report = check_avoids_singular_locus(
         mapping, target, mode="probabilistic", trials=200, seed=3
     )
     assert report.avoids is None
+    assert report.trials == 200
     assert report.witness_point is None
     assert report.rank_constant == 6
     assert report.rank_constant_ok
