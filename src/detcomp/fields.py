@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Union
 
-Coefficient = Union[Fraction, int]
+Coefficient = Fraction | int
 
 # primes for which deterministic Miller-Rabin with this witness set is exact
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -55,7 +54,7 @@ class Field:
     char: int
     name: str
 
-    def of(self, value: Any) -> Coefficient:
+    def of(self, value: object) -> Coefficient:
         raise NotImplementedError
 
     def add(self, a: Coefficient, b: Coefficient) -> Coefficient:
@@ -92,7 +91,7 @@ class RationalField(Field):
     zero = Fraction(0)
     one = Fraction(1)
 
-    def of(self, value: Any) -> Fraction:
+    def of(self, value: object) -> Fraction:
         if isinstance(value, FieldElement):
             if value.field is not self:
                 raise FieldMismatchError(f"cannot reinterpret {value.field} value over Q")
@@ -152,7 +151,7 @@ class PrimeField(Field):
         self.zero = 0
         self.one = 1 % p
 
-    def of(self, value: Any) -> int:
+    def of(self, value: object) -> int:
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise FieldMismatchError(f"cannot reinterpret {value.field} value in {self}")

@@ -13,7 +13,6 @@ the optional jsonschema dependency, which the test extra installs).
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from .fields import field_from_tag, field_tag
 from .matmap import AffineMatrixMap
@@ -63,6 +62,8 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def load_schema(name: str) -> dict:
+    from importlib import resources
+
     ref = resources.files("detcomp").joinpath("schemas", f"{name}.schema.json")
     return json.loads(ref.read_text(encoding="utf-8"))
 

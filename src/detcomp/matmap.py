@@ -24,12 +24,12 @@ matrices from 8x8 up go to Berkowitz.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import inf, lcm, nextafter, prod
 from operator import mul
-from typing import Sequence
 
 from . import linalg
 from .fields import Field, FieldMismatchError, QQ

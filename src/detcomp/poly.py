@@ -21,11 +21,11 @@ Berkowitz method packs its monomials into ints and multiplies them itself.)
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import add
-from typing import Iterable, Sequence
 
 from .fields import Coefficient, Field, FieldElement, FieldMismatchError
 

@@ -12,7 +12,6 @@ bound the singular locus through the isotropy of the associated linear map.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import time
 from dataclasses import dataclass
@@ -78,6 +77,8 @@ class Certificate:
         return self.bound is not None
 
     def input_hash(self) -> str:
+        import hashlib  # only here: it loads OpenSSL, which start-up does not need
+
         payload = f"{self.field_name}|{','.join(self.poly.vars.names)}|{self.poly}"
         return hashlib.sha256(payload.encode()).hexdigest()
 

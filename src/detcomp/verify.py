@@ -113,18 +113,20 @@ class _Division:
             work[k] = work.get(k, 0) - c
         return work
 
-    def divide(self, work: dict, full: bool) -> dict:
-        """Remainder of the key -> coefficient dict work, which it consumes,
-        each term divided by the first divisor in list order that divides it;
-        with full=False only its first term. Cancelled terms are skipped when
-        popped, and coefficients are reduced mod p (0 for Q) only then."""
+    def divide(self, work: dict) -> dict:
+        """The first term of the remainder of the key -> coefficient dict
+        work, as a one-entry dict; {} if work divides to zero. Each term is
+        divided by the first divisor in list order that divides it. work is
+        consumed down to that term: what is left is the rest of the dividend,
+        all of it smaller, so dividing work again goes on with the remainder.
+        Cancelled terms are skipped when popped, and coefficients are reduced
+        mod p (0 for Q) only then."""
         p, columns = self.prime, self.columns
         mask = (1 << self.width) - 1
         everyone = (1 << len(self.keys)) - 1
         keys, tails = self.keys, self.tails
         heap = list(work)
         heapify(heap)
-        remainder = {}
         while heap:
             k = heappop(heap)
             c = work.pop(k) % p if p else work.pop(k)
@@ -135,10 +137,7 @@ class _Division:
                 bad |= col[k >> s & mask]
             found = everyone & ~bad
             if not found:
-                remainder[k] = c
-                if full:
-                    continue
-                return remainder
+                return {k: c}
             r = (found & -found).bit_length() - 1
             shift = k - keys[r]
             for tk, tc in tails[r]:
@@ -149,7 +148,7 @@ class _Division:
                     heappush(heap, tk)
                 else:
                     work[tk] = old - c * tc
-        return remainder
+        return {}
 
 
 def membership_failure_witness(gb, generators):
@@ -160,7 +159,7 @@ def membership_failure_witness(gb, generators):
     division = _Division(gb.polys, gb.vars, gb.field,
                          max([g.degree() for g in generators if g.terms], default=0))
     for g in generators:
-        if g.terms and division.divide({division.key(e): c for e, c in g.terms}, full=False):
+        if g.terms and division.divide({division.key(e): c for e, c in g.terms}):
             return g
     return None
 
@@ -223,7 +222,7 @@ def groebner_failure_witness(gb):
     masks = division.masks
 
     def fails(a, b):
-        return bool(division.divide(division.spoly(a, b), full=False))
+        return bool(division.divide(division.spoly(a, b)))
 
     def coprime(a, b):
         return not masks[a] & masks[b]

@@ -51,7 +51,10 @@ def random_invertible(field: Field, n: int, rng, size: int = 101) -> Matrix:
 def naive_normal_form(p: Polynomial, basis) -> Polynomial:
     """Full remainder of textbook division by basis, tried in list order."""
     division = _Division(list(basis), p.vars, p.field, max(p.degree(), 0))
-    remainder = division.divide({division.key(e): c for e, c in p.terms}, full=True)
+    work = {division.key(e): c for e, c in p.terms}
+    remainder = {}
+    while term := division.divide(work):  # each call leaves only smaller terms in work
+        remainder.update(term)
     mask = (1 << division.width) - 1  # a key's exponent fields, x_1 lowest
     shifts = range(0, len(p.vars) * division.width, division.width)
     return Polynomial.from_dict(p.vars, p.field, {
