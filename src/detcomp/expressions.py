@@ -2,11 +2,11 @@
 
 The subset branching program realizes the permanent in size 2^n - 1 after the
 classical conversion: merge the sink into the source, put 1 on every other
-diagonal entry, and fix the overall sign by rescaling the source row against
-the independently computed path-sum. Parameterized templates carry unknown
-coefficients in a second variable block of one combined ring, so extracting
-the equations a target imposes on those unknowns is a grouping of determinant
-terms by main-block monomial.
+diagonal entry, and fix the overall sign, (-1)^(L-1) for L layers of edges,
+by negating the source row when L is even. Parameterized templates carry
+unknown coefficients in a second variable block of one combined ring, so
+extracting the equations a target imposes on those unknowns is a grouping of
+determinant terms by main-block monomial.
 """
 
 from __future__ import annotations
@@ -97,26 +97,14 @@ def abp_to_determinant(abp: ABP) -> AffineMatrixMap:
 
     Classical conversion: the sink is merged into the source, every other
     vertex gets 1 on the diagonal, and an edge u -> v places its label at
-    (u, v). The determinant then equals the path-sum up to a global sign.
-    It is computed once and compared with the path-sum; a sign mismatch is
-    fixed by negating the source row, which negates the determinant exactly.
+    (u, v). Every edge goes from one layer to the next, so a nonzero term of
+    the determinant is one cycle through the source, a source-sink path of
+    length L = len(layers) - 1, with 1 at every other vertex; such a cycle
+    has sign (-1)^(L-1), so det = (-1)^(L-1) * path-sum. When L is even the
+    source row is negated, which negates the determinant exactly, and the
+    determinant is then the path-sum with no determinant computed. That holds
+    also when the path-sum is 0: the source row is negated all the same.
     """
-    return _abp_expression(abp)[0]
-
-
-def grenet_expression(n: int, field: Field = QQ):
-    """Grenet's size 2^n - 1 map of perm_n, the target, and the exact report.
-
-    The report compares the determinant abp_to_determinant has computed with
-    perm_n, so the determinant is computed once.
-    """
-    mapping, det = _abp_expression(grenet_abp(n, field))
-    target = perm_polynomial(n, field)
-    return mapping, target, exact_report(det, target)
-
-
-def _abp_expression(abp: ABP) -> tuple[AffineMatrixMap, Polynomial]:
-    """abp_to_determinant's map together with its determinant."""
     vars, field = abp.vars, abp.field
     index = {}
     for layer in range(len(abp.layers) - 1):  # all layers except the sink's
@@ -132,15 +120,17 @@ def _abp_expression(abp: ABP) -> tuple[AffineMatrixMap, Polynomial]:
         u = index[(layer, i)]
         v = 0 if layer + 1 == sink_layer else index[(layer + 1, j)]
         grid[u][v] = grid[u][v] + label
-    mapping = AffineMatrixMap(vars, field, tuple(tuple(row) for row in grid))
-    target = abp.path_sum()
-    det = symbolic_det(mapping)
-    if det == target:
-        return mapping, det
-    if det == -target:
-        # negating one row negates the determinant exactly
-        return mapping.scale_row(0, field.neg(field.one)), target
-    raise RuntimeError("conversion sign could not be normalized; the path-sum was not reproduced")
+    if sink_layer % 2 == 0:
+        grid[0] = [-entry for entry in grid[0]]
+    return AffineMatrixMap(vars, field, tuple(tuple(row) for row in grid))
+
+
+def grenet_expression(n: int, field: Field = QQ):
+    """Grenet's size 2^n - 1 map of perm_n, the target, and the exact report
+    comparing the map's determinant, computed once, with perm_n."""
+    mapping = abp_to_determinant(grenet_abp(n, field))
+    target = perm_polynomial(n, field)
+    return mapping, target, exact_report(symbolic_det(mapping), target)
 
 
 # -- catalog ---------------------------------------------------------------------

@@ -3,13 +3,13 @@
 Matrices are lists of lists of raw field values (Fraction or int mod p).
 Everything here is Gaussian elimination in one costume or another; sizes in
 this package stay small (at most a few dozen rows), so clarity wins over
-blocking tricks. The determinant and the rank avoid Fractions altogether:
-over Q they clear each row's denominators and run Bareiss's fraction-free
-elimination on ints, and over F_p they eliminate on ints reduced mod p.
-Bareiss's determinant prefers a pivot equal to +-the previous one, so that
-on sparse matrices most rows pass a step untouched. The probabilistic check,
-whose integer trials hand their int matrices to Bareiss directly, is its hot
-path. rref is one Gauss-Jordan loop for both rings, on ints mod p over F_p
+blocking tricks. The determinant and the rank are one loop, Bareiss's
+fraction-free elimination on ints: over Q after each row's denominators are
+cleared, over F_p on ints reduced mod p with each pivot row scaled to a
+leading 1. It prefers a pivot equal to +-the previous one, so that on sparse
+matrices most rows pass a step untouched. The probabilistic check, whose
+integer trials hand their int matrices to it directly, is its hot path.
+rref is one Gauss-Jordan loop for both rings, on ints mod p over F_p
 (the exhaustive search calls it once per choice of a grid's upper rows) and
 on Fractions over Q; rank_normal_decomposition runs on the same raw values.
 """
@@ -61,48 +61,48 @@ def rref(field: Field, a: Matrix, rhs: int = 0) -> tuple[Matrix, list[int]]:
 
 
 def mat_rank(field: Field, a: Matrix) -> int:
-    """Rank; over Q by Bareiss's fraction-free elimination on ints, as mat_det."""
-    if not a or not a[0]:
-        return 0
-    if field.char:
-        return len(rref(field, a)[1])
-    rows = [[x.numerator * (d // x.denominator) for x in row]
-            for row in a for d in [lcm(*(x.denominator for x in row))]]
-    rank, prev = 0, 1
-    for c in range(len(a[0])):
-        pivot = next((row for row in rows if row[c]), None)
-        if pivot is not None:  # eliminate column c; every entry stays an int, a minor of the input
-            rows.remove(pivot)
-            rows = [[(x * pivot[c] - row[c] * y) // prev for x, y in zip(row, pivot)] for row in rows]
-            rank, prev = rank + 1, pivot[c]
-    return rank
+    """Rank, by the fraction-free elimination mat_det runs."""
+    rows, p, _ = _ints(field, a)
+    return _det_bareiss(rows, p)[0]
 
 
 def mat_det(field: Field, a: Matrix):
     """Determinant: a Fraction over Q, an int in [0, p) over F_p."""
+    rows, p, den = _ints(field, a)
+    det = _det_bareiss(rows, p)[1]
+    return det if p else Fraction(det, den)
+
+
+def _ints(field: Field, a: Matrix) -> tuple[Matrix, int, int]:
+    """a as ints for _det_bareiss: reduced mod p over F_p; over Q each row
+    times the lcm of its denominators, and the product of those lcms."""
     p = field.char
     if p:
-        return _det_mod_p([[x % p for x in row] for row in a], p)
+        return [[x % p for x in row] for row in a], p, 1
     scales = [lcm(*(x.denominator for x in row)) for row in a]
     rows = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(a, scales)]
-    return Fraction(_det_bareiss(rows), prod(scales))
+    return rows, 0, prod(scales)
 
 
-def _det_bareiss(rows: Matrix) -> int:
-    """Determinant of an int matrix by Bareiss's fraction-free elimination.
+def _det_bareiss(rows: Matrix, p: int) -> tuple[int, int]:
+    """Rank and determinant of an int matrix by Bareiss's fraction-free
+    elimination: over Z when p is 0, over F_p on ints in [0, p) when p is prime.
 
-    Each step replaces the rows below the pivot by 2x2 minors divided by the
-    previous pivot; the division is exact (Sylvester's identity), so every
-    entry stays an int, a minor of the input. The identity holds for any
-    choice of pivot row, so the step prefers a row whose pivot is +-prev, the
-    previous pivot, and negates it if need be (negating the determinant). A
-    row with a zero in the pivot column then stays as it is, with no
-    arithmetic; with any other pivot such a row is only scaled by piv / prev.
-    On a sparse matrix, such as an evaluated Grenet expression, most rows are
-    kept at most steps. Consumes rows.
+    Each step takes a pivot in the leading column and replaces the rows below
+    it by 2x2 minors divided by the previous pivot; the division is exact
+    (Sylvester's identity), so every entry stays an int, a minor of the input.
+    A column with no pivot is stepped past: it adds nothing to the rank and
+    makes the determinant 0. The identity holds for any choice of pivot row,
+    so the step prefers a row whose pivot is +-prev, the previous pivot, and
+    negates it if need be (negating the determinant). A row with a zero in
+    the pivot column then stays as it is, with no arithmetic; with any other
+    pivot such a row is only scaled by piv / prev. On a sparse matrix, such as
+    an evaluated Grenet expression, most rows are kept at most steps. Over
+    F_p the pivot row is scaled to a leading 1, whose factor goes into the
+    determinant, so prev stays 1 and a step is x - f*y mod p. Consumes rows.
     """
-    sign, prev = 1, 1
-    while len(rows) > 1:
+    rank, sign, prev, scale = 0, 1, 1, 1
+    while rows and rows[0]:
         pivot = None
         for i, row in enumerate(rows):
             x = row[0]
@@ -113,45 +113,29 @@ def _det_bareiss(rows: Matrix) -> int:
                 if pivot is None:
                     pivot = i
         if pivot is None:
-            return 0
+            rows, sign = [row[1:] for row in rows], 0
+            continue
         if pivot:
             rows[0], rows[pivot] = rows[pivot], rows[0]
             sign = -sign
         piv, rest = rows[0][0], rows[0][1:]
         if piv == -prev:
             piv, rest, sign = prev, [-y for y in rest], -sign
+        elif p and piv != 1:
+            scale, inv = scale * piv % p, pow(piv, p - 2, p)
+            piv, rest = 1, [y * inv % p for y in rest]
         below = []
         for row in rows[1:]:
             f = row[0]
-            if f:
-                below.append([(x * piv - f * y) // prev for x, y in zip(row[1:], rest)])
-            elif piv == prev:
-                below.append(row[1:])
+            if not f:
+                below.append(row[1:] if piv == prev else [x * piv // prev for x in row[1:]])
+            elif p:
+                below.append([(x - f * y) % p for x, y in zip(row[1:], rest)])
             else:
-                below.append([x * piv // prev for x in row[1:]])
-        rows, prev = below, piv
-    return sign * rows[0][0] if rows else 1
-
-
-def _det_mod_p(rows: Matrix, p: int) -> int:
-    """Determinant of a matrix of ints in [0, p) by elimination mod p. Consumes rows."""
-    det = 1
-    while rows:
-        pivot = next((i for i, row in enumerate(rows) if row[0]), None)
-        if pivot is None:
-            return 0
-        if pivot:
-            rows[0], rows[pivot] = rows[pivot], rows[0]
-            det = -det
-        piv, rest = rows[0][0], rows[0][1:]
-        det = det * piv % p
-        inv = pow(piv, p - 2, p)
-        below = []
-        for row in rows[1:]:
-            f = row[0] * inv % p
-            below.append([(x - f * y) % p for x, y in zip(row[1:], rest)] if f else row[1:])
-        rows = below
-    return det % p
+                below.append([(x * piv - f * y) // prev for x, y in zip(row[1:], rest)])
+        rows, prev, rank = below, piv, rank + 1
+    det = sign * prev * scale
+    return rank, det % p if p else det
 
 
 def rank_normal_decomposition(field: Field, c: Matrix) -> tuple[Matrix, Matrix, int]:

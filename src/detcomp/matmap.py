@@ -111,11 +111,6 @@ class AffineMatrixMap:
         return [[x % p if p else Fraction(x) if x else zero for x in row]
                 for row in _evaluate_forms(_linear_forms(self), vals)]
 
-    def scale_row(self, i: int, c) -> "AffineMatrixMap":
-        rows = [tuple(row) for row in self.entries]
-        rows[i] = tuple(p.scale(c) for p in rows[i])
-        return AffineMatrixMap(self.vars, self.field, tuple(rows))
-
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(p) for p in row) + "]" for row in self.entries)
 
@@ -510,7 +505,7 @@ def verify_expression(
     for t in range(trials):
         vals = [rng.randrange(low, high) for _ in range(n)]
         rows = _evaluate_forms(forms, vals)
-        det_val = linalg._det_bareiss(rows) if integral else linalg.mat_det(field, rows)
+        det_val = linalg._det_bareiss(rows, 0)[1] if integral else linalg.mat_det(field, rows)
         if det_val != evaluate_terms(terms, vals, p):
             return VerificationReport(
                 mode="probabilistic",

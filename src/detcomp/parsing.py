@@ -18,6 +18,11 @@ terms can form, and all monomials of degree at most k*d. For a product of t1
 and t2 terms it is min(t1*t2, C(n + d1 + d2, n)). Expanding a dense
 univariate power costs about the square of its term count, so the largest one
 the cap admits, (x + 1)^999, takes about 4 s over Q and 1 s over F_p.
+
+The parser recurses once per parenthesis and once per unary minus, so an atom
+nested in more than MAX_NESTING_DEPTH of them is refused with
+PolynomialSyntaxError at the first '(' or '-' past the cap, well before
+Python's recursion limit (four frames per parenthesis).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ _TOKEN_RE = re.compile(
 
 
 MAX_EXPANSION_TERMS = 1000  # see the module docstring
+MAX_NESTING_DEPTH = 100  # see the module docstring
 
 
 class PolynomialSyntaxError(ValueError):
@@ -84,6 +90,7 @@ class _Parser:
         self.i = 0
         self.vars = vars
         self.field = field
+        self.depth = 0  # open parentheses and unary minus signs around the atom being read
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -161,14 +168,19 @@ class _Parser:
             if tok.text not in self.vars:
                 self.fail(f"unknown variable {tok.text!r}", tok)
             return Polynomial.variable(self.vars, self.field, tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            p = self.expr()
-            closing = self.take()
-            if not (closing.kind == "op" and closing.text == ")"):
-                self.fail("expected ')'", closing)
+        if tok.kind == "op" and tok.text in "(-":
+            self.depth += 1
+            if self.depth > MAX_NESTING_DEPTH:
+                self.fail(f"parentheses and unary minus signs nest deeper than {MAX_NESTING_DEPTH}", tok)
+            if tok.text == "-":
+                p = -self.atom()
+            else:
+                p = self.expr()
+                closing = self.take()
+                if not (closing.kind == "op" and closing.text == ")"):
+                    self.fail("expected ')'", closing)
+            self.depth -= 1
             return p
-        if tok.kind == "op" and tok.text == "-":
-            return -self.atom()
         self.fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok)
 
 

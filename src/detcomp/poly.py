@@ -307,18 +307,24 @@ class Polynomial:
                 raise ValueError("substitution images must have degree <= 1")
         if target_field != self.field:
             raise FieldMismatchError(f"{self.field} vs {target_field}")
-        # cache powers of each image
-        pow_cache: list[list[Polynomial]] = [[Polynomial.const(target_vars, target_field, 1)] for _ in images]
-        result = Polynomial.zero(target_vars, target_field)
+        # each term's image is c times the cached powers of the images of its
+        # variables; the last factor goes to the one sum as a product pair
+        one = Polynomial.const(target_vars, target_field, 1)
+        pow_cache: list[list[Polynomial]] = [[one] for _ in images]
+        products = []
         for e, c in self.terms:
-            termval = Polynomial.const(target_vars, target_field, c)
+            factors = []
             for i, exp in enumerate(e):
-                cache = pow_cache[i]
-                while len(cache) <= exp:
-                    cache.append(cache[-1] * images[i])
-                termval = termval * cache[exp]
-            result = result + termval
-        return result
+                if exp:
+                    cache = pow_cache[i]
+                    while len(cache) <= exp:
+                        cache.append(cache[-1] * images[i])
+                    factors.append(cache[exp])
+            image = Polynomial.const(target_vars, target_field, c)
+            for f in factors[:-1]:
+                image = image * f
+            products.append((image, factors[-1] if factors else one))
+        return sum_of_products(target_vars, target_field, products)
 
     def evaluate(self, point: Sequence) -> FieldElement:
         """Exact evaluation at a point over this polynomial's field.

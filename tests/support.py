@@ -10,7 +10,7 @@ from itertools import product
 
 from detcomp.fields import Field
 from detcomp.linalg import Matrix, mat_det
-from detcomp.matmap import det_laplace_memo
+from detcomp.matmap import AffineMatrixMap, det_laplace_memo
 from detcomp.poly import Polynomial, VarSet
 from detcomp.search import EnumerationCapError
 from detcomp.verify import _Division
@@ -39,6 +39,13 @@ def random_polynomial(
 
 def random_matrix(field: Field, rows: int, cols: int, rng, size: int = 101) -> Matrix:
     return [[field.sample(rng, size) for _ in range(cols)] for _ in range(rows)]
+
+
+def scale_row(mapping: AffineMatrixMap, i: int, c) -> AffineMatrixMap:
+    """mapping with row i multiplied by the constant c."""
+    rows = list(mapping.entries)
+    rows[i] = tuple(p.scale(c) for p in rows[i])
+    return AffineMatrixMap(mapping.vars, mapping.field, tuple(rows))
 
 
 def random_invertible(field: Field, n: int, rng, size: int = 101) -> Matrix:

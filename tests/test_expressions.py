@@ -1,5 +1,7 @@
 """Branching programs, the expression catalog, and coefficient equations."""
 
+import random
+
 import pytest
 
 from detcomp import expressions
@@ -17,6 +19,7 @@ from detcomp.fields import QQ, FieldMismatchError, Fp
 from detcomp.matmap import det_berkowitz, perm_polynomial, symbolic_det, verify_expression
 from detcomp.parsing import parse_polynomial
 from detcomp.poly import Polynomial, varset
+from support import random_polynomial
 
 SIX_EQUATIONS = (
     "x*y^2: beta*X23 - gamma*X43 = 1",
@@ -82,8 +85,6 @@ def test_path_sum_matches_brute_enumeration(rng):
     """Random layered programs against the recursive oracle."""
     vs = varset("x", "y", "z")
     field = Fp(7)
-    from support import random_polynomial
-
     for _ in range(15):
         widths = [1] + [rng.randint(1, 3) for _ in range(rng.randint(1, 3))] + [1]
         layers = tuple(
@@ -162,8 +163,6 @@ def test_abp_to_determinant_parallel_paths():
 def test_abp_to_determinant_random_agrees_with_path_sum(rng):
     vs = varset("x", "y")
     field = Fp(11)
-    from support import random_polynomial
-
     checked = 0
     for _ in range(12):
         widths = [1] + [rng.randint(1, 2) for _ in range(rng.randint(1, 2))] + [1]
@@ -186,24 +185,49 @@ def test_abp_to_determinant_random_agrees_with_path_sum(rng):
     assert checked == 12
 
 
-def test_abp_sign_fix_negates_source_row_with_one_determinant(monkeypatch):
-    """source -x-> v -y-> sink converts to [[0, x], [y, 1]], determinant -x*y."""
+def test_abp_sign_rule_negates_source_row_without_a_determinant(monkeypatch):
+    """source -x-> v -y-> sink converts to [[0, x], [y, 1]], determinant -x*y;
+    with two layers of edges the source row is negated, and no determinant
+    is computed to decide it."""
     vs = varset("x", "y")
     x, y = (Polynomial.variable(vs, QQ, i) for i in range(2))
     zero, one = Polynomial.zero(vs, QQ), Polynomial.const(vs, QQ, 1)
     abp = ABP(vs, QQ, (("s",), ("v",), ("t",)), ((0, 0, 0, x), (1, 0, 0, y)))
     assert abp.path_sum() == x * y
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return symbolic_det(*args, **kwargs)
-
-    monkeypatch.setattr(expressions, "symbolic_det", counted)
+    monkeypatch.setattr(expressions, "symbolic_det", lambda *args: pytest.fail("determinant computed"))
     mapping = abp_to_determinant(abp)
-    assert len(calls) == 1
     assert mapping.entries == ((zero, -x), (y, one))
     assert det_berkowitz(mapping.entries) == abp.path_sum()
+
+
+@pytest.mark.parametrize("field", [QQ, Fp(2), Fp(3), Fp(32003)], ids=str)
+def test_abp_sign_rule_reproduces_the_path_sum(field):
+    """det(abp_to_determinant(abp)) == path-sum on random layered programs
+    with 1 to 5 layers of edges, both parities of the sign (-1)^(L-1); where
+    the path-sum is 0 the source row is negated all the same when L is even."""
+    rng = random.Random(field.char + 30)
+    vs = varset("x", "y", "z")
+    lengths = set()
+    for _ in range(40):
+        widths = [1] + [rng.randint(1, 3) for _ in range(rng.randint(0, 4))] + [1]
+        layers = tuple(tuple(f"v{k}_{i}" for i in range(w)) for k, w in enumerate(widths))
+        edges = tuple((k, i, j, random_polynomial(vs, field, rng, degree=1, terms=2))
+                      for k in range(len(widths) - 1)
+                      for i in range(widths[k]) for j in range(widths[k + 1])
+                      if rng.random() < 0.7)
+        abp = ABP(vs, field, layers, edges)
+        mapping = abp_to_determinant(abp)
+        assert det_berkowitz(mapping.entries) == abp.path_sum() == brute_path_sum(abp)
+        length = len(layers) - 1
+        lengths.add(length)
+        source_row = [Polynomial.zero(vs, field)] * mapping.size
+        for layer, i, j, label in edges:
+            if layer == 0:
+                v = 0 if length == 1 else 1 + j
+                source_row[v] = source_row[v] + label
+        want = [-entry for entry in source_row] if length % 2 == 0 else source_row
+        assert list(mapping.entries[0]) == want
+    assert lengths == {1, 2, 3, 4, 5}
 
 
 def test_grenet_determinant_sizes_and_exactness():

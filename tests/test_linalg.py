@@ -63,6 +63,21 @@ def units(field, n, rng):
     return [[field.of(rng.choice((0, 0, 0, 1, -1))) for _ in range(n)] for _ in range(n)]
 
 
+def signs(field, n, rng):
+    """Entries 1 and -1 only, no zeros: most pivots are +-the previous one,
+    and every row below a pivot is fully updated."""
+    return [[field.of(rng.choice((1, -1))) for _ in range(n)] for _ in range(n)]
+
+
+def zero_column(field, n, rng):
+    """A random matrix with one column of zeros: elimination steps past it."""
+    m = random_matrix(field, n, n, rng)
+    j = rng.randrange(n)
+    for row in m:
+        row[j] = field.zero
+    return m
+
+
 @pytest.mark.parametrize("field", [QQ, Fp(2), Fp(101), Fp(32003)], ids=str)
 def test_mat_det_matches_reference_elimination(field):
     rng = random.Random(8)
@@ -72,6 +87,8 @@ def test_mat_det_matches_reference_elimination(field):
             cases.append(random_matrix(field, n, n, rng))
             cases.append(zero_pivots(field, n, rng))
             cases.append(units(field, n, rng))
+            cases.append(signs(field, n, rng))
+            cases.append(zero_column(field, n, rng))
             if n >= 3:
                 cases.append(singular(field, n, rng))
             if field.char == 0:
@@ -202,32 +219,39 @@ def test_rref_over_q_takes_right_hand_sides():
     assert r == [[1, 0, Fraction(1, 2)], [0, 1, 0]]
 
 
-def test_mat_rank_over_q_matches_rref(monkeypatch):
-    """Fraction-free rank against rref's pivot count on random rational
-    matrices, among them products B C of an inner dimension below both
-    sides (rank-deficient), zero rows and zero columns."""
-    rng = random.Random(54)
+@pytest.mark.parametrize("field", [QQ, Fp(2), Fp(3), Fp(32003)], ids=str)
+def test_mat_rank_matches_rref(field, monkeypatch):
+    """Fraction-free rank against rref's pivot count on random matrices,
+    among them products B C of an inner dimension below both sides
+    (rank-deficient), zero rows, zero columns and sparse 0, +-1 squares."""
+    rng = random.Random(54 + field.char)
     cases = []
     for _ in range(150):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         inner = rng.randint(1, min(rows, cols))
-        b = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(inner)] for _ in range(rows)]
-        c = [[Fraction(rng.randint(-9, 9), rng.choice((1, 5, 12))) for _ in range(cols)] for _ in range(inner)]
-        a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b]
+        if field.char:
+            b = random_matrix(field, rows, inner, rng)
+            c = random_matrix(field, inner, cols, rng)
+        else:
+            b = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(inner)] for _ in range(rows)]
+            c = [[Fraction(rng.randint(-9, 9), rng.choice((1, 5, 12))) for _ in range(cols)] for _ in range(inner)]
+        a = [[field.of(sum(x * y for x, y in zip(row, col))) for col in zip(*c)] for row in b]
         if rng.random() < 0.3:
-            a[rng.randrange(rows)] = [Fraction(0)] * cols
+            a[rng.randrange(rows)] = [field.zero] * cols
         if rng.random() < 0.3:
             j = rng.randrange(cols)
             for row in a:
-                row[j] = Fraction(0)
+                row[j] = field.zero
         cases.append((a, inner))
-    cases += [(rational(n, rng), n) for n in range(1, 7)]
-    expected = [len(linalg.rref(QQ, a)[1]) for a, _ in cases]
+    square = rational if field.char == 0 else lambda n, rng: random_matrix(field, n, n, rng)
+    cases += [(square(n, rng), n) for n in range(1, 7)]
+    cases += [(units(field, n, rng), n) for n in range(1, 9)]
+    expected = [len(linalg.rref(field, a)[1]) for a, _ in cases]
     assert min(expected) == 0 and any(r < min(len(a), len(a[0])) for r, (a, _) in zip(expected, cases))
-    monkeypatch.setattr(linalg, "rref", lambda *args: pytest.fail("rref over Q"))
+    monkeypatch.setattr(linalg, "rref", lambda *args: pytest.fail("rref"))
     for (a, inner), rank in zip(cases, expected):
         before = [row[:] for row in a]
-        assert linalg.mat_rank(QQ, a) == rank <= inner
+        assert linalg.mat_rank(field, a) == rank <= inner
         assert a == before
 
 

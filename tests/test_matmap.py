@@ -28,7 +28,7 @@ from detcomp.matmap import (
 )
 from detcomp.parsing import parse_polynomial
 from detcomp.poly import ArityError, Polynomial, varset
-from support import random_invertible, random_polynomial
+from support import random_invertible, random_polynomial, scale_row
 
 
 def parse_map(rows, vars, field=QQ):
@@ -130,7 +130,7 @@ def test_evaluate_matches_entrywise_polynomial_evaluation(rng):
     for field in (QQ, Fp(32003)):
         for m in (1, 3, 5):
             # a scaled row has fractional coefficients over Q
-            L = random_map(vars, field, m, rng).scale_row(0, "1/3")
+            L = scale_row(random_map(vars, field, m, rng), 0, "1/3")
             for point in (
                 [field.sample(rng, 101) for _ in vars],
                 [rng.randint(-50, 50) for _ in vars],

@@ -151,6 +151,23 @@ def test_hostile_expansion_exits_two_in_the_cli(capsys):
     assert time.process_time() - start < 1.0
 
 
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", "")], ids=["parentheses", "minus"])
+def test_deep_nesting_is_refused_at_the_first_token_past_the_cap(opening, closing, capsys):
+    """3,000 nested parentheses or unary minus signs raise a syntax error at
+    the (cap + 1)-th one, not RecursionError, and the CLI exits 2; the cap
+    counts nesting, not occurrences."""
+    cap = parsing.MAX_NESTING_DEPTH
+    assert parse_polynomial(opening * cap + "x" + closing * cap, XY) == parse_polynomial("x", XY)
+    siblings = " + ".join([opening + "x" + closing] * (2 * cap))  # side by side, not nested
+    assert parse_polynomial(siblings, XY) == parse_polynomial(f"{opening}{2 * cap}*x{closing}", XY)
+    text = opening * 3000 + "x" + closing * 3000
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial(text, XY)
+    assert (err.value.line, err.value.column) == (1, cap + 1)
+    assert main(["parse", "--poly=" + text]) == 2
+    assert "nest deeper than" in capsys.readouterr().err
+
+
 def test_catalog_and_readme_polynomials_parse():
     for name in CATALOG_NAMES:
         mapping, target = catalog_get(name)

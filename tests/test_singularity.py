@@ -19,7 +19,7 @@ from detcomp.singularity import (
     isotropic_dimension,
     jacobian_ideal,
 )
-from support import random_invertible
+from support import random_invertible, scale_row
 
 XYZT = varset("x", "y", "z", "t")
 CUBIC = parse_polynomial("x*y^2 + y*t^2 + z^3", vars=XYZT)
@@ -387,7 +387,7 @@ def _scaled_cubic_5x5():
     """cubic_5x5 with a constant row scaled by 3: a lower-rank map whose
     normalization scalar is 1/3, not 1."""
     mapping, target = catalog_get("cubic_5x5")
-    return mapping.scale_row(2, 3), target.scale(3)
+    return scale_row(mapping, 2, 3), target.scale(3)
 
 
 def test_analysis_rank_zero_diagonal():
