@@ -16,7 +16,9 @@ from itertools import combinations
 
 from .fields import Field, FieldMismatchError, QQ
 from .groebner import EngineLimits, Ideal, ResourceCapError, buchberger
-from .matmap import AffineMatrixMap, exact_report, perm_polynomial, symbolic_det, verify_expression
+from .matmap import (
+    AffineMatrixMap, _check_grid, exact_report, perm_polynomial, symbolic_det, verify_expression,
+)
 from .parsing import parse_polynomial
 from .poly import Polynomial, VarSet, mono_key, mono_str, varset
 
@@ -191,15 +193,10 @@ class ParamTemplate:
     def __post_init__(self):
         if set(self.main_vars.names) & set(self.param_vars.names):
             raise ValueError("main and parameter variables must be disjoint")
+        _check_grid(self.entries, self.combined_vars, self.field)
         nm = len(self.main_vars)
-        combined = self.combined_vars
-        m = len(self.entries)
-        if m < 1 or any(len(row) != m for row in self.entries):
-            raise ValueError("entries must form a nonempty square grid")
         for row in self.entries:
             for p in row:
-                if p.vars != combined or p.field != self.field:
-                    raise FieldMismatchError("entry outside the combined ring")
                 for e, _ in p.terms:
                     if sum(e[:nm]) > 1:
                         raise ValueError("entry has a term of degree > 1 in the main block")
@@ -209,13 +206,6 @@ class ParamTemplate:
     @property
     def combined_vars(self) -> VarSet:
         return VarSet(self.main_vars.names + self.param_vars.names)
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def determinant(self) -> Polynomial:
-        return symbolic_det(self.entries)
 
 
 @dataclass(frozen=True)
@@ -251,7 +241,7 @@ def extract_coefficient_equations(
         raise FieldMismatchError("target must live over the template's main ring")
     field = template.field
     nm = len(template.main_vars)
-    det = template.determinant()
+    det = symbolic_det(template.entries)
     buckets: dict = {}
     for e, c in det.terms:
         buckets.setdefault(e[:nm], {})[e[nm:]] = c

@@ -1,12 +1,14 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields F_p.
 
 Coefficients are stored as raw values (Fraction for the rationals, int in
-[0, p) for F_p) and arithmetic on raw values is dispatched through a Field
-object; that keeps the polynomial kernels free of per-element wrappers.
+[0, p) for F_p), and the kernels compute on them directly: `c * d % p if p
+else c * d` with p = field.char. A Field supplies what that leaves: its
+zero and one, `of` to read a value into the field, `inv`, and
+`sample_range`, the set random points are drawn from.
 FieldElement pairs a raw value with its field at the API boundary: a point
 coordinate given as one is checked against the ring's field, and
-Polynomial.evaluate returns one. It has no arithmetic of its own; compute on
-raw values through the Field.
+Polynomial.evaluate returns one. It has no arithmetic of its own, and it
+equals only a FieldElement of the same field and value.
 """
 
 from __future__ import annotations
@@ -57,26 +59,13 @@ class Field:
     def of(self, value: object) -> Coefficient:
         raise NotImplementedError
 
-    def add(self, a: Coefficient, b: Coefficient) -> Coefficient:
-        raise NotImplementedError
-
-    def sub(self, a: Coefficient, b: Coefficient) -> Coefficient:
-        raise NotImplementedError
-
-    def mul(self, a: Coefficient, b: Coefficient) -> Coefficient:
-        raise NotImplementedError
-
-    def neg(self, a: Coefficient) -> Coefficient:
-        raise NotImplementedError
-
     def inv(self, a: Coefficient) -> Coefficient:
         raise NotImplementedError
 
-    def sample(self, rng, size: int) -> Coefficient:
-        """Uniform raw value from a sample set of (at least) `size` elements."""
-        raise NotImplementedError
-
-    def sample_set_size(self, size: int) -> int:
+    def sample_range(self, size: int) -> range:
+        """The ints random points draw from: at least `size` of them around 0
+        over Q, all of [0, p) over F_p. A Schwartz-Zippel bound divides by
+        its length."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -102,29 +91,13 @@ class RationalField(Field):
             return Fraction(value)
         return Fraction(value)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
 
-    def sample(self, rng, size: int) -> Fraction:
-        half = size // 2
-        return Fraction(rng.randint(-half, half))
-
-    def sample_set_size(self, size: int) -> int:
-        return 2 * (size // 2) + 1
+    def sample_range(self, size: int) -> range:
+        return range(-(size // 2), size // 2 + 1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
@@ -145,7 +118,6 @@ class PrimeField(Field):
             raise ValueError(f"modulus must be prime, got {p!r}")
         if p >= 2**64:
             raise ValueError("modulus must fit in a machine word")
-        self.p = p
         self.char = p
         self.name = f"F_{p}"
         self.zero = 0
@@ -156,46 +128,32 @@ class PrimeField(Field):
             if value.field != self:
                 raise FieldMismatchError(f"cannot reinterpret {value.field} value in {self}")
             return value.value
+        p = self.char
         if isinstance(value, Fraction):
-            if value.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return value.numerator * pow(value.denominator, self.p - 2, self.p) % self.p
+            if value.denominator % p == 0:
+                raise ZeroDivisionError(f"denominator divisible by {p}")
+            return value.numerator * pow(value.denominator, p - 2, p) % p
         if isinstance(value, str):
-            frac = Fraction(value)
-            return self.of(frac)
+            return self.of(Fraction(value))
         if isinstance(value, float):
             raise TypeError("floats are not exact; pass an int")
-        return value % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
+        return value % p
 
     def inv(self, a):
-        a %= self.p
+        p = self.char
+        a %= p
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, p - 2, p)
 
-    def sample(self, rng, size: int) -> int:
-        return rng.randrange(self.p)
-
-    def sample_set_size(self, size: int) -> int:
-        return self.p
+    def sample_range(self, size: int) -> range:
+        return range(self.char)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
+        return isinstance(other, PrimeField) and other.char == self.char
 
     def __hash__(self) -> int:
-        return hash(("field:Fp", self.p))
+        return hash(("field:Fp", self.char))
 
 
 QQ = RationalField()
@@ -231,17 +189,6 @@ class FieldElement:
 
     field: Field
     value: Coefficient
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        try:
-            return self.value == self.field.of(other)
-        except (TypeError, ValueError, ZeroDivisionError):
-            return NotImplemented  # not a value of this field
-
-    def __hash__(self) -> int:
-        return hash(self.value)  # it equals its raw value, so it hashes like it
 
     def __str__(self) -> str:
         return str(self.value)

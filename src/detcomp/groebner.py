@@ -101,12 +101,6 @@ class Ideal:
             if g.vars != self.vars or g.field != self.field:
                 raise FieldMismatchError("generators must live in the declared ring")
 
-    @classmethod
-    def of(cls, *gens: Polynomial) -> "Ideal":
-        if not gens:
-            raise ValueError("need at least one generator")
-        return cls(gens[0].vars, gens[0].field, tuple(gens))
-
 
 @dataclass(frozen=True)
 class GroebnerStats:
@@ -359,8 +353,8 @@ def _monic_terms(terms, field):
     inv = field.inv(terms[0][1])
     if inv == field.one:
         return list(terms)
-    mul = field.mul
-    return [(k, mul(c, inv)) for k, c in terms]
+    p = field.char
+    return [(k, c * inv % p if p else c * inv) for k, c in terms]
 
 
 def _reduce_terms(terms, reducers, field, deadline=None):

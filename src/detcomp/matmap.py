@@ -481,8 +481,8 @@ def verify_expression(
 
     field = mapping.field
     deg_bound = max(mapping.size, int(target.degree()) if not target.is_zero() else 0)
-    size = max(4 * deg_bound, 64)
-    sample_size = field.sample_set_size(size)
+    sample = field.sample_range(max(4 * deg_bound, 64))
+    sample_size = len(sample)
     if sample_size <= 2 * deg_bound:
         raise FieldTooSmallError(
             f"field of size {sample_size} is too small for degree bound {deg_bound}; use exact mode"
@@ -492,18 +492,16 @@ def verify_expression(
     p = field.char
     forms = _linear_forms(mapping)
     terms = target.terms
-    # Each coordinate is an int from the stream field.sample would use:
-    # randrange(p) over F_p, randint(-(size // 2), size // 2) over Q. With
-    # integer coefficients a trial over Q then runs on ints, and the matrix
-    # goes straight to Bareiss; a Fraction point is made only for a witness.
-    low, high = (0, p) if p else (-(size // 2), size // 2 + 1)
+    # Each coordinate is an int drawn from the sample range. With integer
+    # coefficients a trial over Q then runs on ints, and the matrix goes
+    # straight to Bareiss; a Fraction point is made only for a witness.
     integral = not p and all(
         c.denominator == 1 for poly in (target, *(entry for row in mapping.entries for entry in row))
         for _, c in poly.terms)
     if integral:
         terms = [(e, c.numerator) for e, c in terms]
     for t in range(trials):
-        vals = [rng.randrange(low, high) for _ in range(n)]
+        vals = [rng.randrange(sample.start, sample.stop) for _ in range(n)]
         rows = _evaluate_forms(forms, vals)
         det_val = linalg._det_bareiss(rows, 0)[1] if integral else linalg.mat_det(field, rows)
         if det_val != evaluate_terms(terms, vals, p):

@@ -96,18 +96,11 @@ def _term_order(term):
 
 
 def point_values(vars: VarSet, field: Field, point: Sequence) -> list:
-    """Raw values of a point of the ring's affine space, one per variable."""
+    """Raw values of a point of the ring's affine space, one per variable;
+    a FieldElement coordinate must belong to the ring's field."""
     if len(point) != len(vars):
         raise ArityError(f"point of length {len(point)} for {len(vars)} variables")
-    vals = []
-    for x in point:
-        if isinstance(x, FieldElement):
-            if x.field != field:
-                raise FieldMismatchError(f"{field} vs {x.field}")
-            vals.append(x.value)
-        else:
-            vals.append(field.of(x))
-    return vals
+    return [field.of(x) for x in point]
 
 
 def evaluate_terms(terms: Iterable, vals: Sequence, p: int = 0):
@@ -142,7 +135,7 @@ def mono_str(e: Monomial, vars: VarSet) -> str:
 class Polynomial:
     """Immutable sparse polynomial in canonical degrevlex form."""
 
-    __slots__ = ("vars", "field", "terms", "_degree", "_hash")
+    __slots__ = ("vars", "field", "terms", "_degree")
 
     def __init__(self, vars: VarSet, field: Field, terms: tuple):
         # terms must already be canonical; use the constructors below
@@ -151,7 +144,6 @@ class Polynomial:
         object.__setattr__(self, "terms", terms)
         # degrevlex is graded, so the first canonical term has the top degree
         object.__setattr__(self, "_degree", sum(terms[0][0]) if terms else MINUS_INF)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -237,8 +229,8 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.field.neg
-        return Polynomial(self.vars, self.field, tuple((e, neg(c)) for e, c in self.terms))
+        p = self.field.char
+        return Polynomial(self.vars, self.field, tuple((e, -c % p if p else -c) for e, c in self.terms))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -261,8 +253,9 @@ class Polynomial:
         c = self.field.of(c)
         if c == self.field.zero:
             return Polynomial.zero(self.vars, self.field)
-        mul = self.field.mul
-        return Polynomial(self.vars, self.field, tuple((e, mul(cc, c)) for e, cc in self.terms))
+        p = self.field.char
+        return Polynomial(self.vars, self.field,
+                          tuple((e, cc * c % p if p else cc * c) for e, cc in self.terms))
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -327,19 +320,11 @@ class Polynomial:
         return sum_of_products(target_vars, target_field, products)
 
     def evaluate(self, point: Sequence) -> FieldElement:
-        """Exact evaluation at a point over this polynomial's field.
-
-        Over Q, an integer point and coefficients are taken as ints, so the
-        sum runs in ints with one Fraction at the end.
-        """
+        """Exact value at a point over this polynomial's field, paired with
+        the field; read the raw value from `.value`."""
         field = self.field
         p = field.char
-        vals = point_values(self.vars, field, point)
-        terms = self.terms
-        if not p and all(x.denominator == 1 for x in vals) and all(c.denominator == 1 for _, c in terms):
-            vals = [x.numerator for x in vals]
-            terms = [(e, c.numerator) for e, c in terms]
-        total = evaluate_terms(terms, vals, p)
+        total = evaluate_terms(self.terms, point_values(self.vars, field, point), p)
         return FieldElement(field, total if p else Fraction(total))
 
     def extend(self, new_vars: VarSet) -> "Polynomial":
@@ -365,11 +350,7 @@ class Polynomial:
         return self.vars == other.vars and self.field == other.field and self.terms == other.terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.vars, self.field, self.terms))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.vars, self.field, self.terms))
 
     def __str__(self) -> str:
         if not self.terms:

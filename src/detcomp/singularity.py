@@ -277,11 +277,11 @@ def check_avoids_singular_locus(
         avoids = None
         rng = random.Random(seed)
         n = len(mapping.vars)
-        sample_width = max(128, 4 * m)
+        sample = field.sample_range(max(128, 4 * m))
         for sampled in range(1, trials + 1):
-            point = [field.sample(rng, sample_width) for _ in range(n)]
+            point = [rng.randrange(sample.start, sample.stop) for _ in range(n)]
             if mat_rank(field, mapping.evaluate(point)) <= m - 2:
-                avoids, witness = False, tuple(point)
+                avoids, witness = False, tuple(map(field.of, point))
                 break
         else:
             notes.append(f"no rank defect in {trials} samples; not a proof of avoidance")
@@ -413,7 +413,7 @@ def analyze_expression(mapping: AffineMatrixMap, f: Polynomial) -> AnalysisRepor
     d = int(f.degree())
     field = mapping.field
     left, right, r = rank_normal_decomposition(field, mapping.constant_part())
-    scalar = field.mul(mat_det(field, left), mat_det(field, right))
+    scalar = field.of(mat_det(field, left) * mat_det(field, right))
 
     if r == m - 1:
         # P L Q = J_r + P Z Q, with Z = L - L(0) the linear part

@@ -1,19 +1,55 @@
 """Reference code and seeded random inputs that only the tests use.
 
 The package keeps no code that only tests reach (test_public_surface), so
-these live here: random polynomials and matrices for the property tests, the
-textbook division that normal_form and the oracle are checked against, and
-the unrestricted enumeration that the canonical search is checked against.
+these live here: seeded draws from a field's sample range and a record of
+the points a probabilistic check draws, random polynomials and matrices for
+the property tests, the ideal of a list of generators, the textbook
+division that normal_form and the oracle are checked against, and the
+unrestricted enumeration that the canonical search is checked against.
 """
 
 from itertools import product
 
+from detcomp import matmap
 from detcomp.fields import Field
+from detcomp.groebner import Ideal
 from detcomp.linalg import Matrix, mat_det
 from detcomp.matmap import AffineMatrixMap, det_laplace_memo
 from detcomp.poly import Polynomial, VarSet
 from detcomp.search import EnumerationCapError
 from detcomp.verify import _Division
+
+
+def sample(field: Field, rng, size: int):
+    """A raw value drawn uniformly from field.sample_range(size)."""
+    r = field.sample_range(size)
+    return field.of(rng.randrange(r.start, r.stop))
+
+
+def record_draws(monkeypatch, field: Field) -> list:
+    """A list that gets one (range, point) pair per point a matrix map is
+    evaluated at from now on, the range being the one field.sample_range
+    returned last before it."""
+    draws, latest = [], [None]
+    sample_range = type(field).sample_range
+    evaluate_forms = matmap._evaluate_forms
+
+    def spy_range(self, size):
+        latest[0] = sample_range(self, size)
+        return latest[0]
+
+    def spy_forms(forms, vals):
+        draws.append((latest[0], tuple(vals)))
+        return evaluate_forms(forms, vals)
+
+    monkeypatch.setattr(type(field), "sample_range", spy_range)
+    monkeypatch.setattr(matmap, "_evaluate_forms", spy_forms)
+    return draws
+
+
+def ideal_of(*gens: Polynomial) -> Ideal:
+    """The ideal the generators span, in the ring of the first."""
+    return Ideal(gens[0].vars, gens[0].field, tuple(gens))
 
 
 def random_polynomial(
@@ -33,12 +69,12 @@ def random_polynomial(
         e = [0] * n
         for _ in range(d):
             e[rng.randrange(n)] += 1
-        acc[tuple(e)] = field.add(acc.get(tuple(e), field.zero), field.sample(rng, coeff_size))
+        acc[tuple(e)] = field.of(acc.get(tuple(e), field.zero) + sample(field, rng, coeff_size))
     return Polynomial.from_dict(vars, field, {e: c for e, c in acc.items() if c != field.zero})
 
 
 def random_matrix(field: Field, rows: int, cols: int, rng, size: int = 101) -> Matrix:
-    return [[field.sample(rng, size) for _ in range(cols)] for _ in range(rows)]
+    return [[sample(field, rng, size) for _ in range(cols)] for _ in range(rows)]
 
 
 def scale_row(mapping: AffineMatrixMap, i: int, c) -> AffineMatrixMap:

@@ -38,7 +38,7 @@ from detcomp.parsing import parse_polynomial
 from detcomp.poly import Polynomial, varset
 from detcomp.search import dc_exact
 from detcomp.singularity import analyze_expression, certify_lower_bound, codim_sing
-from support import random_polynomial
+from support import random_polynomial, sample
 
 stretch = pytest.mark.skipif(
     os.environ.get("DETCOMP_STRETCH") != "1",
@@ -230,7 +230,7 @@ def test_criterion_10_property_suites():
             for _ in range(m):
                 coeffs = {}
                 for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)):
-                    c = field.sample(rng, 7)
+                    c = sample(field, rng, 7)
                     if c != field.zero:
                         coeffs[e] = c
                 row.append(Polynomial.from_dict(uvw, field, coeffs))

@@ -287,6 +287,19 @@ def test_template_validation():
         ParamTemplate(main, params, QQ, ((bad_param,),))
 
 
+def test_template_grid_must_be_a_square_over_the_combined_ring():
+    main, params, combined = varset("x"), varset("c"), varset("x", "c")
+    entry = parse_polynomial("c*x", vars=combined)
+    for entries in ((), ((entry, entry),), ((entry,), (entry,))):
+        with pytest.raises(ValueError):
+            ParamTemplate(main, params, QQ, entries)
+    # an entry over another field, and one over the main block alone
+    for foreign in (parse_polynomial("c*x", vars=combined, field=Fp(7)),
+                    parse_polynomial("x", vars=main)):
+        with pytest.raises(FieldMismatchError):
+            ParamTemplate(main, params, QQ, ((foreign,),))
+
+
 def test_one_by_one_template_equation():
     main = varset("x")
     params = varset("c")

@@ -1,5 +1,6 @@
 """Field arithmetic: canonical forms, inverses, and tag round-trips."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from detcomp.fields import (
     field_tag,
     is_prime,
 )
+from support import sample
 
 
 def test_rational_canonical_form():
@@ -38,32 +40,11 @@ def test_floats_rejected():
         Fp(5).of(1.0)
 
 
-def test_rational_arithmetic_matches_fraction(rng):
-    # the Fraction type is the oracle
-    for _ in range(300):
-        x = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
-        y = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
-        assert QQ.add(x, y) == x + y
-        assert QQ.sub(x, y) == x - y
-        assert QQ.mul(x, y) == x * y
-
-
-def test_modular_arithmetic_matches_python_ints(rng):
-    F = Fp(101)
-    for _ in range(300):
-        x = rng.randint(0, 100)
-        y = rng.randint(0, 100)
-        assert F.add(x, y) == (x + y) % 101
-        assert F.mul(x, y) == (x * y) % 101
-        assert F.sub(x, y) == (x - y) % 101
-        assert F.neg(x) == (-x) % 101
-
-
 def test_modular_inverse_every_nonzero_element():
     for p in (2, 3, 7, 31):
         F = Fp(p)
         for v in range(1, p):
-            assert F.mul(v, F.inv(v)) == 1
+            assert v * F.inv(v) % p == 1
 
 
 def test_rational_inverse():
@@ -84,7 +65,7 @@ def test_fraction_reduction_into_prime_field():
     F = Fp(7)
     # 1/2 = 4 mod 7 because 2 * 4 = 1
     assert F.of(Fraction(1, 2)) == 4
-    assert F.of("3/2") == F.mul(3, F.inv(2))
+    assert F.of("3/2") == 3 * F.inv(2) % 7
 
 
 def test_nonprime_modulus_rejected():
@@ -114,29 +95,47 @@ def test_field_equality_and_cache():
 
 
 def test_sampling_is_deterministic_per_seed():
-    import random
-
-    F = Fp(101)
-    a = [F.sample(random.Random(5), 101) for _ in range(20)]
-    b = [F.sample(random.Random(5), 101) for _ in range(20)]
-    assert a == b
-    assert all(0 <= v < 101 for v in a)
+    """A seeded draw from sample_range is the stream randrange(p) over F_p
+    and randint(-(size // 2), size // 2) over Q gave."""
+    for field, draw in ((Fp(101), lambda rng: rng.randrange(101)),
+                        (QQ, lambda rng: Fraction(rng.randint(-50, 50)))):
+        rng, ref = random.Random(5), random.Random(5)
+        a = [sample(field, rng, 101) for _ in range(50)]
+        assert a == [draw(ref) for _ in range(50)]
+        assert all(v in field.sample_range(101) for v in a)
 
 
 def test_sample_set_sizes():
-    assert Fp(101).sample_set_size(1000) == 101
-    assert QQ.sample_set_size(100) >= 100
+    assert Fp(101).sample_range(1000) == range(101)
+    assert Fp(2).sample_range(64) == range(2)
+    for size, half in ((100, 50), (101, 50), (64, 32), (1, 0)):
+        r = QQ.sample_range(size)
+        assert r == range(-half, half + 1) and len(r) >= size
 
 
 def test_field_element_wrapper_checks_fields():
     a = FieldElement(Fp(5), 3)
-    assert a != FieldElement(Fp(7), 3)
+    assert a != FieldElement(Fp(7), 3) and a != FieldElement(QQ, Fraction(3))
     assert a == FieldElement(Fp(5), 3) and hash(a) == hash(FieldElement(Fp(5), 3))
-    assert a == 3 and a == 8 and a != 2
-    assert hash(a) == hash(3)
-    # a value the field cannot read is unequal, not an error
-    assert a != None and not a == "x" and a != Fraction(1, 5)  # noqa: E711
-    assert a in [None, 3] and a not in [None, "x"]
+    # a raw value is not an element, whatever the field would read it as
+    assert a != 3 and a != 8 and not a == "3"
+    assert a != None and a != Fraction(1, 5)  # noqa: E711
+    assert a not in [None, 3, 8] and a in [None, FieldElement(Fp(5), 3)]
+    assert a.value == 3 and str(a) == "3"
+
+
+def test_equal_field_elements_hash_equally_and_never_equal_raw_values(rng):
+    for field in (QQ, Fp(2), Fp(101)):
+        values = [field.of(Fraction(rng.randint(-30, 30), rng.choice((1, 3, 7))))
+                  for _ in range(60)]
+        elements = [FieldElement(field, v) for v in values]
+        table = {e: e.value for e in elements}
+        for v, e in zip(values, elements):
+            twin = FieldElement(field, field.of(v))
+            assert twin == e and hash(twin) == hash(e) and table[twin] == v
+            for raw in (v, str(v), v + field.char):
+                assert e != raw and raw not in table
+        assert len(table) == len(set(values))
 
 
 def test_reinterpreting_elements_across_fields_rejected():

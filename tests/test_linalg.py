@@ -9,12 +9,13 @@ from detcomp import linalg
 from detcomp.expressions import abp_to_determinant, grenet_abp
 from detcomp.fields import QQ, Fp
 from detcomp.matmap import det_laplace_memo
-from support import random_matrix
+from support import random_matrix, sample
 
 
 def reference_det(field, a):
-    """Gaussian elimination with field division, one field operation at a
-    time, as mat_det computed it before it ran Bareiss on integers."""
+    """Gaussian elimination with field division, one operation at a time on
+    raw values, each result read back into the field (reduced mod p over
+    F_p), as mat_det computed it before it ran Bareiss on integers."""
     n = len(a)
     m = [row[:] for row in a]
     det = field.one
@@ -24,21 +25,21 @@ def reference_det(field, a):
             return field.zero
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
-            det = field.neg(det)
-        det = field.mul(det, m[c][c])
+            det = field.of(-det)
+        det = field.of(det * m[c][c])
         inv = field.inv(m[c][c])
         for i in range(c + 1, n):
             if m[i][c] != field.zero:
-                f = field.mul(m[i][c], inv)
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[c])]
+                f = field.of(m[i][c] * inv)
+                m[i] = [field.of(x - f * y) for x, y in zip(m[i], m[c])]
     return det
 
 
 def singular(field, n, rng):
     """A random n x n matrix whose last row is a combination of two others."""
     m = random_matrix(field, n, n, rng)
-    a, b = field.sample(rng, 9), field.sample(rng, 9)
-    m[-1] = [field.add(field.mul(a, x), field.mul(b, y)) for x, y in zip(m[0], m[1])]
+    a, b = sample(field, rng, 9), sample(field, rng, 9)
+    m[-1] = [field.of(a * x + b * y) for x, y in zip(m[0], m[1])]
     return m
 
 
@@ -98,7 +99,7 @@ def test_mat_det_matches_reference_elimination(field):
     # points in {-1, 0, 1}; its determinant is known independently
     grenet = abp_to_determinant(grenet_abp(4, field))
     grenet_det = det_laplace_memo(grenet.entries)
-    points = [[field.sample(rng, 65) for _ in grenet.vars] for _ in range(6)]
+    points = [[sample(field, rng, 65) for _ in grenet.vars] for _ in range(6)]
     points += [[rng.choice((0, 1, -1)) for _ in grenet.vars] for _ in range(6)]
     for point in points:
         a = grenet.evaluate(point)

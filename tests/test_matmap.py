@@ -28,7 +28,7 @@ from detcomp.matmap import (
 )
 from detcomp.parsing import parse_polynomial
 from detcomp.poly import ArityError, Polynomial, varset
-from support import random_invertible, random_polynomial, scale_row
+from support import random_invertible, random_polynomial, record_draws, sample, scale_row
 
 
 def parse_map(rows, vars, field=QQ):
@@ -113,7 +113,7 @@ def test_symbolic_det_checks_a_raw_grid():
     for grid in ([[x, one, x], [one, x, one]], [[x, one], [one]], [[x], [one]], []):
         with pytest.raises(ValueError, match="square|size"):
             symbolic_det(grid)
-    # entries of degree 2, as ParamTemplate.determinant passes, are allowed
+    # entries of degree 2, as extract_coefficient_equations passes, are allowed
     assert symbolic_det([[x, one], [x * x, x]]) == Polynomial.zero(xy, QQ)
 
 
@@ -132,7 +132,7 @@ def test_evaluate_matches_entrywise_polynomial_evaluation(rng):
             # a scaled row has fractional coefficients over Q
             L = scale_row(random_map(vars, field, m, rng), 0, "1/3")
             for point in (
-                [field.sample(rng, 101) for _ in vars],
+                [sample(field, rng, 101) for _ in vars],
                 [rng.randint(-50, 50) for _ in vars],
                 ["1/3", 0, FieldElement(field, field.of(7))],
             ):
@@ -200,11 +200,11 @@ def cross_check_grid(kind, field, m, rng):
     vars = varset("x", "y", "z")
 
     def scalar():
-        c = field.sample(rng, 7)
+        c = sample(field, rng, 7)
         return c / rng.randint(1, 6) if field.char == 0 else c
 
     def entry():
-        if kind == "bilinear":  # degree-2 entries, as ParamTemplate.determinant passes
+        if kind == "bilinear":  # degree-2 entries, as extract_coefficient_equations passes
             p = random_polynomial(vars, field, rng, degree=2, terms=2)
         elif kind == "one variable":
             p = Polynomial.variable(vars, field, rng.randrange(3))
@@ -311,7 +311,7 @@ def test_det_evaluation_commutes_with_numeric_det(rng):
         for _ in range(10):
             L = random_map(vars, field, m, rng)
             det = symbolic_det(L)
-            pt = [field.sample(rng, 101) for _ in range(3)]
+            pt = [sample(field, rng, 101) for _ in range(3)]
             assert det.evaluate(pt).value == linalg.mat_det(field, L.evaluate(pt))
 
 
@@ -517,13 +517,56 @@ def test_failure_bound_is_the_tightest_float_at_or_above_the_exact_bound():
     assert float_at_or_above(0, 7) == 0.0
 
 
+@pytest.mark.parametrize("field", [QQ, Fp(101)], ids=str)
+def test_probabilistic_points_lie_in_the_sample_range(field, monkeypatch):
+    """Every coordinate a probabilistic check evaluates, a witness's too, is
+    drawn from the range whose length the failure bound divides by, and the
+    draws reach both of its ends."""
+    mapping, target = catalog_get("grenet_perm_3", field=field)
+    draws = record_draws(monkeypatch, field)
+    report = verify_expression(mapping, target, mode="probabilistic", trials=200, seed=5)
+    assert report.ok and len(draws) == 200
+    r = draws[0][0]
+    assert r == field.sample_range(64) and all(range_ is r for range_, _ in draws)
+    coords = [x for _, point in draws for x in point]
+    assert all(x in r for x in coords)
+    assert min(coords) == r[0] and max(coords) == r[-1]
+    # an entry + 1 breaks the expression; the witness is the last point drawn
+    rows = [list(row) for row in mapping.entries]
+    rows[0][0] = rows[0][0] + Polynomial.const(mapping.vars, field, 1)
+    broken = AffineMatrixMap.from_rows(mapping.vars, field, rows)
+    del draws[:]
+    report = verify_expression(broken, target, mode="probabilistic", trials=200, seed=5)
+    assert not report.ok and len(draws) == report.trials
+    r, point = draws[-1]
+    assert report.witness_point == tuple(map(field.of, point))
+    assert all(x in r for x in report.witness_point)
+
+
+@pytest.mark.parametrize("field, sample_size", [(QQ, 65), (Fp(101), 101), (Fp(17), 17)], ids=str)
+def test_failure_bound_divides_by_the_sample_range_length(field, sample_size, monkeypatch):
+    """grenet_perm_3 has degree bound 7 (its size) and asks for a range of 64:
+    65 integers over Q, all of F_p over F_p."""
+    mapping, target = catalog_get("grenet_perm_3", field=field)
+    draws = record_draws(monkeypatch, field)
+    for trials in (1, 20, 200):
+        report = verify_expression(mapping, target, mode="probabilistic", trials=trials)
+        assert len(draws[-1][0]) == sample_size
+        assert report.failure_bound == float_at_or_above(7**trials, sample_size**trials)
+        assert report.notes == (f"false-accept probability <= (7/{sample_size})^{trials}",)
+    # a range of at most twice the degree bound cannot bound anything
+    mapping, target = catalog_get("grenet_perm_3", field=Fp(13))
+    with pytest.raises(FieldTooSmallError, match="size 13 is too small for degree bound 7"):
+        verify_expression(mapping, target, mode="probabilistic")
+
+
 def test_grenet_15_laplace_matches_numeric_det(rng):
     for field in (QQ, Fp(32003)):
         mapping = abp_to_determinant(grenet_abp(4, field))
         det = det_laplace_memo(mapping.entries)
         assert det == perm_polynomial(4, field)
         for _ in range(5):
-            point = [field.sample(rng, 1000) for _ in mapping.vars]
+            point = [sample(field, rng, 1000) for _ in mapping.vars]
             assert det.evaluate(point).value == linalg.mat_det(field, mapping.evaluate(point))
 
 
@@ -546,7 +589,7 @@ def sandwich(L, P, Q):
     field, m = L.field, L.size
     zero = Polynomial.zero(L.vars, field)
     return AffineMatrixMap.from_rows(L.vars, field, [[
-        sum((L.entries[k][l].scale(field.mul(P[i][k], Q[l][j]))
+        sum((L.entries[k][l].scale(field.of(P[i][k] * Q[l][j]))
              for k in range(m) for l in range(m)), zero)
         for j in range(m)] for i in range(m)])
 
@@ -562,7 +605,7 @@ def test_rank_normalize_zero_constant_part():
     assert r == 0
     # P and Q reverse the coordinates, which maps this L to itself
     assert sandwich(L, P, Q).entries == L.entries
-    assert QQ.mul(linalg.mat_det(QQ, P), linalg.mat_det(QQ, Q)) == QQ.of(1)
+    assert linalg.mat_det(QQ, P) * linalg.mat_det(QQ, Q) == QQ.of(1)
 
 
 def test_rank_normalize_constant_block_shape(rng):
@@ -591,9 +634,9 @@ def test_rank_normalize_recomposition(rng):
         P, Q, _ = linalg.rank_normal_decomposition(field, L.constant_part())
         normalized = sandwich(L, P, Q)
         for _ in range(3):
-            point = [field.sample(rng, 7) for _ in vars]
+            point = [sample(field, rng, 7) for _ in vars]
             assert normalized.evaluate(point) == mat_mul(field, mat_mul(field, P, L.evaluate(point)), Q)
-        scalar = field.mul(linalg.mat_det(field, P), linalg.mat_det(field, Q))
+        scalar = field.of(linalg.mat_det(field, P) * linalg.mat_det(field, Q))
         assert symbolic_det(normalized) == symbolic_det(L).scale(scalar)
 
 
@@ -606,7 +649,7 @@ def test_rank_normalize_full_rank_constant():
     normalized = sandwich(L, P, Q)
     ident = [[QQ.one if i == j else QQ.zero for j in range(3)] for i in range(3)]
     assert normalized.constant_part() == ident
-    scalar = QQ.mul(linalg.mat_det(QQ, P), linalg.mat_det(QQ, Q))
+    scalar = linalg.mat_det(QQ, P) * linalg.mat_det(QQ, Q)
     assert symbolic_det(normalized) == symbolic_det(L).scale(scalar)
 
 
@@ -679,13 +722,13 @@ def test_det_is_multiplicative_under_constant_sandwich(rng):
                 acc = zero
                 for k in range(3):
                     for l in range(3):
-                        c = field.mul(P[i][k], Q[l][j])
+                        c = field.of(P[i][k] * Q[l][j])
                         if c != field.zero:
                             acc = acc + L.entries[k][l].scale(c)
                 row.append(acc)
             rows.append(tuple(row))
         sandwich = AffineMatrixMap(vars, field, tuple(rows))
-        scalar = field.mul(linalg.mat_det(field, P), linalg.mat_det(field, Q))
+        scalar = field.of(linalg.mat_det(field, P) * linalg.mat_det(field, Q))
         assert symbolic_det(sandwich) == symbolic_det(L).scale(scalar)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from detcomp.fields import QQ, FieldMismatchError, Fp
+from detcomp.fields import QQ, FieldElement, FieldMismatchError, Fp
 from detcomp.parsing import parse_polynomial
 from detcomp.poly import (
     MINUS_INF,
@@ -15,7 +15,7 @@ from detcomp.poly import (
     sum_of_products,
     varset,
 )
-from support import random_polynomial
+from support import random_polynomial, sample
 
 XY = varset("x", "y")
 XYZ = varset("x", "y", "z")
@@ -126,21 +126,22 @@ def test_from_dict_rejects_bad_input():
 
 
 def schoolbook(field, products=(), addends=(), subtrahends=()):
-    """Reference sum of products: one field.mul and one field.add (or
-    field.sub) per term, as the polynomial kernel did before it was fused.
-    Returns the {monomial: coefficient} dict with zeros dropped."""
+    """Reference sum of products: one product and one sum (or difference)
+    per term on raw values, each sum read back into the field, as the
+    polynomial kernel did before it was fused. Returns the
+    {monomial: coefficient} dict with zeros dropped."""
     acc = {}
     for a, b in products:
         for e1, c1 in a.terms:
             for e2, c2 in b.terms:
                 e = tuple(x + y for x, y in zip(e1, e2))
-                acc[e] = field.add(acc.get(e, field.zero), field.mul(c1, c2))
+                acc[e] = field.of(acc.get(e, field.zero) + c1 * c2)
     for a in addends:
         for e, c in a.terms:
-            acc[e] = field.add(acc.get(e, field.zero), c)
+            acc[e] = field.of(acc.get(e, field.zero) + c)
     for a in subtrahends:
         for e, c in a.terms:
-            acc[e] = field.sub(acc.get(e, field.zero), c)
+            acc[e] = field.of(acc.get(e, field.zero) - c)
     return {e: c for e, c in acc.items() if c != field.zero}
 
 
@@ -158,7 +159,8 @@ def assert_canonical(f, want):
 
 @pytest.mark.parametrize("field", [QQ, Fp(2), Fp(101), Fp(32003)], ids=str)
 def test_kernel_matches_schoolbook_reference(field, rng):
-    """*, +, - and sum_of_products against per-operation field arithmetic."""
+    """*, +, -, negation, scale and sum_of_products against the schoolbook
+    reference on raw values."""
     thirds = [Fraction(1), Fraction(1), Fraction(1, 3), Fraction(-5, 7)]
 
     def operand():
@@ -173,6 +175,9 @@ def test_kernel_matches_schoolbook_reference(field, rng):
         assert_canonical(f * g, schoolbook(field, [(f, g)]))
         assert_canonical(f + g, schoolbook(field, addends=[f, g]))
         assert_canonical(f - g, schoolbook(field, addends=[f], subtrahends=[g]))
+        assert_canonical(-f, schoolbook(field, subtrahends=[f]))
+        for c in (-1, 3):
+            assert_canonical(f.scale(c), schoolbook(field, [(f, Polynomial.const(XYZ, field, c))]))
         pairs = [(f, g), (h, k), (g, h)]
         assert_canonical(sum_of_products(XYZ, field, pairs), schoolbook(field, pairs))
         assert_canonical(sum_of_products(XYZ, field, pairs, [k, f]), schoolbook(field, pairs, [k, f]))
@@ -271,13 +276,13 @@ def test_partial_derivative_char_p_kills_pth_powers():
 
 
 def derivative_reference(f, i):
-    """d/dx_i term by term in field arithmetic, through the validating from_dict."""
+    """d/dx_i term by term on raw values, through the validating from_dict."""
     field = f.field
     acc: dict = {}
     for e, c in f.terms:
         if e[i]:
             me = e[:i] + (e[i] - 1,) + e[i + 1:]
-            acc[me] = field.add(acc.get(me, field.zero), field.mul(c, field.of(e[i])))
+            acc[me] = field.of(acc.get(me, field.zero) + c * e[i])
     return Polynomial.from_dict(f.vars, field, acc)
 
 
@@ -350,16 +355,16 @@ def test_substitute_arity_checked():
 
 def test_evaluate_examples():
     cubic = P("x*y^2 + y*t^2 + z^3", XYZT)
-    assert cubic.evaluate([1, 1, 1, 1]) == QQ.of(3)
-    assert cubic.evaluate([0, 0, 0, 0]) == QQ.zero
-    assert P("7", XY).evaluate([4, 5]) == QQ.of(7)
+    assert cubic.evaluate([1, 1, 1, 1]) == FieldElement(QQ, QQ.of(3))
+    assert cubic.evaluate([0, 0, 0, 0]).value == QQ.zero
+    assert P("7", XY).evaluate([4, 5]).value == QQ.of(7)
 
 
 def test_evaluate_agrees_with_constant_substitution(rng):
     field = Fp(101)
     for _ in range(30):
         f = rand(XYZ, field, rng)
-        pt = [field.sample(rng, 101) for _ in range(3)]
+        pt = [sample(field, rng, 101) for _ in range(3)]
         consts = [Polynomial.const(XYZ, field, c) for c in pt]
         assert f.substitute_affine(consts) == Polynomial.const(
             XYZ, field, f.evaluate(pt)
@@ -371,10 +376,10 @@ def test_evaluate_is_a_ring_map(rng):
     for _ in range(40):
         f = rand(XYZ, field, rng)
         g = rand(XYZ, field, rng)
-        pt = [field.sample(rng, 31) for _ in range(3)]
+        pt = [sample(field, rng, 31) for _ in range(3)]
         a, b = f.evaluate(pt).value, g.evaluate(pt).value
-        assert (f + g).evaluate(pt).value == field.add(a, b)
-        assert (f * g).evaluate(pt).value == field.mul(a, b)
+        assert (f + g).evaluate(pt).value == (a + b) % 31
+        assert (f * g).evaluate(pt).value == a * b % 31
 
 
 # ---------------------------------------------------------- structure query

@@ -19,7 +19,7 @@ from detcomp.singularity import (
     isotropic_dimension,
     jacobian_ideal,
 )
-from support import random_invertible, scale_row
+from support import random_invertible, record_draws, scale_row
 
 XYZT = varset("x", "y", "z", "t")
 CUBIC = parse_polynomial("x*y^2 + y*t^2 + z^3", vars=XYZT)
@@ -310,6 +310,35 @@ def test_avoidance_probabilistic_reports_the_trials_it_ran(field, ran):
     assert report.to_json()["trials"] == ran
 
 
+@pytest.mark.parametrize("field", [QQ, Fp(101)], ids=str)
+def test_avoid_check_points_lie_in_the_sample_range(field, monkeypatch):
+    """The check's own points, after its verification run's, are drawn from
+    field.sample_range(128), both ends included; so is a witness."""
+    mapping, target = catalog_get("grenet_perm_3", field=field)
+    draws = record_draws(monkeypatch, field)
+    report = check_avoids_singular_locus(mapping, target, mode="probabilistic", trials=200, seed=3)
+    assert report.avoids is None and report.trials == 200
+    assert len(draws) == 200 + 200  # the verification runs max(trials, 64) trials first
+    assert all(all(x in r for x in point) for r, point in draws)
+    assert draws[0][0] == field.sample_range(64)
+    r = draws[-1][0]
+    assert r == field.sample_range(128) and all(range_ is r for range_, _ in draws[200:])
+    coords = [x for _, point in draws[200:] for x in point]
+    assert min(coords) == r[0] and max(coords) == r[-1]
+    # the rank drops to 0 = m - 2 where x = 0
+    vs = varset("x", "y")
+    zero = Polynomial.zero(vs, field)
+    x, _ = poly_ring(vs, field)
+    mapping = AffineMatrixMap(vs, field, ((x, zero), (zero, zero)))
+    del draws[:]
+    report = check_avoids_singular_locus(mapping, symbolic_det(mapping), mode="probabilistic",
+                                         trials=1000)
+    assert report.avoids is False
+    r, point = draws[-1]
+    assert report.witness_point == tuple(map(field.of, point))
+    assert all(x in r for x in report.witness_point)
+
+
 def test_avoidance_probabilistic_clean_run_is_inconclusive():
     mapping, target = catalog_get("grenet_perm_3", field=Fp(32003))
     report = check_avoids_singular_locus(
@@ -409,10 +438,10 @@ def test_analysis_scalar_matches_normalization():
         field, m = mapping.field, mapping.size
         P, Q, r = linalg.rank_normal_decomposition(field, mapping.constant_part())
         assert report.rank == r
-        assert report.scalar == field.mul(linalg.mat_det(field, P), linalg.mat_det(field, Q))
+        assert report.scalar == field.of(linalg.mat_det(field, P) * linalg.mat_det(field, Q))
         zero = Polynomial.zero(mapping.vars, field)
         normalized = AffineMatrixMap.from_rows(mapping.vars, field, [[
-            sum((mapping.entries[k][l].scale(field.mul(P[i][k], Q[l][j]))
+            sum((mapping.entries[k][l].scale(field.of(P[i][k] * Q[l][j]))
                  for k in range(m) for l in range(m)), zero)
             for j in range(m)] for i in range(m)])
         lhs = symbolic_det(normalized)
