@@ -21,9 +21,8 @@ empty-locus sentinel of codim_sing cannot fire here.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .fields import PrimeField
+from .fields import PrimeField, Record
 from .groebner import EngineLimits, ResourceCapError
 from .matmap import AffineMatrixMap, symbolic_det
 from .poly import Polynomial, VarSet
@@ -34,8 +33,7 @@ SEED_STRIDE = 1_000_003   # trial t uses seed*SEED_STRIDE + t, so trials are
                           # independent and a run can be sharded without bias
 
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(Record):
     n: int
     m: int
     p: int
@@ -46,10 +44,12 @@ class SampleReport:
     timeouts: int           # samples whose Groebner run hit a resource cap
     violations: tuple       # (trial_index, codim) with codim > min(4, n)
 
-    def __post_init__(self):
-        binned = sum(c for _, c in self.histogram)
-        if binned + self.degenerate + self.timeouts != self.trials:
+    def __init__(self, n: int, m: int, p: int, trials: int, seed: int, histogram: tuple, degenerate: int,
+                 timeouts: int, violations: tuple):
+        if sum(c for _, c in histogram) + degenerate + timeouts != trials:
             raise ValueError("histogram, degenerate and timeout counts must partition the trials")
+        self.__dict__.update(n=n, m=m, p=p, trials=trials, seed=seed, histogram=histogram,
+                             degenerate=degenerate, timeouts=timeouts, violations=violations)
 
     @property
     def law_bound(self) -> int:

@@ -11,10 +11,9 @@ determinant terms by main-block monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .fields import Field, FieldMismatchError, QQ
+from .fields import Field, FieldMismatchError, QQ, Record
 from .groebner import EngineLimits, Ideal, ResourceCapError, buchberger
 from .matmap import (
     AffineMatrixMap, _check_grid, exact_report, perm_polynomial, symbolic_det, verify_expression,
@@ -26,8 +25,7 @@ from .poly import Polynomial, VarSet, mono_key, mono_str, varset
 # -- branching programs --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ABP:
+class ABP(Record):
     """Layered branching program; edge labels are degree <= 1 polynomials."""
 
     vars: VarSet
@@ -177,8 +175,7 @@ def catalog_get(name: str, field: Field = QQ):
 # -- parameterized templates -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParamTemplate:
+class ParamTemplate(Record):
     """Matrix whose entries mix main variables with unknown coefficients.
 
     Entries live in one combined ring, main block first; every term must have
@@ -208,8 +205,7 @@ class ParamTemplate:
         return VarSet(self.main_vars.names + self.param_vars.names)
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Record):
     """coefficient-of-monomial(det) = coefficient-of-monomial(target)."""
 
     monomial: tuple
@@ -299,8 +295,7 @@ def cubic_rank3_template(field: Field = QQ, include_lower_coeffs: bool = False):
 # -- the six-equation case analysis ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CaseVerdict:
+class CaseVerdict(Record):
     case: str
     status: str          # "infeasible" | "feasible" | "cap"
     basis_size: int | None
@@ -317,8 +312,7 @@ class CaseVerdict:
         }
 
 
-@dataclass(frozen=True)
-class CaseAnalysisReport:
+class CaseAnalysisReport(Record):
     six_equations: tuple         # rendered strings, canonical order
     six_verdicts: tuple          # CaseVerdict per case
     full_equation_count: int

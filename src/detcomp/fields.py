@@ -13,13 +13,56 @@ equals only a FieldElement of the same field and value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 Coefficient = Fraction | int
 
 # primes for which deterministic Miller-Rabin with this witness set is exact
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+class Record:
+    """Base of the package's records, in place of dataclasses (whose import
+    loads inspect). The fields are the class annotations, in constructor order,
+    defaults are class attributes, and __post_init__ validates. A record is
+    immutable, equals only a record of its class with equal fields, and hashes
+    as their tuple. One built on a hot path sets its fields in its own __init__."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        given = dict(zip(fields, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(fields) or given.keys() & kwargs or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        pairs = zip(self._fields, self._values())
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
 
 
 class FieldMismatchError(TypeError):
@@ -82,7 +125,7 @@ class RationalField(Field):
 
     def of(self, value: object) -> Fraction:
         if isinstance(value, FieldElement):
-            if value.field is not self:
+            if value.field != self:
                 raise FieldMismatchError(f"cannot reinterpret {value.field} value over Q")
             return value.value
         if isinstance(value, float):
@@ -183,8 +226,7 @@ def field_tag(field: Field):
     return "Q" if field.char == 0 else {"Fp": field.char}
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Record):
     """A raw coefficient paired with its field."""
 
     field: Field

@@ -58,11 +58,10 @@ from __future__ import annotations
 
 import time
 from bisect import bisect
-from dataclasses import dataclass
 from heapq import heapify, heappush, heappop
 from operator import attrgetter
 
-from .fields import Field, FieldMismatchError
+from .fields import Field, FieldMismatchError, Record
 from .poly import Polynomial, VarSet
 # is_groebner_basis: bench/workloads.py calls groebner.is_groebner_basis, bench/tracing.py rebinds it
 from .verify import groebner_failure_witness, is_groebner_basis, membership_failure_witness
@@ -79,8 +78,7 @@ class ResourceCapError(RuntimeError):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class EngineLimits:
+class EngineLimits(Record):
     max_pairs: int = 500_000       # S-pairs processed
     max_basis: int = 10_000        # intermediate basis size
     max_degree: int | None = None  # lcm degree of any processed pair
@@ -90,20 +88,19 @@ class EngineLimits:
 DEFAULT_LIMITS = EngineLimits()
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Record):
     vars: VarSet
     field: Field
     generators: tuple
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.vars != self.vars or g.field != self.field:
+    def __init__(self, vars: VarSet, field: Field, generators: tuple):
+        for g in generators:
+            if g.vars != vars or g.field != field:
                 raise FieldMismatchError("generators must live in the declared ring")
+        self.__dict__.update(vars=vars, field=field, generators=generators)
 
 
-@dataclass(frozen=True)
-class GroebnerStats:
+class GroebnerStats(Record):
     pairs_processed: int
     zero_reductions: int
     basis_size: int
@@ -111,21 +108,29 @@ class GroebnerStats:
     wall_time: float
     # Gebauer-Moeller accounting: created = product + M + pushed onto the
     # queue, and pushed = processed + chain once the queue has drained.
-    pairs_created: int = 0
-    pruned_product: int = 0
-    pruned_m: int = 0
-    pruned_chain: int = 0
+    pairs_created: int
+    pruned_product: int
+    pruned_m: int
+    pruned_chain: int
+
+    def __init__(self, pairs_processed: int, zero_reductions: int, basis_size: int, max_degree_processed: int,
+                 wall_time: float, pairs_created=0, pruned_product=0, pruned_m=0, pruned_chain=0):
+        self.__dict__.update(
+            pairs_processed=pairs_processed, zero_reductions=zero_reductions, basis_size=basis_size,
+            max_degree_processed=max_degree_processed, wall_time=wall_time, pairs_created=pairs_created,
+            pruned_product=pruned_product, pruned_m=pruned_m, pruned_chain=pruned_chain)
 
 
-@dataclass(frozen=True)
-class StaircaseBound:
+class StaircaseBound(Record):
     """A run stopped by stop_codim: codim J >= codim; stats count the pairs reduced."""
     codim: int
     stats: GroebnerStats
 
+    def __init__(self, codim: int, stats: GroebnerStats):
+        self.__dict__.update(codim=codim, stats=stats)
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+
+class GroebnerBasis(Record):
     vars: VarSet
     field: Field
     polys: tuple  # reduced basis, monic, ascending leading monomials

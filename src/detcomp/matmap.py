@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import inf, lcm, nextafter, prod
 from operator import mul
 
 from . import linalg
-from .fields import Field, FieldMismatchError, QQ
+from .fields import Field, FieldMismatchError, QQ, Record
 from .poly import (
     Polynomial, VarSet, _term_order, evaluate_terms, mono_key, mono_str, point_values, sum_of_products,
 )
@@ -68,20 +68,25 @@ def _check_grid(grid: Sequence[Sequence[Polynomial]],
                 raise FieldMismatchError("entries must live in one ring")
 
 
-@dataclass(frozen=True)
-class AffineMatrixMap:
+class AffineMatrixMap(Record):
     """Square matrix of degree <= 1 polynomials over one ring."""
 
     vars: VarSet
     field: Field
     entries: tuple  # tuple of row tuples of Polynomial
 
-    def __post_init__(self):
-        _check_grid(self.entries, self.vars, self.field)
-        for row in self.entries:
+    def __init__(self, vars: VarSet, field: Field, entries: tuple):
+        _check_grid(entries, vars, field)
+        for row in entries:
             for p in row:
                 if p.degree() > 1:
                     raise ValueError(f"entry {p} has degree > 1")
+        self.__dict__.update(vars=vars, field=field, entries=entries)
+
+    @cached_property
+    def forms(self) -> list:
+        """_linear_forms(self), built once, on first use."""
+        return _linear_forms(self)
 
     @property
     def size(self) -> int:
@@ -109,7 +114,7 @@ class AffineMatrixMap:
             vals = [x.numerator if x.denominator == 1 else x for x in vals]
         zero = field.zero
         return [[x % p if p else Fraction(x) if x else zero for x in row]
-                for row in _evaluate_forms(_linear_forms(self), vals)]
+                for row in _evaluate_forms(self.forms, vals)]
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(p) for p in row) + "]" for row in self.entries)
@@ -412,15 +417,19 @@ def generic_det_polynomial(m: int, field: Field = QQ) -> Polynomial:
     return det_laplace_memo(gens)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     mode: str
     ok: bool
-    witness_monomial: str | None = None
-    witness_point: tuple | None = None
-    trials: int = 0
-    failure_bound: float | None = None
-    notes: tuple = ()
+    witness_monomial: str | None
+    witness_point: tuple | None
+    trials: int
+    failure_bound: float | None
+    notes: tuple
+
+    def __init__(self, mode: str, ok: bool, witness_monomial=None, witness_point=None, trials=0,
+                 failure_bound=None, notes=()):
+        self.__dict__.update(mode=mode, ok=ok, witness_monomial=witness_monomial, witness_point=witness_point,
+                             trials=trials, failure_bound=failure_bound, notes=notes)
 
     def to_json(self) -> dict:
         return {
@@ -490,7 +499,7 @@ def verify_expression(
     rng = random.Random(seed)
     n = len(mapping.vars)
     p = field.char
-    forms = _linear_forms(mapping)
+    forms = mapping.forms
     terms = target.terms
     # Each coordinate is an int drawn from the sample range. With integer
     # coefficients a trial over Q then runs on ints, and the matrix goes

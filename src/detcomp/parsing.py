@@ -28,11 +28,10 @@ Python's recursion limit (four frames per parenthesis).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .fields import Field, QQ
+from .fields import Field, QQ, Record
 from .poly import Polynomial, VarSet, sum_of_products
 
 _TOKEN_RE = re.compile(
@@ -54,12 +53,14 @@ class PolynomialSyntaxError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str  # "number" | "name" | "op" | "end"
     text: str
     line: int
     column: int
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.__dict__.update(kind=kind, text=text, line=line, column=column)
 
 
 def _tokenize(text: str) -> list[_Token]:

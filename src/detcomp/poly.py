@@ -22,12 +22,11 @@ Berkowitz method packs its monomials into ints and multiplies them itself.)
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import add
 
-from .fields import Coefficient, Field, FieldElement, FieldMismatchError
+from .fields import Coefficient, Field, FieldElement, FieldMismatchError, Record
 
 Monomial = tuple  # exponent tuple, one slot per variable
 
@@ -38,18 +37,26 @@ class ArityError(ValueError):
     """Exponent vector or point length does not match the variable count."""
 
 
-@dataclass(frozen=True)
-class VarSet:
+class VarSet(Record):
     """An ordered tuple of distinct variable names fixing the ambient ring."""
 
     names: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate variable names in {self.names}")
-        for name in self.names:
+    def __init__(self, names: tuple[str, ...]):
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable names in {names}")
+        for name in names:
             if not name or not (name[0].isalpha() or name[0] == "_"):
                 raise ValueError(f"invalid variable name {name!r}")
+        self.__dict__["names"] = names
+
+    # every Polynomial sum and product compares its operands' VarSets
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.names == other.names
+
+    __hash__ = Record.__hash__
 
     def __len__(self) -> int:
         return len(self.names)

@@ -29,10 +29,9 @@ listing its hits.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .fields import PrimeField
+from .fields import PrimeField, Record
 from .linalg import rref
 from .matmap import AffineMatrixMap, det_laplace_memo, verify_expression
 from .poly import Polynomial
@@ -60,8 +59,7 @@ def rank_order(m: int) -> list:
     return order
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(Record):
     target: Polynomial
     size: int
     max_candidates: int = DEFAULT_CANDIDATE_CAP
@@ -94,8 +92,7 @@ class SearchSpec:
         return per_rank * max(1, len(self.viable_ranks()))
 
 
-@dataclass
-class SearchReport:
+class SearchReport(Record):
     """Hits and work of one search.
 
     full_evaluations counts the full-size candidates decided exactly, hit or
@@ -106,11 +103,20 @@ class SearchReport:
     """
 
     spec: SearchSpec
-    found: list = dc_field(default_factory=list)
+    found: list = None  # None gives a fresh list
     blocks_pruned: int = 0
     full_evaluations: int = 0
     ranks_searched: tuple = ()
     exhausted: bool = False
+
+    # the search updates a report as it runs
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __post_init__(self):
+        if self.found is None:
+            self.found = []
 
     def to_json(self) -> dict:
         return {
@@ -330,8 +336,7 @@ def search_report(spec: SearchSpec, max_found: int | None = None) -> SearchRepor
     return report
 
 
-@dataclass(frozen=True)
-class DcResult:
+class DcResult(Record):
     poly: Polynomial
     value: int | None          # the exact determinantal complexity, if found
     m_max: int

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
-from .fields import Field, field_tag
+from .fields import Field, Record, field_tag
 from .groebner import (
     EngineLimits,
     GroebnerStats,
@@ -58,8 +57,7 @@ def codim_sing(f: Polynomial, limits: EngineLimits | None = None,
     return n - staircase_dimension(run.leading_monomials(), n)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Lower-bound verdict for the determinantal complexity of f."""
 
     poly: Polynomial
@@ -197,8 +195,7 @@ def isotropic_dimension(vectors, field: Field):
 # -- Prop-style avoidance check -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AvoidanceReport:
+class AvoidanceReport(Record):
     size: int
     rank_constant: int
     rank_constant_ok: bool       # rank L(0) == m - 1
@@ -292,8 +289,7 @@ def check_avoids_singular_locus(
 # -- the proof trace on a concrete expression -----------------------------------
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     size: int
     degree: int
     rank: int

@@ -10,6 +10,8 @@ from detcomp.fields import (
     FieldElement,
     FieldMismatchError,
     Fp,
+    PrimeField,
+    RationalField,
     field_from_tag,
     field_tag,
     is_prime,
@@ -122,6 +124,9 @@ def test_field_element_wrapper_checks_fields():
     assert a != None and a != Fraction(1, 5)  # noqa: E711
     assert a not in [None, 3, 8] and a in [None, FieldElement(Fp(5), 3)]
     assert a.value == 3 and str(a) == "3"
+    # a second RationalField() is the same field as QQ, as Fp(5) is PrimeField(5)
+    assert QQ.of(FieldElement(RationalField(), Fraction(1, 2))) == Fraction(1, 2)
+    assert Fp(5).of(FieldElement(PrimeField(5), 3)) == 3
 
 
 def test_equal_field_elements_hash_equally_and_never_equal_raw_values(rng):

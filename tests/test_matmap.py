@@ -28,6 +28,7 @@ from detcomp.matmap import (
 )
 from detcomp.parsing import parse_polynomial
 from detcomp.poly import ArityError, Polynomial, varset
+from detcomp.singularity import check_avoids_singular_locus
 from support import random_invertible, random_polynomial, record_draws, sample, scale_row
 
 
@@ -143,6 +144,20 @@ def test_evaluate_matches_entrywise_polynomial_evaluation(rng):
     # the zero entry evaluates to the field's zero, a Fraction over Q
     zero = AffineMatrixMap.from_rows(vars, QQ, [[Polynomial.zero(vars, QQ)]]).evaluate([1, 2, 3])
     assert zero == [[QQ.zero]] and type(zero[0][0]) is type(QQ.zero)
+
+
+def test_linear_forms_are_built_once_per_map(monkeypatch):
+    builds = []
+    linear_forms = matmap._linear_forms
+    monkeypatch.setattr(matmap, "_linear_forms", lambda mapping: builds.append(mapping) or linear_forms(mapping))
+    for field in (QQ, Fp(32003)):
+        mapping, target = catalog_get("cubic_5x5", field)
+        first = mapping.evaluate([1, 2, 3, 4])
+        assert all(mapping.evaluate([1, 2, 3, 4]) == first for _ in range(3))
+        check_avoids_singular_locus(mapping, target, mode="probabilistic", trials=50)
+        assert verify_expression(mapping, target, mode="probabilistic", trials=20).ok
+        assert builds == [mapping]
+        builds.clear()
 
 
 def test_evaluate_raises_what_polynomial_evaluate_raises(rng):

@@ -2,7 +2,8 @@
 
 The package imports at start-up only what start-up needs: hashlib (which
 loads OpenSSL's libcrypto) is imported when a certificate is serialised,
-importlib.resources when a schema is read, and no module uses typing. The
+importlib.resources when a schema is read, and no module uses typing, or
+dataclasses, which loads inspect: the records are plain classes. The
 interpreter runs with -S, so that no site-packages .pth file loads any of
 these first. The same process then prints the perm3 certificate, so the
 first, lazy import of hashlib runs there too; in the test process pytest has
@@ -18,7 +19,7 @@ DATA = Path(__file__).resolve().parent / "data"
 
 # none of these is loaded by `import detcomp.cli`
 NOT_AT_STARTUP = ("hashlib", "_hashlib", "importlib.resources", "typing", "tempfile",
-                  "pathlib", "zipfile")
+                  "pathlib", "zipfile", "dataclasses", "inspect")
 
 SCRIPT = """
 import sys
