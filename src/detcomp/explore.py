@@ -44,12 +44,10 @@ class SampleReport(Record):
     timeouts: int           # samples whose Groebner run hit a resource cap
     violations: tuple       # (trial_index, codim) with codim > min(4, n)
 
-    def __init__(self, n: int, m: int, p: int, trials: int, seed: int, histogram: tuple, degenerate: int,
-                 timeouts: int, violations: tuple):
-        if sum(c for _, c in histogram) + degenerate + timeouts != trials:
+    def __post_init__(self):
+        binned = sum(c for _, c in self.histogram)
+        if binned + self.degenerate + self.timeouts != self.trials:
             raise ValueError("histogram, degenerate and timeout counts must partition the trials")
-        self.__dict__.update(n=n, m=m, p=p, trials=trials, seed=seed, histogram=histogram,
-                             degenerate=degenerate, timeouts=timeouts, violations=violations)
 
     @property
     def law_bound(self) -> int:

@@ -22,11 +22,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class Record:
-    """Base of the package's records, in place of dataclasses (whose import
-    loads inspect). The fields are the class annotations, in constructor order,
-    defaults are class attributes, and __post_init__ validates. A record is
-    immutable, equals only a record of its class with equal fields, and hashes
-    as their tuple. One built on a hot path sets its fields in its own __init__."""
+    """Base of the package's records, in place of dataclasses (whose import loads inspect).
+    The fields are the class annotations, in constructor order, defaults are class attributes,
+    and __post_init__ validates. A record is immutable, equals only a record of its class with
+    equal fields, and hashes as their tuple. One built per search hit sets its fields itself."""
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)

@@ -93,11 +93,10 @@ class Ideal(Record):
     field: Field
     generators: tuple
 
-    def __init__(self, vars: VarSet, field: Field, generators: tuple):
-        for g in generators:
-            if g.vars != vars or g.field != field:
+    def __post_init__(self):
+        for g in self.generators:
+            if g.vars != self.vars or g.field != self.field:
                 raise FieldMismatchError("generators must live in the declared ring")
-        self.__dict__.update(vars=vars, field=field, generators=generators)
 
 
 class GroebnerStats(Record):
@@ -108,26 +107,16 @@ class GroebnerStats(Record):
     wall_time: float
     # Gebauer-Moeller accounting: created = product + M + pushed onto the
     # queue, and pushed = processed + chain once the queue has drained.
-    pairs_created: int
-    pruned_product: int
-    pruned_m: int
-    pruned_chain: int
-
-    def __init__(self, pairs_processed: int, zero_reductions: int, basis_size: int, max_degree_processed: int,
-                 wall_time: float, pairs_created=0, pruned_product=0, pruned_m=0, pruned_chain=0):
-        self.__dict__.update(
-            pairs_processed=pairs_processed, zero_reductions=zero_reductions, basis_size=basis_size,
-            max_degree_processed=max_degree_processed, wall_time=wall_time, pairs_created=pairs_created,
-            pruned_product=pruned_product, pruned_m=pruned_m, pruned_chain=pruned_chain)
+    pairs_created: int = 0
+    pruned_product: int = 0
+    pruned_m: int = 0
+    pruned_chain: int = 0
 
 
 class StaircaseBound(Record):
     """A run stopped by stop_codim: codim J >= codim; stats count the pairs reduced."""
     codim: int
     stats: GroebnerStats
-
-    def __init__(self, codim: int, stats: GroebnerStats):
-        self.__dict__.update(codim=codim, stats=stats)
 
 
 class GroebnerBasis(Record):

@@ -59,9 +59,6 @@ class _Token(Record):
     line: int
     column: int
 
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.__dict__.update(kind=kind, text=text, line=line, column=column)
-
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []

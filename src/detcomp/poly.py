@@ -42,13 +42,12 @@ class VarSet(Record):
 
     names: tuple[str, ...]
 
-    def __init__(self, names: tuple[str, ...]):
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in {names}")
-        for name in names:
+    def __post_init__(self):
+        if len(set(self.names)) != len(self.names):
+            raise ValueError(f"duplicate variable names in {self.names}")
+        for name in self.names:
             if not name or not (name[0].isalpha() or name[0] == "_"):
                 raise ValueError(f"invalid variable name {name!r}")
-        self.__dict__["names"] = names
 
     # every Polynomial sum and product compares its operands' VarSets
     def __eq__(self, other):
