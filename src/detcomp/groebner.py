@@ -1,4 +1,5 @@
-"""Buchberger engine, normal forms, and Krull dimension via staircases.
+"""Buchberger engine and normal forms (poly.staircase_dimension reads the
+Krull dimension off a basis's leading monomials).
 
 Monomial order is degrevlex throughout (see poly.mono_key). Inside the engine
 a polynomial is a descending list of (key, coeff) pairs, basis elements are
@@ -20,7 +21,8 @@ compares ints. Each field's top bit is a guard kept clear, so divisibility is
 a support-mask test and one subtraction; reduction exponents, at most an
 S-pair's lcm degree 2 * _MAX_PACKED_DEGREE, stay below the guard. Terms are
 packed once, on seeding or normal_form input (a larger degree raises
-ResourceCapError), and unpacked once, into the result's Polynomials.
+ResourceCapError), and unpacked once, into the result's Polynomials, after
+the engine's state is dropped.
 
 Reducers (_Reducers) are kept in divisor search order, ascending lm degree
 and then the reversed exponents, and a term is reduced by the first one that
@@ -38,15 +40,20 @@ The pair update (Gebauer & Moeller 1988) packs each leading monomial in
 16-bit lex order (_FIELD, x1 most significant, with guard bits), which
 compares like exponent tuples: the pair queue order (lcm degree, lcm, i, j),
 every counter and every basis match the tuple form. An lcm is a field-wise
-select of two packed monomials, its degree one multiplication. Live pairs
-keep the lcm and its support mask, and the chain criterion tests the mask
-before the guard subtraction. The M-criterion keeps, of the new element's
-candidate pairs (i, t), those whose lcm(lm_i, lm) no other candidate's lcm
-properly divides, an equal lcm keeping the smallest i. That is the textbook
-rule, which drops a candidate when the lcm of one kept before it in
-(degree, lcm, i) order divides its own: divisibility is transitive, so a
-non-minimal lcm has a kept minimal divisor before it, and of equal minimal
-lcms the smallest i comes first. _Thresholds finds these without looking
+select of two packed monomials, its degree one multiplication. A pending
+pair is one int (_pair_entry): the lcm degree, the packed lcm, i and j in
+fields sized by limits.max_basis, and in the lowest n bits the lcm's support
+mask, which never decides a comparison, so the ints order like the tuples
+and the heap is the set of pending pairs. The chain criterion scans it,
+tests the support bits before the guard subtraction, in place, and puts the
+pairs it removes in a set of dead entries, which the pop loop skips and
+empties. The M-criterion keeps, of the new element's candidate pairs
+(i, t), those whose lcm(lm_i, lm) no other candidate's lcm properly
+divides, an equal lcm keeping the smallest i. That is the textbook rule,
+which drops a candidate when the lcm of one kept before it in (degree, lcm,
+i) order divides its own: divisibility is transitive, so a non-minimal lcm
+has a kept minimal divisor before it, and of equal minimal lcms the
+smallest i comes first. _Thresholds finds these without looking
 at each candidate: it keeps one bitset per variable and exponent, the
 elements whose lm has an exponent of x_v above e, so the candidates whose
 lcm divides a given one, and those whose lcm it divides, take n big-int ORs
@@ -62,7 +69,7 @@ from heapq import heapify, heappush, heappop
 from operator import attrgetter
 
 from .fields import Field, FieldMismatchError, Record
-from .poly import Polynomial, VarSet
+from .poly import Polynomial, VarSet, _mask, _meets, staircase_dimension
 # is_groebner_basis: bench/workloads.py calls groebner.is_groebner_basis, bench/tracing.py rebinds it
 from .verify import groebner_failure_witness, is_groebner_basis, membership_failure_witness
 
@@ -133,10 +140,6 @@ class GroebnerBasis(Record):
         return len(self.polys) == 1 and self.polys[0].degree() == 0
 
 
-def _mask(e) -> int:
-    return sum(1 << i for i, x in enumerate(e) if x)
-
-
 _FIELD = 16                          # bits per variable in a packed monomial
 _MAX_PACKED_DEGREE = (1 << (_FIELD - 1)) - 1  # every field keeps its guard bit
 _KEY_FIELD = _FIELD + 1              # bits per variable in a term key
@@ -156,6 +159,21 @@ def _pack(e) -> int:
     for x in e:
         m = (m << _FIELD) | x
     return m
+
+
+def _pair_entry(deg, lcm, i, j, support, n, width) -> int:
+    """A pending pair as one int: lcm degree, packed lcm (n fields), i and j
+    (width bits each), and the lcm's support in the lowest n bits. Entries
+    compare like (deg, lcm, i, j); no two share (i, j), so the support never decides."""
+    return (((deg << n * _FIELD | lcm) << width | i) << width | j) << n | support
+
+
+def _pair_fields(e, n, width) -> tuple:
+    """_pair_entry's inverse: (deg, lcm, i, j, support)."""
+    idx = (1 << width) - 1
+    low = 2 * width + n
+    return (e >> low + n * _FIELD, e >> low & (1 << n * _FIELD) - 1,
+            e >> width + n & idx, e >> n & idx, e & (1 << n) - 1)
 
 
 def _term_keys(terms, stage: str) -> list:
@@ -434,14 +452,14 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
     key_guards = _guards(n)
     key_top = n * _KEY_FIELD
     key_low = (1 << key_top) - 1
+    width = limits.max_basis.bit_length()  # i and j never exceed max_basis
+    lcm_shift = 2 * width + n
 
     basis: list[_Elem] = []
-    lms: list[int] = []    # packed leading monomials, in basis order
-    masks: list[int] = []  # their support masks
     thresholds = _Thresholds(n)
     reducers = _Reducers(n)
-    heap: list = []  # (lcm_deg, packed lcm, i, j)
-    live: dict = {}  # (i, j) -> (packed lcm, its support mask) of the pairs still pending
+    heap: list = []  # _pair_entry of each pending pair, and of the dead ones
+    dead: set = set()  # entries in the heap that the chain criterion removed
     pairs_processed = 0
     zero_reductions = 0
     max_degree_processed = 0
@@ -478,15 +496,13 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
             # chain criterion on the pending pairs: the new lm divides their
             # lcm (its support first), and neither lcm with the new element
             # equals it
-            doomed = []
-            for key, (lcm, support) in live.items():
-                if support & m == m and ((lcm | guards) - lm) & guards == guards:
-                    i, j = key
-                    if lcm_with(lms[i]) != lcm and lcm_with(lms[j]) != lcm:
-                        doomed.append(key)
-            for key in doomed:
-                del live[key]
-            pruned_chain += len(doomed)
+            lm_e, guards_e = lm << lcm_shift, guards << lcm_shift
+            for e in heap:
+                if e & m == m and ((e | guards_e) - lm_e) & guards_e == guards_e:
+                    _, lcm, i, j, _ = _pair_fields(e, n, width)
+                    if e not in dead and lcm_with(basis[i].packed) != lcm != lcm_with(basis[j].packed):
+                        dead.add(e)
+                        pruned_chain += 1
             # M-criterion: keep the minimal lcms, an equal lcm keeping the
             # smallest i (see the module docstring)
             kept = thresholds.minimal()
@@ -494,15 +510,14 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
         else:
             kept = range(t)
         for i in kept:
-            if use_criteria and not masks[i] & m:
+            g = basis[i]
+            if use_criteria and not g.mask & m:
                 pruned_product += 1  # coprime leading monomials
                 continue
-            lcm = lcm_with(lms[i])
-            live[(i, t)] = (lcm, masks[i] | m)
-            heappush(heap, (((lcm * ones) >> deg_shift) & field_mask, lcm, i, t))
+            lcm = lcm_with(g.packed)
+            deg = ((lcm * ones) >> deg_shift) & field_mask
+            heappush(heap, _pair_entry(deg, lcm, i, t, g.mask | m, n, width))
         basis.append(elem)
-        lms.append(lm)
-        masks.append(m)
         reducers.add(elem)
         if stop_codim is not None and all(o & m != o for o in supports):
             # m joins the subset-minimal supports, replacing those above it
@@ -526,9 +541,11 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
         check_caps("seeding")
 
     while heap:
-        deg_l, lcm, i, j = heappop(heap)
-        if live.pop((i, j), None) is None:
+        e = heappop(heap)
+        if e in dead:
+            dead.remove(e)
             continue
+        deg_l, _, i, j, _ = _pair_fields(e, n, width)
         pairs_processed += 1
         if deg_l > max_degree_processed:
             max_degree_processed = deg_l
@@ -573,10 +590,15 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
         check_caps("inter-reduce")
         final_terms.append([(g.key, field.one)]
                            + _reduce_terms(g.tail, kept_reducers, field, deadline))
-    final_terms.sort(key=lambda ts: ts[0][0], reverse=True)  # ascending leading monomials
-    polys = tuple(Polynomial(ideal.vars, field, tuple([(_exps(k, n), c) for k, c in ts]))
-                  for ts in final_terms)
-    result = GroebnerBasis(ideal.vars, field, polys, stats(pairs_processed, len(polys)))
+    # drop the engine's state before the result is built, and each term list
+    # once its Polynomial is: popped in ascending leading monomials
+    del basis, heap, dead, thresholds, reducers, kept, kept_reducers
+    final_terms.sort(key=lambda ts: ts[0][0])
+    polys = []
+    while final_terms:
+        ts = final_terms.pop()
+        polys.append(Polynomial(ideal.vars, field, tuple([(_exps(k, n), c) for k, c in ts])))
+    result = GroebnerBasis(ideal.vars, field, tuple(polys), stats(pairs_processed, len(polys)))
     if VERIFY_BASES:
         failure = groebner_failure_witness(result)
         if failure is not None:
@@ -597,47 +619,3 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     reducers = _Reducers(n, [_Elem(_term_keys(g.terms, "normal form"), n) for g in gb.polys])
     red = _reduce_terms(_term_keys(p.terms, "normal form"), reducers, gb.field)
     return Polynomial(p.vars, p.field, tuple([(_exps(k, n), c) for k, c in red]))
-
-
-# -- dimension ----------------------------------------------------------------
-
-
-def staircase_dimension(lead_monomials, n: int) -> int:
-    """Affine Krull dimension from the leading-monomial staircase.
-
-    dim = size of the largest variable subset S such that no leading monomial
-    is supported entirely inside S; -1 when 1 is among the leading monomials.
-    The complement of S is a smallest variable set that meets the support of
-    every leading monomial; only the subset-minimal supports matter.
-    """
-    masks = set()
-    for e in lead_monomials:
-        if sum(e) == 0:
-            return -1
-        masks.add(_mask(e))
-    minimal: list[int] = []
-    for m in sorted(masks, key=int.bit_count):  # a subset has fewer bits
-        if all(o & m != o for o in minimal):
-            minimal.append(m)
-    size = 0
-    while not _meets(minimal, size):
-        size += 1
-    return n - size
-
-
-def _meets(masks, size: int) -> bool:
-    """True when some set of at most size variables meets every mask. Such a
-    set holds a variable of each mask, so branch on the variables of one it
-    does not meet yet, the one with the fewest."""
-    if not masks:
-        return True
-    if not size:
-        return False
-    m = min(masks, key=int.bit_count)
-    while m:
-        v = m & -m
-        if _meets([o for o in masks if not o & v], size - 1):
-            return True
-        m ^= v
-    return False
-

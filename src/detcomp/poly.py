@@ -7,8 +7,9 @@ polynomial has an empty term tuple and degree MINUS_INF.
 
 Monomials are plain exponent tuples; the helpers below implement the degrevlex
 order (graded, ties broken by smaller exponent in the rightmost differing
-position) and divisibility. Canonical form is maintained by construction, so
-structural equality is polynomial equality.
+position) and divisibility, and staircase_dimension gives the Krull dimension
+of a monomial ideal from its generators. Canonical form is maintained by
+construction, so structural equality is polynomial equality.
 
 Products and sums go through one kernel, sum_of_products, which computes
 sum a_i * b_i (plus plain addends) into a single dict of raw coefficients:
@@ -136,6 +137,50 @@ def mono_str(e: Monomial, vars: VarSet) -> str:
         elif exp > 1:
             parts.append(f"{name}^{exp}")
     return "*".join(parts) if parts else "1"
+
+
+def _mask(e) -> int:
+    return sum(1 << i for i, x in enumerate(e) if x)
+
+
+def staircase_dimension(lead_monomials, n: int) -> int:
+    """Affine Krull dimension from the leading-monomial staircase.
+
+    dim = size of the largest variable subset S such that no leading monomial
+    is supported entirely inside S; -1 when 1 is among the leading monomials.
+    The complement of S is a smallest variable set that meets the support of
+    every leading monomial; only the subset-minimal supports matter.
+    """
+    masks = set()
+    for e in lead_monomials:
+        if sum(e) == 0:
+            return -1
+        masks.add(_mask(e))
+    minimal: list[int] = []
+    for m in sorted(masks, key=int.bit_count):  # a subset has fewer bits
+        if all(o & m != o for o in minimal):
+            minimal.append(m)
+    size = 0
+    while not _meets(minimal, size):
+        size += 1
+    return n - size
+
+
+def _meets(masks, size: int) -> bool:
+    """True when some set of at most size variables meets every mask. Such a
+    set holds a variable of each mask, so branch on the variables of one it
+    does not meet yet, the one with the fewest."""
+    if not masks:
+        return True
+    if not size:
+        return False
+    m = min(masks, key=int.bit_count)
+    while m:
+        v = m & -m
+        if _meets([o for o in masks if not o & v], size - 1):
+            return True
+        m ^= v
+    return False
 
 
 class Polynomial:

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import pathlib
 import random
+import tracemalloc
 from heapq import heapify, heappop, heappush
 
 import pytest
@@ -418,6 +419,32 @@ def test_packed_monomial_degree_is_capped():
     assert normal_form(P("x^30000*y^35534 + x^65533*y", XY), gb) == P("x^65533*y", XY)
 
 
+# ---------------------------------------------------- pending-pair entries
+
+
+@pytest.mark.parametrize("max_basis", [groebner.DEFAULT_LIMITS.max_basis, 2**31 - 1])
+@pytest.mark.parametrize("n", [1, 5, 16])
+def test_pair_entries_sort_like_their_tuples(n, max_basis):
+    """Packed pending pairs sort as (deg, lcm, i, j) and decode back, with
+    many ties in deg and lcm, fields up to their guard bits, and i and j up
+    to limits.max_basis, which sizes their fields."""
+    rng = random.Random(8400 + n)
+    width = max_basis.bit_length()
+    top = groebner._MAX_PACKED_DEGREE
+    degs = [0, 2 * top] + [rng.randint(0, 2 * top) for _ in range(3)]
+    lcms = [sum(rng.choice([0, 1, top, rng.randint(0, top)]) << (groebner._FIELD * k)
+                for k in range(n)) for _ in range(5)]
+    rows, pairs = [], set()
+    while len(rows) < 300:
+        i, j = (rng.choice([0, max_basis, rng.randint(0, max_basis)]) for _ in range(2))
+        if (i, j) not in pairs:  # the engine never pushes a pair twice
+            pairs.add((i, j))
+            rows.append((rng.choice(degs), rng.choice(lcms), i, j, rng.getrandbits(n)))
+    entries = {groebner._pair_entry(*row, n, width): row for row in rows}
+    assert [entries[e] for e in sorted(entries)] == sorted(rows)
+    assert all(groebner._pair_fields(e, n, width) == row for e, row in entries.items())
+
+
 # ----------------------------------------------------------- packed term keys
 
 
@@ -782,15 +809,20 @@ def test_pinned_perm3_work(field):
     assert min(s.pruned_product, s.pruned_m, s.pruned_chain) > 0
 
 
-@functools.lru_cache(maxsize=None)
-def perm4_slice_basis(zeros):
-    """perm4 with the named entries set to 0 over F_32003; x11 = 0 is the
-    benchmark's certify instance, x11 = x22 = 0 its reverify instance."""
+def perm4_slice_ideal(zeros):
+    """The Jacobian ideal of perm4 with the named entries set to 0 over
+    F_32003; x11 = 0 is the benchmark's certify instance, x11 = x22 = 0 its
+    reverify instance."""
     F = Fp(32003)
     f = perm_polynomial(4, F)
     images = [Polynomial.zero(f.vars, F) if v in zeros else Polynomial.variable(f.vars, F, i)
               for i, v in enumerate(f.vars)]
-    return buchberger(jacobian_ideal(f.substitute_affine(images)))
+    return jacobian_ideal(f.substitute_affine(images))
+
+
+@functools.lru_cache(maxsize=None)
+def perm4_slice_basis(zeros):
+    return buchberger(perm4_slice_ideal(zeros))
 
 
 def test_pinned_perm4_slice_work():
@@ -807,6 +839,23 @@ def test_perm4_slice_basis_reverified():
     gb = perm4_slice_basis(("x11",))
     assert basis_digest(gb) == "428b8fffcb67a672"
     assert is_groebner_basis(gb)
+
+
+def test_engine_peak_memory_on_perm4_slice(monkeypatch):
+    """The traced peak of one run on the certify slice, about 700 KB: the
+    pending pairs are one int each, and the engine's state is dropped before
+    the basis's Polynomials are built. With a heap tuple and a dict entry per
+    pair, and the state alive until the result was built, it was 1,450 KB."""
+    monkeypatch.setattr(groebner, "VERIFY_BASES", False)  # the oracle allocates too
+    idl = perm4_slice_ideal(("x11",))
+    tracemalloc.start()
+    try:
+        gb = buchberger(idl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert work(gb)[:3] == (4128, 3633, 510)
+    assert peak <= 1024 * 1024, f"peak {peak // 1024} KB"
 
 
 def test_golden_perm3_certificate_json(capsys):
