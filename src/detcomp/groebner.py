@@ -2,20 +2,39 @@
 Krull dimension off a basis's leading monomials).
 
 Monomial order is degrevlex throughout (see poly.mono_key). Inside the engine
-a polynomial is a descending list of (key, coeff) pairs, basis elements are
-monic with cached leading-monomial data, and reduction runs over a dict driven
-by a lazy min-heap of keys. Pairs are chosen by the normal strategy (minimal
-lcm degree, deterministic tie-break); the Gebauer-Moeller product, M and chain
-criteria prune them and can be switched off to check that the reduced basis
-does not change. Resource caps raise, never truncate: they are checked after
-each seeded generator, before each S-pair, per element of the final
-minimalize and inter-reduce passes, and every 1024 heap pops of a reduction.
+a polynomial is a descending list of (key, coeff) pairs, and basis elements
+are monic with cached leading-monomial data. Pairs are chosen by the normal
+strategy (minimal lcm degree, deterministic tie-break); the Gebauer-Moeller
+product, M and chain criteria prune them and can be switched off to check
+that the reduced basis does not change.
+
+A reduction takes one of two paths, which give the same remainder.
+- The heap path serves every input: the remainder is a dict driven by a
+  lazy min-heap of keys (Monagan & Pearce 2011).
+- The slot path (slots.slot_reduce) runs when the field is prime, every
+  generator is homogeneous, n >= 2, the input's degree d has at most 255
+  monomials and the input has at least a quarter as many terms. Reduction
+  then never leaves degree d, so the remainder is a list indexed by the rank
+  of each degree-d key, and each update goes through a product row cached
+  per (n, d): the idea of F4 (Faugere 1999), a fixed monomial set per
+  degree, in its simplest form. It walks the keys in the heap's pop order
+  and takes the same first divisor, so every remainder, counter and basis
+  is the heap path's.
+
+Resource caps raise, never truncate: they are checked after each seeded
+generator, before each S-pair, per element of the final minimalize and
+inter-reduce passes, and every 1024 heap pops of a reduction. A slot
+reduction reads no deadline: it visits at most 255 slots, each writing at
+most 254 tail terms, so the check before its pair bounds it. A heap
+reduction of the same input pops at most 255 keys and never reaches its
+first deadline read either, so the caps fire where they did.
 Under VERIFY_BASES the S-pair oracle of verify.py, which imports nothing
 from this module, re-checks each basis and that it holds the generators.
 
 Engine terms are (key, coeff) pairs, as in Monagan & Pearce's heap division
 (2011). A key packs a monomial into one int: 17-bit fields (_KEY_FIELD), x_n
-most significant, under _KEY_BASE - degree. A smaller key is a larger
+most significant, under _KEY_BASE - degree (defined in slots.py, with
+_exps and _guards, as its layouts list keys). A smaller key is a larger
 monomial, keys add like exponents (a shift is one addition), and the heap
 compares ints. Each field's top bit is a guard kept clear, so divisibility is
 a support-mask test and one subtraction; reduction exponents, at most an
@@ -70,6 +89,7 @@ from operator import attrgetter
 
 from .fields import Field, FieldMismatchError, Record
 from .poly import Polynomial, VarSet, _mask, _meets, staircase_dimension
+from .slots import _KEY_BASE, _KEY_FIELD, _exps, _guards, slot_ready, slot_reduce
 # is_groebner_basis: bench/workloads.py calls groebner.is_groebner_basis, bench/tracing.py rebinds it
 from .verify import groebner_failure_witness, is_groebner_basis, membership_failure_witness
 
@@ -142,9 +162,7 @@ class GroebnerBasis(Record):
 
 _FIELD = 16                          # bits per variable in a packed monomial
 _MAX_PACKED_DEGREE = (1 << (_FIELD - 1)) - 1  # every field keeps its guard bit
-_KEY_FIELD = _FIELD + 1              # bits per variable in a term key
 _MAX_TERM_DEGREE = 2 * _MAX_PACKED_DEGREE  # lcm degree of two leading monomials
-_KEY_BASE = 1 << _KEY_FIELD          # top field of a key: _KEY_BASE - degree
 
 
 def _pack(e) -> int:
@@ -191,18 +209,8 @@ def _term_keys(terms, stage: str) -> list:
     return out
 
 
-def _exps(k: int, n: int) -> tuple:
-    """Term key -> exponent tuple of n variables."""
-    return tuple([(k >> s) & (_KEY_BASE - 1) for s in range(0, n * _KEY_FIELD, _KEY_FIELD)])
-
-
-def _guards(n: int) -> int:
-    """The guard bit of each of the n exponent fields of a term key."""
-    return sum(1 << (s + _KEY_FIELD - 1) for s in range(0, n * _KEY_FIELD, _KEY_FIELD))
-
-
 class _Elem:
-    __slots__ = ("key", "exps", "mask", "packed", "order", "tail")
+    __slots__ = ("key", "exps", "mask", "packed", "order", "tail", "slots")
 
     def __init__(self, terms, n):
         # terms descending term keys, monic
@@ -213,6 +221,7 @@ class _Elem:
         # divisor search order: degree, then the reversed exponents
         self.order = (sum(lm) << (n * _FIELD)) | _pack(lm[::-1])
         self.tail = terms[1:]
+        self.slots = None  # (tail slots, tail coefficients), made by slots.slot_reduce
 
 
 _ORDER = attrgetter("order")
@@ -369,23 +378,28 @@ def _monic_terms(terms, field):
     return [(k, c * inv % p if p else c * inv) for k, c in terms]
 
 
-def _reduce_terms(terms, reducers, field, deadline=None):
+def _reduce_terms(terms, reducers, field, deadline=None, graded=False):
     """Descending remainder of a term-key list by a _Reducers, each term by the
-    first reducer in search order that divides it.
+    first reducer in search order that divides it. graded: slots.slot_ready
+    holds for the run's ideal, so the terms share one degree, the reducers
+    are homogeneous, and slots.slot_reduce may walk them (see the module
+    docstring).
     Coefficients are reduced mod p when popped; a deadline (time.monotonic())
     is read every 1024 pops."""
     prime = field.char
+    # Up to _SCAN_LIMIT reducers, the scan runs here, without a call per term;
+    # past that the scan list is empty and the index finds the divisor.
+    scan, find = reducers.elems, None
+    if len(scan) > _SCAN_LIMIT:
+        scan, find = (), reducers.finder()
+    if graded and (out := slot_reduce(terms, reducers, prime, scan, find)) is not None:
+        return out
     acc: dict = {}
     for k, c in terms:
         acc[k] = acc.get(k, 0) + c
     heap = list(acc)
     heapify(heap)
     guards = reducers.guards
-    # Up to _SCAN_LIMIT reducers, the scan runs here, without a call per term;
-    # past that the scan list is empty and the index finds the divisor.
-    scan, find = reducers.elems, None
-    if len(scan) > _SCAN_LIMIT:
-        scan, find = (), reducers.finder()
     ones = guards >> (_KEY_FIELD - 1)
     sentinel = 1 << (guards.bit_length() + _KEY_FIELD - 1)  # field n's guard bit
     out = []
@@ -439,6 +453,7 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
         raise ValueError(f"stop_codim must be at least 1, got {stop_codim}")
     limits = limits or DEFAULT_LIMITS
     field = ideal.field
+    graded = slot_ready(ideal)
     start = time.monotonic()
     deadline = None if limits.time_limit is None else start + limits.time_limit
 
@@ -535,7 +550,7 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
     for g in ideal.generators:
         if g.is_zero():
             continue
-        red = _reduce_terms(_term_keys(g.terms, "pair update"), reducers, field, deadline)
+        red = _reduce_terms(_term_keys(g.terms, "pair update"), reducers, field, deadline, graded)
         if red:
             add_element(_monic_terms(red, field))
         check_caps("seeding")
@@ -565,7 +580,7 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
         lcm = ((_KEY_BASE - deg_l) << key_top) | (f.key & sel) | (g.key & key_low & ~sel)
         sf, sg = lcm - f.key, lcm - g.key
         spoly = [(k + sf, c) for k, c in f.tail] + [(k + sg, -c) for k, c in g.tail]
-        red = _reduce_terms(spoly, reducers, field, deadline)
+        red = _reduce_terms(spoly, reducers, field, deadline, graded)
         if red:
             add_element(_monic_terms(red, field))
         else:
@@ -589,7 +604,7 @@ def buchberger(ideal: Ideal, limits: EngineLimits | None = None,
     for g in kept:
         check_caps("inter-reduce")
         final_terms.append([(g.key, field.one)]
-                           + _reduce_terms(g.tail, kept_reducers, field, deadline))
+                           + _reduce_terms(g.tail, kept_reducers, field, deadline, graded))
     # drop the engine's state before the result is built, and each term list
     # once its Polynomial is: popped in ascending leading monomials
     del basis, heap, dead, thresholds, reducers, kept, kept_reducers

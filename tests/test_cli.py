@@ -485,6 +485,8 @@ GOLDEN = [
      ["avoid-check", "--map", "catalog:cubic_5x5", "--poly", "cubic"], 1),
     ("bertini_n3_m3_t5.json", "sample",
      ["bertini", "--n", "3", "--m", "3", "--trials", "5"], 0),
+    ("bertini_n4_m4_t3_s7.json", "sample",
+     ["bertini", "--n", "4", "--m", "4", "--trials", "3", "--seed", "7"], 0),
     ("cubic_case.json", "case_analysis", ["cubic-case"], 1),
     ("coeff_eqs_cubic_rank3.json", "equations", ["coeff-eqs"], 0),
     ("coeff_eqs_full_deg3.json", "equations",

@@ -11,12 +11,13 @@ from heapq import heapify, heappop, heappush
 
 import pytest
 
-from detcomp import groebner, verify
+from detcomp import explore, groebner, slots, verify
 from detcomp.cli import main
 from detcomp.fields import QQ, FieldMismatchError, Fp
 from detcomp.groebner import (
     EngineLimits,
     GroebnerBasis,
+    GroebnerStats,
     Ideal,
     ResourceCapError,
     StaircaseBound,
@@ -24,10 +25,11 @@ from detcomp.groebner import (
     normal_form,
     staircase_dimension,
 )
-from detcomp.matmap import generic_det_polynomial, perm_polynomial
+from detcomp.matmap import generic_det_polynomial, perm_polynomial, symbolic_det
 from detcomp.parsing import parse_polynomial
 from detcomp.poly import (
     Polynomial,
+    VarSet,
     mono_divides,
     mono_key,
     varset,
@@ -939,6 +941,201 @@ def test_stop_is_a_lower_bound_on_pinned_ideals(k):
         else:
             assert run.polys == full.polys and work(run) == work(full)
     assert (1 in stopped) == (full.stats.pairs_processed > 0)
+
+
+# ------------------------------------------------------------ slot reduction
+#
+# Over F_p, when every generator is homogeneous, _reduce_terms may reduce on
+# the slots of one degree (slots.py) instead of on its heap. The values below
+# were recorded from the engine before the slot path existed: the reduced
+# basis's digest, every GroebnerStats counter, and the StaircaseBound of a run
+# with stop_codim=min(4, n). The determinant Jacobians are sampling trials
+# (5x3, 4x4 and 5x4 over F_101); the 4x4 and 5x4 ones, and the binary forms of
+# degrees 128 and 129, reach degrees with more than 255 monomials mid-run.
+
+
+def counters(stats):
+    return tuple(getattr(stats, f) for f in GroebnerStats._fields if f != "wall_time")
+
+
+def det_jacobian(n, m, seed):
+    """The Jacobian ideal of the determinant of a seeded sampling draw."""
+    mapping = explore._random_linear_map(n, m, Fp(101), random.Random(seed))
+    return jacobian_ideal(symbolic_det(mapping))
+
+
+def binary_forms(*degrees):
+    """Dense forms in x, y over F_32003, one of each degree, every coefficient nonzero."""
+    rng = random.Random(1)
+    field = Fp(32003)
+    return ideal_of(*(Polynomial.from_dict(XY, field, {(i, d - i): rng.randrange(1, 32003)
+                                                       for i in range(d + 1)})
+                      for d in degrees))
+
+
+def fermat_cubic_jacobian(n, field):
+    vs = varset(*(f"x{i + 1}" for i in range(n)))
+    return jacobian_ideal(P(" + ".join(f"{v}^3" for v in vs), vs, field))
+
+
+# name -> (ideal, basis digest, counters, (codim, counters) of the stopped run)
+SLOT_CASES = {
+    "det_5x3_1": (lambda: det_jacobian(5, 3, 1), "5e8290e2a7db09ea",
+                  (40, 30, 15, 5, 120, 0, 80, 0), (4, (6, 0, 12, 3, 66, 0, 42, 0))),
+    "det_5x3_2": (lambda: det_jacobian(5, 3, 2), "75b9933f47c376be",
+                  (40, 30, 15, 5, 120, 0, 80, 0), (4, (6, 0, 12, 3, 66, 0, 42, 0))),
+    "det_4x4_1": (lambda: det_jacobian(4, 4, 1), "2e55c882d2a81fd3",
+                  (73, 48, 29, 10, 435, 0, 362, 0), (4, (62, 37, 30, 9, 435, 0, 362, 0))),
+    "det_4x4_2": (lambda: det_jacobian(4, 4, 2), "214dd8b73c71bd31",
+                  (73, 48, 29, 10, 435, 0, 362, 0), (4, (62, 37, 30, 9, 435, 0, 362, 0))),
+    "det_5x4_1": (lambda: det_jacobian(5, 4, 1), "6e5dc8b5ed2ad5d0",
+                  (185, 134, 56, 9, 1596, 0, 1410, 1), (4, (22, 2, 26, 6, 325, 0, 263, 1))),
+    "perm3": (lambda: jacobian_ideal(perm_polynomial(3, Fp(32003))), "8a4971806dde0a68",
+              (86, 71, 24, 5, 300, 10, 200, 4), (4, (0, 0, 10, 3, 45, 2, 24, 2))),
+    "fermat_cubic_5": (lambda: fermat_cubic_jacobian(5, Fp(32003)), "d985b2d776ea96d7",
+                       (1, 1, 5, 3, 15, 10, 4, 0), (5, (0, 0, 6, 3, 15, 10, 4, 0))),
+    "binary_128_129": (lambda: binary_forms(128, 129), "704eaf27bebc4439",
+                       (128, 1, 129, 257, 8256, 0, 8128, 0),
+                       (2, (127, 0, 129, 257, 8256, 0, 8128, 0))),
+}
+SLOT_TAKERS = {"det_5x3_1", "det_5x3_2", "det_4x4_1", "det_4x4_2", "det_5x4_1", "binary_128_129"}
+
+
+def spy_slot_path(monkeypatch) -> list:
+    """A list that gets True per reduction the slot path takes, False per one it declines."""
+    taken = []
+    real = groebner.slot_reduce
+
+    def spy(*args):
+        out = real(*args)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(groebner, "slot_reduce", spy)
+    return taken
+
+
+@pytest.mark.parametrize("slot_limit", [None, 0], ids=["slots", "heap"])
+def test_slot_path_keeps_every_basis_and_counter(slot_limit, monkeypatch):
+    """With the slot path, and with its limit at 0 so that every reduction
+    takes the heap, each basis, counter and stopped bound is the recorded one."""
+    if slot_limit is not None:
+        monkeypatch.setattr(slots, "_MAX_SLOTS", slot_limit)
+    taken = spy_slot_path(monkeypatch)
+    took = set()
+    for name, (make, digest, want, want_bound) in SLOT_CASES.items():
+        idl = make()
+        taken.clear()
+        gb = buchberger(idl)
+        assert (basis_digest(gb), counters(gb.stats)) == (digest, want), name
+        run = buchberger(idl, stop_codim=min(4, len(idl.vars)))
+        assert isinstance(run, StaircaseBound), name
+        assert (run.codim, counters(run.stats)) == want_bound, name
+        if any(taken):
+            took.add(name)
+    assert took == (set() if slot_limit == 0 else SLOT_TAKERS)
+
+
+class SpyCache(slots._Cache):
+    """A slot cache that records the units it holds before each addition."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def units(self) -> int:
+        """What the cache holds: one unit per slot and four per row."""
+        return sum(len(lay.keys) + 4 * len(lay.rows) for lay in self.layouts.values())
+
+    def hold(self, units):
+        self.seen.append(self.units())
+        super().hold(units)
+
+
+def fresh_slot_cache(monkeypatch) -> SpyCache:
+    cache = SpyCache()
+    monkeypatch.setattr(slots, "_CACHE", cache)
+    return cache
+
+
+def traced_bytes(cache) -> int:
+    """The traced bytes of what the cache holds, rebuilt layout by layout and
+    row by row under tracemalloc; tracing the run that made it would take
+    seconds."""
+    made = [(n, d, list(lay.rows)) for (n, d), lay in cache.layouts.items()]
+    tracemalloc.start()
+    try:
+        fresh = slots._Cache()
+        lays = [(fresh.layout(n, d), n, d, shifts) for n, d, shifts in made]
+        for lay, n, d, shifts in lays:
+            for shift in shifts:  # the reducer's degree is d plus the shift's top field
+                fresh.row(lay, shift, n, d + (shift >> n * slots._KEY_FIELD))
+        del lays
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_slot_cache_stays_within_its_budget(monkeypatch):
+    """(x + y)^190 and x^201 reduce on slots in degrees 190 to 254, one
+    layout each, and past that on the heap. What the layouts and rows hold
+    would pass the budget, so the cache is emptied on the way and never holds
+    more than _TABLE_BUDGET units, about 100 bytes each."""
+    cache = fresh_slot_cache(monkeypatch)
+    gb = buchberger(ideal("(x + y)^190", "x^201", vars=XY, field=Fp(32003)))
+    assert work(gb) == (190, 1, 191, 391)
+    held = cache.seen + [cache.units()]
+    drops = sum(b < a for a, b in zip(held, held[1:]))
+    assert drops >= 1 and max(held) <= slots._TABLE_BUDGET
+    size = traced_bytes(cache)
+    assert size <= 128 * slots._TABLE_BUDGET, f"{size // 1024} KB"
+
+
+def test_slot_cache_after_a_sampling_pass(monkeypatch):
+    """One pass of the benchmark's sampling shapes, 150 trials of 5x3 and 8
+    of 4x4, leaves under 64 KB in the slot cache."""
+    cache = fresh_slot_cache(monkeypatch)
+    explore.sample_codim(n=5, m=3, p=101, trials=150, seed=7)
+    explore.sample_codim(n=4, m=4, p=101, trials=8, seed=7)
+    size = traced_bytes(cache)
+    assert 0 < size < 64 * 1024, f"{size // 1024} KB"
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_slot_layout_lists_each_degree_in_key_order(n):
+    """A layout's slots are every monomial of its degree, ascending keys
+    (descending degrevlex), with their support masks."""
+    for d in range(7):
+        monos = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+        lay = slots._Layout(n, d)
+        assert lay.keys == sorted(keys_of(monos))
+        assert lay.masks == [groebner._mask(groebner._exps(k, n)) for k in lay.keys]
+        assert lay.rank == {k: r for r, k in enumerate(lay.keys)}
+
+
+def test_slot_ready_gates_whole_runs():
+    """perm4's Jacobian (16 variables; its 816 monomials of degree 3 are the
+    fewest of any input) never takes the slot path, and neither does a run
+    over Q or one with a generator that is not homogeneous."""
+    assert not slots.slot_ready(jacobian_ideal(perm_polynomial(4, Fp(32003))))
+    assert slots.slot_ready(jacobian_ideal(perm_polynomial(3, Fp(32003))))
+    assert not slots.slot_ready(jacobian_ideal(perm_polynomial(3, QQ)))
+    assert slots.slot_ready(ideal("x^2 - y*z", "x*y", field=Fp(7)))
+    assert not slots.slot_ready(ideal("x^2 - y", "x*y", field=Fp(7)))
+
+
+@pytest.mark.parametrize("field", [Fp(7), QQ], ids=["F7", "Q"])
+def test_rings_without_variables(field, monkeypatch):
+    """Over no variables a nonzero constant spans the unit ideal and 0 the
+    zero ideal; neither ring, nor one of one variable, takes the slot path."""
+    taken = spy_slot_path(monkeypatch)
+    none = VarSet(())
+    unit = buchberger(ideal_of(Polynomial.const(none, field, 3)))
+    assert unit.polys == (Polynomial.const(none, field, 1),) and unit.is_trivial()
+    assert buchberger(ideal_of(Polynomial.zero(none, field))).polys == ()
+    x = varset("x")
+    assert buchberger(ideal_of(P("x^3", x, field), P("2*x^5", x, field))).polys == (P("x^3", x, field),)
+    assert not any(taken)
 
 
 # ------------------------------------------------------- M-criterion reference
