@@ -15,11 +15,11 @@ A reduction takes one of two paths, which give the same remainder.
   generator is homogeneous, n >= 2, the input's degree d has at most 255
   monomials and the input has at least a quarter as many terms. Reduction
   then never leaves degree d, so the remainder is a list indexed by the rank
-  of each degree-d key, and each update goes through a product row cached
-  per (n, d): the idea of F4 (Faugere 1999), a fixed monomial set per
-  degree, in its simplest form. It walks the keys in the heap's pop order
-  and takes the same first divisor, so every remainder, counter and basis
-  is the heap path's.
+  of each degree-d key, and each tail term of an update finds its slot in
+  that rank map, kept per (n, d): the idea of F4 (Faugere 1999), a fixed
+  monomial set per degree, in its simplest form. It walks the keys in the
+  heap's pop order and takes the same first divisor, so every remainder,
+  counter and basis is the heap path's.
 
 Resource caps raise, never truncate: they are checked after each seeded
 generator, before each S-pair, per element of the final minimalize and
@@ -210,7 +210,7 @@ def _term_keys(terms, stage: str) -> list:
 
 
 class _Elem:
-    __slots__ = ("key", "exps", "mask", "packed", "order", "tail", "slots")
+    __slots__ = ("key", "exps", "mask", "packed", "order", "tail")
 
     def __init__(self, terms, n):
         # terms descending term keys, monic
@@ -221,7 +221,6 @@ class _Elem:
         # divisor search order: degree, then the reversed exponents
         self.order = (sum(lm) << (n * _FIELD)) | _pack(lm[::-1])
         self.tail = terms[1:]
-        self.slots = None  # (tail slots, tail coefficients), made by slots.slot_reduce
 
 
 _ORDER = attrgetter("order")

@@ -30,10 +30,19 @@ def dump_matrix_map(mapping: AffineMatrixMap) -> dict:
 
 
 def load_matrix_map(data: dict) -> AffineMatrixMap:
+    """The map a parsed matrix-map document describes; ValueError for a
+    document of the wrong shape (see schemas/matrix_map.schema.json)."""
+    if not isinstance(data, dict):
+        raise ValueError("a matrix map is a JSON object")
     field = field_from_tag(data["field"])
-    names = VarSet(tuple(data["vars"]))
-    m = int(data["m"])
-    entries = data["entries"]
+    names, m, entries = data["vars"], data["m"], data["entries"]
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise ValueError("vars must be a list of strings")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise ValueError("entries must be a list of lists")
+    names = VarSet(tuple(names))
     if len(entries) != m or any(len(row) != m for row in entries):
         raise ValueError(f"entries must form an {m} x {m} grid")
     rows = []

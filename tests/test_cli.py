@@ -109,6 +109,22 @@ def test_verify_broken_map_exits_one(capsys, tmp_path):
     assert payload["witness_monomial"]
 
 
+@pytest.mark.parametrize("document", [
+    {"field": "Q", "vars": ["x"], "m": 1, "entries": 5},
+    [1, 2],
+    {"field": "Q", "vars": [1], "m": 1, "entries": [["x"]]},
+    {"field": "Q", "vars": "xy", "m": 1, "entries": [["x"]]},
+], ids=["entries_int", "list", "vars_of_ints", "vars_string"])
+def test_verify_malformed_map_exits_two(capsys, tmp_path, document):
+    """A map file of the wrong shape is an input error (exit 2), not a
+    negative verdict (exit 1) or a success."""
+    path = tmp_path / "malformed.json"
+    write_json(str(path), document)
+    rc, out, err = run(capsys, ["verify", "--map", str(path), "--poly", "x"])
+    assert rc == 2 and not out
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("field", ["Q", {"Fp": 7}], ids=["Q", "F_7"])
 def test_avoid_check_probabilistic_witness_is_printed_as_field_values(capsys, tmp_path, field):
     """x in one corner of a 2x2 map, zeros elsewhere: the rank drops to 0

@@ -1036,69 +1036,28 @@ def test_slot_path_keeps_every_basis_and_counter(slot_limit, monkeypatch):
     assert took == (set() if slot_limit == 0 else SLOT_TAKERS)
 
 
-class SpyCache(slots._Cache):
-    """A slot cache that records the units it holds before each addition."""
-
-    def __init__(self):
-        super().__init__()
-        self.seen = []
-
-    def units(self) -> int:
-        """What the cache holds: one unit per slot and four per row."""
-        return sum(len(lay.keys) + 4 * len(lay.rows) for lay in self.layouts.values())
-
-    def hold(self, units):
-        self.seen.append(self.units())
-        super().hold(units)
-
-
-def fresh_slot_cache(monkeypatch) -> SpyCache:
-    cache = SpyCache()
-    monkeypatch.setattr(slots, "_CACHE", cache)
-    return cache
-
-
-def traced_bytes(cache) -> int:
-    """The traced bytes of what the cache holds, rebuilt layout by layout and
-    row by row under tracemalloc; tracing the run that made it would take
-    seconds."""
-    made = [(n, d, list(lay.rows)) for (n, d), lay in cache.layouts.items()]
+def test_slot_layouts_stay_bounded():
+    """Two-variable layouts of degrees up to 254, the largest _MAX_SLOTS
+    admits, are kept 16 at most, and those kept hold under 400 KB."""
+    slots._layout.cache_clear()
     tracemalloc.start()
     try:
-        fresh = slots._Cache()
-        lays = [(fresh.layout(n, d), n, d, shifts) for n, d, shifts in made]
-        for lay, n, d, shifts in lays:
-            for shift in shifts:  # the reducer's degree is d plus the shift's top field
-                fresh.row(lay, shift, n, d + (shift >> n * slots._KEY_FIELD))
-        del lays
-        return tracemalloc.get_traced_memory()[0]
+        for d in range(255):
+            slots._layout(2, d)
+        size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    assert slots._layout.cache_info().currsize <= 16
+    assert size < 400 * 1024, f"{size // 1024} KB"
 
 
-def test_slot_cache_stays_within_its_budget(monkeypatch):
-    """(x + y)^190 and x^201 reduce on slots in degrees 190 to 254, one
-    layout each, and past that on the heap. What the layouts and rows hold
-    would pass the budget, so the cache is emptied on the way and never holds
-    more than _TABLE_BUDGET units, about 100 bytes each."""
-    cache = fresh_slot_cache(monkeypatch)
-    gb = buchberger(ideal("(x + y)^190", "x^201", vars=XY, field=Fp(32003)))
-    assert work(gb) == (190, 1, 191, 391)
-    held = cache.seen + [cache.units()]
-    drops = sum(b < a for a, b in zip(held, held[1:]))
-    assert drops >= 1 and max(held) <= slots._TABLE_BUDGET
-    size = traced_bytes(cache)
-    assert size <= 128 * slots._TABLE_BUDGET, f"{size // 1024} KB"
-
-
-def test_slot_cache_after_a_sampling_pass(monkeypatch):
+def test_slot_layouts_after_a_sampling_pass():
     """One pass of the benchmark's sampling shapes, 150 trials of 5x3 and 8
-    of 4x4, leaves under 64 KB in the slot cache."""
-    cache = fresh_slot_cache(monkeypatch)
+    of 4x4, builds at most 8 layouts."""
+    slots._layout.cache_clear()
     explore.sample_codim(n=5, m=3, p=101, trials=150, seed=7)
     explore.sample_codim(n=4, m=4, p=101, trials=8, seed=7)
-    size = traced_bytes(cache)
-    assert 0 < size < 64 * 1024, f"{size // 1024} KB"
+    assert 0 < slots._layout.cache_info().misses <= 8
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -1107,10 +1066,10 @@ def test_slot_layout_lists_each_degree_in_key_order(n):
     (descending degrevlex), with their support masks."""
     for d in range(7):
         monos = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
-        lay = slots._Layout(n, d)
-        assert lay.keys == sorted(keys_of(monos))
-        assert lay.masks == [groebner._mask(groebner._exps(k, n)) for k in lay.keys]
-        assert lay.rank == {k: r for r, k in enumerate(lay.keys)}
+        keys, masks, rank = slots._layout(n, d)
+        assert keys == sorted(keys_of(monos))
+        assert masks == [groebner._mask(groebner._exps(k, n)) for k in keys]
+        assert rank == {k: r for r, k in enumerate(keys)}
 
 
 def test_slot_ready_gates_whole_runs():

@@ -70,6 +70,21 @@ def test_matrix_map_load_rejects_ragged_grid():
         load_matrix_map(data)
 
 
+@pytest.mark.parametrize("changes", [
+    None,
+    {"vars": [1]},
+    {"vars": "xy"},
+    {"m": "2"},
+    {"entries": 5},
+], ids=["list", "vars_of_ints", "vars_string", "m_string", "entries_int"])
+def test_matrix_map_load_rejects_malformed_documents(changes):
+    """What the schema rejects raises ValueError, not TypeError, and a string
+    of vars is not split into letters. None: a list in place of the object."""
+    data = [1, 2] if changes is None else {**dump_matrix_map(demo_map()), **changes}
+    with pytest.raises(ValueError):
+        load_matrix_map(data)
+
+
 def test_file_round_trip(tmp_path):
     path = tmp_path / "map.json"
     payload = dump_matrix_map(demo_map(field=Fp(5)))
