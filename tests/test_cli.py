@@ -493,6 +493,8 @@ def test_unread_options_are_rejected(capsys, argv, flag):
 # byte-exact outputs recorded from the CLI; the second codim has an empty
 # singular locus (dim -1, codim n + 1), and analyze takes the lower-rank branch.
 # The search outputs were recorded with one first-row expansion per candidate.
+# The failing probabilistic verify and avoid-check hold witness points, whose
+# coordinates JSON writes as strings.
 GOLDEN = [
     ("codim_perm3_Fp32003.json", "codim",
      ["codim", "--poly", "perm3", "--field", "Fp:32003", "--deterministic"], 0),
@@ -527,6 +529,17 @@ GOLDEN = [
       "--max-found", "1000"], 0),
     ("search_xy_plus_1_Fp2_m2.json", "search",
      ["search", "--poly", "x*y + 1", "--vars", "x,y", "--field", "Fp:2", "--size", "2"], 0),
+    ("grenet_n3.json", "grenet", ["grenet", "--n", "3"], 0),
+    ("cone_reduce_quadric_2x2.json", "cone_reduce",
+     ["cone-reduce", "--map", "catalog:quadric_2x2"], 0),
+    ("verify_cubic_5x5.json", "verification",
+     ["verify", "--map", "catalog:cubic_5x5", "--poly", "cubic"], 0),
+    ("verify_quadric_2x2_x2_probabilistic.json", "verification",
+     ["verify", "--map", "catalog:quadric_2x2", "--poly", "x^2", "--mode", "probabilistic",
+      "--trials", "5"], 1),
+    ("avoid_check_corner_2x2_probabilistic.json", "avoidance",
+     ["avoid-check", "--map", str(DATA / "corner_2x2.json"), "--poly", "0",
+      "--mode", "probabilistic"], 1),
 ]
 
 
