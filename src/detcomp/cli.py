@@ -139,6 +139,15 @@ def emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def emit_map(args, payload: dict, mapping, text: str) -> None:
+    """Emit a map command's payload with the map's document as "map", and
+    write that same document to --out when one is given."""
+    payload["map"] = dump_matrix_map(mapping)
+    if args.out:
+        write_json(args.out, payload["map"])
+    emit(args, payload, text)
+
+
 def point_text(point) -> str:
     """A witness point as (0, -27): each coordinate as the field prints it."""
     return "(" + ", ".join(map(str, point)) + ")"
@@ -153,7 +162,7 @@ def cmd_parse(args) -> int:
         "poly": str(f),
         "field": field_tag(f.field),
         "vars": list(f.vars),
-        "degree": f.degree() if not f.is_zero() else 0,
+        "degree": max(f.degree(), 0),
         "terms": len(f.terms),
         "homogeneous": f.is_homogeneous(),
     }
@@ -187,7 +196,7 @@ def cmd_codim(args) -> int:
         "vars": list(f.vars),
         "n": n,
         "codim": codim,
-        "dim": -1 if empty else n - codim,
+        "dim": n - codim,
         "singular_locus_empty": empty,
     }
     if not args.deterministic:
@@ -232,15 +241,8 @@ def cmd_avoid_check(args) -> int:
 def cmd_grenet(args) -> int:
     field = parse_field(args.field)
     mapping, _, report = grenet_expression(args.n, field)
-    payload = {
-        "n": args.n,
-        "size": mapping.size,
-        "verified": report.ok,
-        "map": dump_matrix_map(mapping),
-    }
-    if args.out:
-        write_json(args.out, dump_matrix_map(mapping))
-    emit(args, payload, f"size {mapping.size} expression, exact: {report.ok}")
+    emit_map(args, {"n": args.n, "size": mapping.size, "verified": report.ok}, mapping,
+             f"size {mapping.size} expression, exact: {report.ok}")
     return 0 if report.ok else 1
 
 
@@ -251,15 +253,8 @@ def cmd_catalog(args) -> int:
         return 0
     field = parse_field(args.field)
     mapping, target = catalog_get(args.name, field)  # raises unless verified exactly
-    payload = {
-        "name": args.name,
-        "target": str(target),
-        "verified": True,
-        "map": dump_matrix_map(mapping),
-    }
-    if args.out:
-        write_json(args.out, dump_matrix_map(mapping))
-    emit(args, payload, f"{args.name}: size {mapping.size}, det = {target}, exact: True")
+    emit_map(args, {"name": args.name, "target": str(target), "verified": True}, mapping,
+             f"{args.name}: size {mapping.size}, det = {target}, exact: True")
     return 0
 
 
@@ -345,16 +340,10 @@ def cmd_cone_reduce(args) -> int:
 
     mapping = load_map_arg(args.map)
     reduced, kernel_dim = cone_reduce(mapping)
-    payload = {
-        "kernel_dim": kernel_dim,
-        "original_vars": list(mapping.vars),
-        "reduced_vars": list(reduced.vars),
-        "map": dump_matrix_map(reduced),
-    }
-    if args.out:
-        write_json(args.out, dump_matrix_map(reduced))
-    emit(args, payload,
-         f"kernel dimension {kernel_dim}; reduced to {len(reduced.vars)} variable(s)")
+    payload = {"kernel_dim": kernel_dim, "original_vars": list(mapping.vars),
+               "reduced_vars": list(reduced.vars)}
+    emit_map(args, payload, reduced,
+             f"kernel dimension {kernel_dim}; reduced to {len(reduced.vars)} variable(s)")
     return 0
 
 
@@ -393,12 +382,22 @@ def _add_common(sp, caps=True, timed=False):
 _POLY_HELP = "polynomial string, or alias perm2/perm3/perm4, det2/det3, cubic, fermat:<d>:<n>"
 
 
+def _add_field(sp):
+    """--field, read by parse_field."""
+    sp.add_argument("--field", default="Q", help="Q (default) or Fp:<prime>")
+
+
+def _add_out(sp):
+    """--out, read by emit_map."""
+    sp.add_argument("--out", default=None, help="also write the map to this JSON file")
+
+
 def _add_poly(sp):
     """--poly in the ring that --vars and --field fix (read by poly_arg)."""
     sp.add_argument("--poly", required=True, help=_POLY_HELP)
     sp.add_argument("--vars", default=None,
                     help="comma-separated variable names fixing the ring")
-    sp.add_argument("--field", default="Q", help="Q (default) or Fp:<prime>")
+    _add_field(sp)
 
 
 def _add_map_and_poly(sp):
@@ -454,15 +453,15 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("grenet", help="branching-program expression of the permanent")
     sp.add_argument("--n", type=int, required=True, choices=(1, 2, 3, 4))
-    sp.add_argument("--field", default="Q")
-    sp.add_argument("--out", default=None, help="also write the map to this JSON file")
+    _add_field(sp)
+    _add_out(sp)
     _add_common(sp, caps=False)
     sp.set_defaults(handler=cmd_grenet)
 
     sp = sub.add_parser("catalog", help="list or emit built-in verified expressions")
     sp.add_argument("--name", default=None)
-    sp.add_argument("--field", default="Q")
-    sp.add_argument("--out", default=None, help="also write the map to this JSON file")
+    _add_field(sp)
+    _add_out(sp)
     _add_common(sp, caps=False)
     sp.set_defaults(handler=cmd_catalog)
 
@@ -471,7 +470,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--template", choices=("cubic_rank3", "cubic_rank3_full"),
                     default="cubic_rank3")
     sp.add_argument("--filter", choices=tuple(MONOMIAL_FILTERS), default="deg3-x1")
-    sp.add_argument("--field", default="Q")
+    _add_field(sp)
     _add_common(sp, caps=False)
     sp.set_defaults(handler=cmd_coeff_eqs)
 
@@ -511,7 +510,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cone-reduce", help="eliminate the kernel of a linear map")
     sp.add_argument("--map", required=True)
-    sp.add_argument("--out", default=None, help="also write the reduced map to this file")
+    _add_out(sp)
     _add_common(sp, caps=False)
     sp.set_defaults(handler=cmd_cone_reduce)
 

@@ -207,11 +207,6 @@ def cone_reduce(mapping: AffineMatrixMap):
     reduced, pivots = rref(field, rows)
     rank = len(pivots)
     kernel_dim = n - rank
-    if rank == 0:
-        empty = VarSet(())
-        zero = Polynomial.zero(empty, field)
-        grid = tuple(tuple(zero for _ in range(m)) for _ in range(m))
-        return AffineMatrixMap(empty, field, grid), kernel_dim
     names = VarSet(tuple(f"y{s + 1}" for s in range(rank)))
     grid = []
     for i in range(m):

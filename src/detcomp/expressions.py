@@ -302,14 +302,7 @@ class CaseVerdict(Record):
     pairs_processed: int | None
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "status": self.status,
-            "basis_size": self.basis_size,
-            "pairs_processed": self.pairs_processed,
-            "detail": self.detail,
-        }
+    to_json = Record.as_dict
 
 
 class CaseAnalysisReport(Record):
@@ -326,19 +319,10 @@ class CaseAnalysisReport(Record):
     complete_matches_claim: bool | None = None
 
     def to_json(self) -> dict:
-        return {
-            "six_equations": list(self.six_equations),
-            "six_verdicts": [v.to_json() for v in self.six_verdicts],
-            "full_equation_count": self.full_equation_count,
-            "full_verdicts": [v.to_json() for v in self.full_verdicts],
-            "complete_equation_count": self.complete_equation_count,
-            "complete_verdicts": [v.to_json() for v in self.complete_verdicts],
-            "abg_zero_infeasible": self.abg_zero_infeasible,
-            "claim": self.claim,
-            "six_matches_claim": self.six_matches_claim,
-            "full_matches_claim": self.full_matches_claim,
-            "complete_matches_claim": self.complete_matches_claim,
-        }
+        data = self.as_dict()
+        for key in ("six_verdicts", "full_verdicts", "complete_verdicts"):
+            data[key] = [v.to_json() for v in data[key]]
+        return data
 
     def render_text(self) -> str:
         lines = ["six displayed equations (canonical order):"]

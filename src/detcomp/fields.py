@@ -25,7 +25,9 @@ class Record:
     """Base of the package's records, in place of dataclasses (whose import loads inspect).
     The fields are the class annotations, in constructor order, defaults are class attributes,
     and __post_init__ validates. A record is immutable, equals only a record of its class with
-    equal fields, and hashes as their tuple. One built per search hit sets its fields itself."""
+    equal fields, and hashes as their tuple. One built per search hit sets its fields itself.
+    as_dict gives the fields by name, each tuple as a list: a report's JSON, but for the fields
+    that its to_json spells otherwise."""
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
@@ -45,6 +47,10 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    def as_dict(self) -> dict:
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in zip(self._fields, self._values())}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -129,14 +135,10 @@ class RationalField(Field):
             return value.value
         if isinstance(value, float):
             raise TypeError("floats are not exact; pass int, Fraction, or 'a/b' string")
-        if isinstance(value, str):
-            return Fraction(value)
         return Fraction(value)
 
     def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return 1 / Fraction(a)  # ZeroDivisionError for 0
 
     def sample_range(self, size: int) -> range:
         return range(-(size // 2), size // 2 + 1)
@@ -156,14 +158,12 @@ class PrimeField(Field):
     """
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"modulus must be prime, got {p!r}")
-        if p >= 2**64:
-            raise ValueError("modulus must fit in a machine word")
+        if not (isinstance(p, int) and p < 2**64 and is_prime(p)):
+            raise ValueError(f"modulus must be a prime below 2^64, got {p!r}")
         self.char = p
         self.name = f"F_{p}"
         self.zero = 0
-        self.one = 1 % p
+        self.one = 1
 
     def of(self, value: object) -> int:
         if isinstance(value, FieldElement):
@@ -171,12 +171,12 @@ class PrimeField(Field):
                 raise FieldMismatchError(f"cannot reinterpret {value.field} value in {self}")
             return value.value
         p = self.char
+        if isinstance(value, str):
+            value = Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator % p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {p}")
             return value.numerator * pow(value.denominator, p - 2, p) % p
-        if isinstance(value, str):
-            return self.of(Fraction(value))
         if isinstance(value, float):
             raise TypeError("floats are not exact; pass an int")
         return value % p
@@ -205,20 +205,18 @@ _PRIME_FIELD_CACHE: dict[int, PrimeField] = {}
 
 def Fp(p: int) -> PrimeField:
     """Cached constructor for prime fields."""
-    field = _PRIME_FIELD_CACHE.get(p)
-    if field is None:
-        field = PrimeField(p)
-        _PRIME_FIELD_CACHE[p] = field
-    return field
+    if p not in _PRIME_FIELD_CACHE:
+        _PRIME_FIELD_CACHE[p] = PrimeField(p)
+    return _PRIME_FIELD_CACHE[p]
 
 
 def field_from_tag(tag) -> Field:
-    """Decode the JSON field tag: "Q" or {"Fp": p}."""
+    """Decode the JSON field tag: "Q" or {"Fp": p}, p an int (not a bool)."""
     if tag == "Q":
         return QQ
-    if isinstance(tag, dict) and set(tag) == {"Fp"}:
-        return Fp(int(tag["Fp"]))
-    raise ValueError(f"unrecognized field tag {tag!r}")
+    if isinstance(tag, dict) and set(tag) == {"Fp"} and type(tag["Fp"]) is int:
+        return Fp(tag["Fp"])
+    raise ValueError(f"field must be Q or Fp with an integer prime, got {tag!r}")
 
 
 def field_tag(field: Field):

@@ -30,33 +30,32 @@ def dump_matrix_map(mapping: AffineMatrixMap) -> dict:
 
 
 def load_matrix_map(data: dict) -> AffineMatrixMap:
-    """The map a parsed matrix-map document describes; ValueError for a
-    document of the wrong shape (see schemas/matrix_map.schema.json)."""
+    """The map a parsed matrix-map document describes; ValueError, naming the
+    offending key, for a document of the wrong shape (see
+    schemas/matrix_map.schema.json)."""
     if not isinstance(data, dict):
         raise ValueError("a matrix map is a JSON object")
+    keys = sorted(data.keys() ^ {"field", "vars", "m", "entries"})
+    if keys:
+        raise ValueError(f"unexpected or missing key(s) {keys}:"
+                         " a matrix map has field, vars, m and entries")
     field = field_from_tag(data["field"])
     names, m, entries = data["vars"], data["m"], data["entries"]
-    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+    if not _strings(names):
         raise ValueError("vars must be a list of strings")
     if type(m) is not int or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
-    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
-        raise ValueError("entries must be a list of lists")
-    names = VarSet(tuple(names))
+    if not isinstance(entries, list) or not all(map(_strings, entries)):
+        raise ValueError("entries must be a list of lists of strings")
     if len(entries) != m or any(len(row) != m for row in entries):
         raise ValueError(f"entries must form an {m} x {m} grid")
-    rows = []
-    for i, row in enumerate(entries):
-        out = []
-        for j, text in enumerate(row):
-            p = parse_polynomial(str(text), vars=names, field=field)
-            if p.degree() > 1:
-                raise ValueError(
-                    f"entry ({i + 1},{j + 1}) has degree {p.degree()}; affine entries only"
-                )
-            out.append(p)
-        rows.append(tuple(out))
-    return AffineMatrixMap(names, field, tuple(rows))
+    names = VarSet(tuple(names))
+    return AffineMatrixMap(names, field, tuple(
+        tuple(parse_polynomial(text, vars=names, field=field) for text in row) for row in entries))
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def read_json(path: str) -> dict:

@@ -152,9 +152,10 @@ def rank_normal_decomposition(field: Field, c: Matrix) -> tuple[Matrix, Matrix, 
     """
     p = field.char
     n = len(c)
-    work = [[x % p for x in row] if p else row[:] for row in c]
-    left = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    right = [row[:] for row in left]
+    right = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    # P starts as a copy of the identity in n trailing columns of work, so
+    # each row operation runs once on c and P together
+    work = [([x % p for x in row] if p else row) + unit for row, unit in zip(c, right)]
     r = 0
     while r < n:
         pivot = next(((i, j) for i in range(r, n) for j in range(r, n) if work[i][j]), None)
@@ -162,19 +163,15 @@ def rank_normal_decomposition(field: Field, c: Matrix) -> tuple[Matrix, Matrix, 
             break
         pi, pj = pivot
         work[r], work[pi] = work[pi], work[r]
-        left[r], left[pi] = left[pi], left[r]
         for line in work + right:
             line[r], line[pj] = line[pj], line[r]
         inv = field.inv(work[r][r])
         row = work[r] = [x * inv % p for x in work[r]] if p else [x * inv for x in work[r]]
-        lrow = left[r] = [x * inv % p for x in left[r]] if p else [x * inv for x in left[r]]
         for i in range(r + 1, n):
             f = work[i][r]
             if f:
                 work[i] = ([(x - f * y) % p for x, y in zip(work[i], row)] if p
                            else [x - f * y for x, y in zip(work[i], row)])
-                left[i] = ([(x - f * y) % p for x, y in zip(left[i], lrow)] if p
-                           else [x - f * y for x, y in zip(left[i], lrow)])
         for j in range(r + 1, n):
             f = row[j]
             if f:
@@ -184,6 +181,6 @@ def rank_normal_decomposition(field: Field, c: Matrix) -> tuple[Matrix, Matrix, 
     # P c Q == diag(I_r, 0); reverse coordinates on both sides to park the
     # identity block in the lower right: (R P) c (Q R) = J_r
     rev = list(range(n - 1, -1, -1))
-    left = [left[i] for i in rev]
+    left = [work[i][n:] for i in rev]
     right = [[row[j] for j in rev] for row in right]
     return left, right, r

@@ -432,15 +432,8 @@ class VerificationReport(Record):
                              trials=trials, failure_bound=failure_bound, notes=notes)
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "ok": self.ok,
-            "witness_monomial": self.witness_monomial,
-            "witness_point": [str(x) for x in self.witness_point] if self.witness_point else None,
-            "trials": self.trials,
-            "failure_bound": self.failure_bound,
-            "notes": list(self.notes),
-        }
+        point = self.witness_point
+        return {**self.as_dict(), "witness_point": [str(x) for x in point] if point else None}
 
 
 def exact_report(det: Polynomial, target: Polynomial) -> VerificationReport:

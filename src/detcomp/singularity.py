@@ -66,7 +66,6 @@ class Certificate(Record):
     singular_locus_empty: bool
     bound: int | None           # dc(f) >= bound, when applicable
     reason: str | None          # populated exactly when bound is None
-    field_name: str
     stats: GroebnerStats
     wall_time: float
 
@@ -77,7 +76,7 @@ class Certificate(Record):
     def input_hash(self) -> str:
         import hashlib  # only here: it loads OpenSSL, which start-up does not need
 
-        payload = f"{self.field_name}|{','.join(self.poly.vars.names)}|{self.poly}"
+        payload = f"{self.poly.field.name}|{','.join(self.poly.vars.names)}|{self.poly}"
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_json(self, deterministic: bool = False) -> dict:
@@ -109,7 +108,7 @@ class Certificate(Record):
     def render_text(self) -> str:
         lines = [
             f"input: {self.poly}",
-            f"field: {self.field_name}",
+            f"field: {self.poly.field.name}",
             f"degree: {self.degree}",
             f"codim(Sing(f)): {'empty, reported as ' + str(self.codim) if self.singular_locus_empty else self.codim}",
         ]
@@ -127,18 +126,15 @@ def certify_lower_bound(f: Polynomial, limits: EngineLimits | None = None) -> Ce
     start = time.monotonic()
     n = len(f.vars)
     gb = buchberger(jacobian_ideal(f), limits=limits)
-    dim = staircase_dimension(gb.leading_monomials(), n)
-    empty = dim < 0
-    codim = n + 1 if empty else n - dim
-    degree = f.degree()
-    deg_int = int(degree) if degree != float("-inf") else 0
+    codim = n - staircase_dimension(gb.leading_monomials(), n)  # n + 1 when Sing(f) is empty
+    degree = max(f.degree(), 0)  # 0 for the zero form
 
     bound: int | None = None
     reason: str | None = None
     if not f.is_homogeneous():
         reason = "not homogeneous"
-    elif f.is_zero() or deg_int <= 2:
-        reason = f"degree {deg_int} <= 2"
+    elif degree <= 2:
+        reason = f"degree {degree} <= 2"
     elif codim <= MIN_USEFUL_CODIM:
         reason = f"codim {codim} <= {MIN_USEFUL_CODIM}"
     else:
@@ -146,12 +142,11 @@ def certify_lower_bound(f: Polynomial, limits: EngineLimits | None = None) -> Ce
 
     return Certificate(
         poly=f,
-        degree=deg_int,
+        degree=degree,
         codim=codim,
-        singular_locus_empty=empty,
+        singular_locus_empty=codim > n,
         bound=bound,
         reason=reason,
-        field_name=f.field.name,
         stats=gb.stats,
         wall_time=time.monotonic() - start,
     )
@@ -208,19 +203,9 @@ class AvoidanceReport(Record):
     notes: tuple
 
     def to_json(self) -> dict:
-        return {
-            "size": self.size,
-            "rank_constant": self.rank_constant,
-            "rank_constant_ok": self.rank_constant_ok,
-            "mode": self.mode,
-            "avoids": self.avoids,
-            "witness_point": (None if self.witness_point is None
-                              else [str(x) for x in self.witness_point]),
-            "trials": self.trials,
-            "codim": self.codim,
-            "precondition_holds": self.precondition_holds,
-            "notes": list(self.notes),
-        }
+        point = self.witness_point
+        return {**self.as_dict(),
+                "witness_point": None if point is None else [str(x) for x in point]}
 
 
 def check_avoids_singular_locus(
@@ -266,10 +251,9 @@ def check_avoids_singular_locus(
         grid = mapping.entries
         minors = [symbolic_det([row[:j] + row[j + 1:] for row in grid[:i] + grid[i + 1:]])
                   for i in range(m) for j in range(m)]
-        minors = [p for p in minors if not p.is_zero()]
-        # every (m-1)-minor vanishing identically means rank <= m-2 everywhere
-        avoids = bool(minors) and buchberger(
-            Ideal(mapping.vars, field, tuple(minors)), limits=limits).is_trivial()
+        # every (m-1)-minor vanishing identically means rank <= m-2 everywhere;
+        # buchberger seeds only nonzero generators, and a basis of none is not trivial
+        avoids = buchberger(Ideal(mapping.vars, field, tuple(minors)), limits=limits).is_trivial()
     else:
         avoids = None
         rng = random.Random(seed)

@@ -109,20 +109,29 @@ def test_verify_broken_map_exits_one(capsys, tmp_path):
     assert payload["witness_monomial"]
 
 
-@pytest.mark.parametrize("document", [
-    {"field": "Q", "vars": ["x"], "m": 1, "entries": 5},
-    [1, 2],
-    {"field": "Q", "vars": [1], "m": 1, "entries": [["x"]]},
-    {"field": "Q", "vars": "xy", "m": 1, "entries": [["x"]]},
-], ids=["entries_int", "list", "vars_of_ints", "vars_string"])
-def test_verify_malformed_map_exits_two(capsys, tmp_path, document):
+@pytest.mark.parametrize("document, named", [
+    ({"field": "Q", "vars": ["x"], "m": 1, "entries": 5}, "entries"),
+    ([1, 2], "object"),
+    ({"field": "Q", "vars": [1], "m": 1, "entries": [["x"]]}, "vars"),
+    ({"field": "Q", "vars": "xy", "m": 1, "entries": [["x"]]}, "vars"),
+    ({"field": {"Fp": "7"}, "vars": ["x"], "m": 1, "entries": [["x"]]}, "field"),
+    ({"field": {"Fp": 7.9}, "vars": ["x"], "m": 1, "entries": [["x"]]}, "field"),
+    ({"field": {"Fp": True}, "vars": ["x"], "m": 1, "entries": [["x"]]}, "field"),
+    ({"field": "Q", "vars": ["x"], "m": 1, "entries": [[3]]}, "entries"),
+    ({"field": "Q", "vars": ["x"], "m": 1, "entries": [["x"]], "note": "x"}, "note"),
+], ids=["entries_int", "list", "vars_of_ints", "vars_string", "prime_string", "prime_float",
+        "prime_bool", "entry_int", "extra_key"])
+def test_verify_malformed_map_exits_two(capsys, tmp_path, document, named):
     """A map file of the wrong shape is an input error (exit 2), not a
-    negative verdict (exit 1) or a success."""
+    negative verdict (exit 1) or a success, for every command that reads
+    one, and the message names the offending key."""
     path = tmp_path / "malformed.json"
     write_json(str(path), document)
-    rc, out, err = run(capsys, ["verify", "--map", str(path), "--poly", "x"])
-    assert rc == 2 and not out
-    assert err.startswith("error:")
+    for argv in (["verify", "--poly", "x"], ["analyze", "--poly", "x"],
+                 ["avoid-check", "--poly", "x"], ["cone-reduce"]):
+        rc, out, err = run(capsys, argv + ["--map", str(path)])
+        assert rc == 2 and not out
+        assert err.startswith("error:") and named in err
 
 
 @pytest.mark.parametrize("field", ["Q", {"Fp": 7}], ids=["Q", "F_7"])

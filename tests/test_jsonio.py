@@ -70,18 +70,34 @@ def test_matrix_map_load_rejects_ragged_grid():
         load_matrix_map(data)
 
 
-@pytest.mark.parametrize("changes", [
-    None,
-    {"vars": [1]},
-    {"vars": "xy"},
-    {"m": "2"},
-    {"entries": 5},
-], ids=["list", "vars_of_ints", "vars_string", "m_string", "entries_int"])
-def test_matrix_map_load_rejects_malformed_documents(changes):
-    """What the schema rejects raises ValueError, not TypeError, and a string
-    of vars is not split into letters. None: a list in place of the object."""
+@pytest.mark.parametrize("changes, named", [
+    (None, "object"),
+    ({"vars": [1]}, "vars"),
+    ({"vars": "xy"}, "vars"),
+    ({"m": "2"}, "m must"),
+    ({"entries": 5}, "entries"),
+    ({"field": {"Fp": "7"}}, "field"),
+    ({"field": {"Fp": 7.9}}, "field"),
+    ({"field": {"Fp": True}}, "field"),
+    ({"field": {"Fp": 7, "q": 1}}, "field"),
+    ({"entries": [[3, "y"], ["-y", "x"]]}, "entries"),
+    ({"note": "x"}, "note"),
+], ids=["list", "vars_of_ints", "vars_string", "m_string", "entries_int", "prime_string",
+        "prime_float", "prime_bool", "field_extra_key", "entry_int", "extra_key"])
+def test_matrix_map_load_rejects_malformed_documents(changes, named):
+    """What the schema rejects raises ValueError, not TypeError, naming the
+    offending key: a string of vars is not split into letters, and a prime or
+    an entry of another JSON type is not coerced. None: a list in place of
+    the object."""
     data = [1, 2] if changes is None else {**dump_matrix_map(demo_map()), **changes}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=named):
+        load_matrix_map(data)
+
+
+def test_matrix_map_load_names_missing_keys():
+    data = dump_matrix_map(demo_map())
+    del data["m"]
+    with pytest.raises(ValueError, match=r"\['m'\]"):
         load_matrix_map(data)
 
 
