@@ -126,9 +126,9 @@ def map_and_poly_args(args):
     """(--map, --poly in the map's ring): the map fixes the field and the variables."""
     mapping = load_map_arg(args.map)
     f = resolve_poly(args.poly, mapping.field, mapping.vars)
-    if tuple(f.vars) != tuple(mapping.vars):  # an alias brings its own
-        raise ValueError(f"alias {args.poly.strip()!r} lives in variables {tuple(f.vars)},"
-                         f" the map in {tuple(mapping.vars)}")
+    if f.vars != mapping.vars:  # an alias brings its own
+        raise ValueError(f"alias {args.poly.strip()!r} lives in variables {f.vars!r},"
+                         f" the map in {mapping.vars!r}")
     return mapping, f
 
 

@@ -188,7 +188,7 @@ class ParamTemplate(Record):
     entries: tuple
 
     def __post_init__(self):
-        if set(self.main_vars.names) & set(self.param_vars.names):
+        if set(self.main_vars) & set(self.param_vars):
             raise ValueError("main and parameter variables must be disjoint")
         _check_grid(self.entries, self.combined_vars, self.field)
         nm = len(self.main_vars)
@@ -202,7 +202,7 @@ class ParamTemplate(Record):
 
     @property
     def combined_vars(self) -> VarSet:
-        return VarSet(self.main_vars.names + self.param_vars.names)
+        return VarSet(self.main_vars + self.param_vars)
 
 
 class Equation(Record):
@@ -217,7 +217,7 @@ class Equation(Record):
         return self.lhs - Polynomial.const(self.lhs.vars, self.lhs.field, self.rhs)
 
     def render(self) -> str:
-        return f"{mono_str(self.monomial, self.main_vars.names)}: {self.lhs} = {self.rhs}"
+        return f"{mono_str(self.monomial, self.main_vars)}: {self.lhs} = {self.rhs}"
 
 
 def extract_coefficient_equations(
@@ -276,7 +276,7 @@ def cubic_rank3_template(field: Field = QQ, include_lower_coeffs: bool = False):
     main = varset("x", "y", "z", "t")
     pnames = CUBIC_PARAM_NAMES + (CUBIC_LOWER_PARAM_NAMES if include_lower_coeffs else ())
     params = VarSet(pnames)
-    combined = VarSet(main.names + params.names)
+    combined = VarSet(main + params)
     rows = [("0", "alpha*t + beta*y", "-beta*z + gamma*t", "-gamma*y - alpha*z")]
     for i, first in zip((2, 3, 4), ("z", "y", "t")):
         row = [first]
@@ -361,7 +361,7 @@ def _case_verdicts(residuals, params, field, limits) -> list:
     """Feasibility of the system, of system + (alpha != 0), of system + (gamma = 0)."""
     alpha_ix = params.index("alpha")
     gamma_ix = params.index("gamma")
-    ext = VarSet(params.names + ("u_rabin",))
+    ext = VarSet(params + ("u_rabin",))
     lifted = [r.extend(ext) for r in residuals]
     alpha_ext = Polynomial.variable(ext, field, alpha_ix)
     u = Polynomial.variable(ext, field, len(ext) - 1)

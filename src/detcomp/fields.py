@@ -27,7 +27,7 @@ class Record:
     and __post_init__ validates. A record is immutable, equals only a record of its class with
     equal fields, and hashes as their tuple. One built per search hit sets its fields itself.
     as_dict gives the fields by name, each tuple as a list: a report's JSON, but for the fields
-    that its to_json spells otherwise."""
+    that its to_json spells otherwise. poly.VarSet is no record: it is the tuple of its names."""
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
@@ -204,8 +204,9 @@ _PRIME_FIELD_CACHE: dict[int, PrimeField] = {}
 
 
 def Fp(p: int) -> PrimeField:
-    """Cached constructor for prime fields."""
-    if p not in _PRIME_FIELD_CACHE:
+    """Cached constructor for prime fields. A non-int goes to PrimeField, which refuses it,
+    even when an equal int (7 for 7.0) is cached."""
+    if not isinstance(p, int) or p not in _PRIME_FIELD_CACHE:
         _PRIME_FIELD_CACHE[p] = PrimeField(p)
     return _PRIME_FIELD_CACHE[p]
 

@@ -3,7 +3,9 @@
 Representation: a Polynomial is an immutable sorted tuple of
 (exponent_tuple, coefficient) pairs over a fixed VarSet and Field, with no
 zero coefficients and terms in strictly descending degrevlex order. The zero
-polynomial has an empty term tuple and degree MINUS_INF.
+polynomial has an empty term tuple and degree MINUS_INF. A VarSet is the
+tuple of the ring's variable names, checked distinct and valid; two
+Polynomials share a ring when their VarSets and Fields are equal.
 
 Monomials are plain exponent tuples; the helpers below implement the degrevlex
 order (graded, ties broken by smaller exponent in the rightmost differing
@@ -27,7 +29,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import add
 
-from .fields import Coefficient, Field, FieldElement, FieldMismatchError, Record
+from .fields import Coefficient, Field, FieldElement, FieldMismatchError
 
 Monomial = tuple  # exponent tuple, one slot per variable
 
@@ -38,47 +40,26 @@ class ArityError(ValueError):
     """Exponent vector or point length does not match the variable count."""
 
 
-class VarSet(Record):
-    """An ordered tuple of distinct variable names fixing the ambient ring."""
+class VarSet(tuple):
+    """The ring's ordered, distinct variable names: their tuple, which it equals and hashes as."""
 
-    names: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate variable names in {self.names}")
-        for name in self.names:
+    def __new__(cls, names):
+        self = super().__new__(cls, names)
+        if len(set(self)) != len(self):
+            raise ValueError(f"duplicate variable names in {self!r}")
+        for name in self:
             if not name or not (name[0].isalpha() or name[0] == "_"):
                 raise ValueError(f"invalid variable name {name!r}")
-
-    # every Polynomial sum and product compares its operands' VarSets
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.names == other.names
-
-    __hash__ = Record.__hash__
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __iter__(self):
-        return iter(self.names)
-
-    def __getitem__(self, i: int) -> str:
-        return self.names[i]
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.names
+        return self
 
     def __str__(self) -> str:
-        return ", ".join(self.names)
+        return ", ".join(self)
 
 
 def varset(*names: str) -> VarSet:
-    return VarSet(tuple(names))
+    return VarSet(names)
 
 
 # Uncalled in src/; kept because bench/tracing.py rebinds both by name.

@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 from itertools import product
 
-from .fields import PrimeField, Record
+from .fields import PrimeField, Record, field_tag
 from .linalg import rref
 from .matmap import AffineMatrixMap, det_laplace_memo, verify_expression
 from .poly import Polynomial
@@ -121,7 +121,7 @@ class SearchReport(Record):
     def to_json(self) -> dict:
         return {
             "size": self.spec.size,
-            "field": {"Fp": self.spec.target.field.char},
+            "field": field_tag(self.spec.target.field),
             "target": str(self.spec.target),
             "found_count": len(self.found),
             "blocks_pruned": self.blocks_pruned,
@@ -354,7 +354,7 @@ class DcResult(Record):
     def to_json(self) -> dict:
         return {
             "target": str(self.poly),
-            "field": {"Fp": self.poly.field.char},
+            "field": field_tag(self.poly.field),
             "value": self.value,
             "m_max": self.m_max,
             "capped_at": self.capped_at,

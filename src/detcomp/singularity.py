@@ -76,14 +76,14 @@ class Certificate(Record):
     def input_hash(self) -> str:
         import hashlib  # only here: it loads OpenSSL, which start-up does not need
 
-        payload = f"{self.poly.field.name}|{','.join(self.poly.vars.names)}|{self.poly}"
+        payload = f"{self.poly.field.name}|{','.join(self.poly.vars)}|{self.poly}"
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_json(self, deterministic: bool = False) -> dict:
         data = {
             "input_hash": self.input_hash(),
             "field": field_tag(self.poly.field),
-            "vars": list(self.poly.vars.names),
+            "vars": list(self.poly.vars),
             "poly": str(self.poly),
             "degree": self.degree,
             "codim": self.codim,
@@ -307,38 +307,25 @@ class AnalysisReport(Record):
             and self.dim_bound_ok
         )
 
+    # the fields that each branch's JSON holds
+    _JSON_KEYS = {
+        "corank_one": ("size", "degree", "rank", "scalar", "branch", "z11_zero",
+                       "quadric_relation_zero", "ideal_generators", "jacobian_in_ideal",
+                       "f_in_ideal_square", "dim_image", "image_isotropic", "dim_bound_ok",
+                       "codim_upper_bound"),
+        "lower_rank": ("size", "degree", "rank", "scalar", "branch", "graded_parts",
+                       "possible_degree_window", "forced_vanishing_degrees", "window_consistent"),
+    }
+
     def to_json(self) -> dict:
-        data = {
-            "size": self.size,
-            "degree": self.degree,
-            "rank": self.rank,
-            "scalar": str(self.scalar),
-            "branch": self.branch,
-        }
+        fields = self.as_dict()
+        data = {key: fields[key] for key in self._JSON_KEYS[self.branch]}
+        data["scalar"] = str(self.scalar)
         if self.branch == "corank_one":
-            data.update(
-                {
-                    "z11_zero": self.z11_zero,
-                    "quadric_relation_zero": self.quadric_relation_zero,
-                    "ideal_generators": [str(p) for p in self.ideal_generators],
-                    "jacobian_in_ideal": self.jacobian_in_ideal,
-                    "f_in_ideal_square": self.f_in_ideal_square,
-                    "dim_image": self.dim_image,
-                    "image_isotropic": self.image_isotropic,
-                    "dim_bound_ok": self.dim_bound_ok,
-                    "codim_upper_bound": self.codim_upper_bound,
-                    "all_proof_checks_pass": self.all_proof_checks_pass(),
-                }
-            )
+            data["ideal_generators"] = [str(p) for p in self.ideal_generators]
+            data["all_proof_checks_pass"] = self.all_proof_checks_pass()
         else:
-            data.update(
-                {
-                    "graded_parts": {str(d): str(p) for d, p in self.graded_parts},
-                    "possible_degree_window": list(self.possible_degree_window),
-                    "forced_vanishing_degrees": list(self.forced_vanishing_degrees),
-                    "window_consistent": self.window_consistent,
-                }
-            )
+            data["graded_parts"] = {str(d): str(p) for d, p in self.graded_parts}
         return data
 
     def render_text(self) -> str:

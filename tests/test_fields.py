@@ -76,6 +76,14 @@ def test_nonprime_modulus_rejected():
             Fp(n)
 
 
+def test_non_int_modulus_rejected_even_when_its_int_is_cached():
+    # 7.0 == 7 and hashes alike, so a cache lookup before the type check would return F_7
+    assert Fp(7) is Fp(7) and Fp(2) is Fp(2)
+    for p in (7.0, 2.0):
+        with pytest.raises(ValueError, match=r"^modulus must be a prime below 2\^64, got"):
+            Fp(p)
+
+
 def test_is_prime_small_range():
     # trial division oracle
     def naive(n):

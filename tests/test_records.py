@@ -1,6 +1,8 @@
 """The record classes' contract: the package's value types are plain classes
-on fields.Record, immutable, and compared and hashed by class and fields."""
+on fields.Record, immutable, and compared and hashed by class and fields. A
+VarSet is instead the immutable tuple of its names."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from detcomp.fields import QQ, FieldElement, Fp, Record
 from detcomp.groebner import EngineLimits, Ideal, StaircaseBound, buchberger
 from detcomp.matmap import perm_polynomial, verify_expression
 from detcomp.parsing import _tokenize, parse_polynomial
-from detcomp.poly import VarSet, varset
+from detcomp.poly import ArityError, VarSet, varset
 from detcomp.search import SearchReport, SearchSpec, dc_exact
 from detcomp.singularity import analyze_expression, certify_lower_bound, check_avoids_singular_locus
 
@@ -31,7 +33,6 @@ def _staircase_bound():
 # one instance of each formerly frozen record, from the call that builds it where one does
 FROZEN = {
     "FieldElement": lambda: FieldElement(Fp(5), 3),
-    "VarSet": lambda: varset("x", "y"),
     "_Token": lambda: _tokenize("x")[0],
     "EngineLimits": lambda: EngineLimits(max_pairs=10),
     "Ideal": lambda: Ideal(varset("x"), QQ, (parse_polynomial("x", varset("x")),)),
@@ -74,10 +75,9 @@ def test_frozen_records_reject_assignment(name):
 
 
 @pytest.mark.parametrize("make, fields", [
-    (lambda: VarSet(("x", "y")), lambda r: (r.names,)),
     (lambda: FieldElement(QQ, Fraction(1, 2)), lambda r: (r.field, r.value)),
     (lambda: _grenet_perm_2()[0], lambda r: (r.vars, r.field, r.entries)),
-], ids=["VarSet", "FieldElement", "AffineMatrixMap"])
+], ids=["FieldElement", "AffineMatrixMap"])
 def test_value_records_compare_and_hash_by_class_and_fields(make, fields):
     a, b = make(), make()
     assert a is not b and a == b and not a != b
@@ -88,6 +88,30 @@ def test_value_records_compare_and_hash_by_class_and_fields(make, fields):
     assert twin._values() == a._values()
     assert a != fields(a) and a != twin and twin != a
     assert a not in [fields(a), twin, None, 0]
+
+
+def test_varset_is_the_tuple_of_its_names():
+    xy = VarSet(("x", "y"))
+    assert isinstance(xy, tuple) and not isinstance(xy, Record)
+    assert xy == ("x", "y") == varset("x", "y") and hash(xy) == hash(("x", "y"))
+    assert {("x", "y"): 1}[xy] == 1 and str(xy) == "x, y"
+    assert xy != ("y", "x") and xy != VarSet(("x", "z"))
+    with pytest.raises(ValueError, match=r"^duplicate variable names in \('x', 'y', 'x'\)$"):
+        VarSet(("x", "y", "x"))
+    for bad in ("", "1x", "-x"):
+        with pytest.raises(ValueError, match=f"^invalid variable name {bad!r}$"):
+            VarSet(("x", bad))
+    with pytest.raises(AttributeError):
+        xy.names = ("x", "y")
+    with pytest.raises(AttributeError):
+        xy.extra = 1
+    # the ring checks of Polynomial arithmetic still tell two VarSets apart
+    x = parse_polynomial("x", xy)
+    for other in (parse_polynomial("x", varset("x", "z")), parse_polynomial("x", varset("y", "x"))):
+        for op in (operator.add, operator.mul):
+            with pytest.raises(ArityError):
+                op(x, other)
+    assert x + parse_polynomial("y", varset("x", "y")) == parse_polynomial("x + y", xy)
 
 
 def test_search_reports_never_share_found():
