@@ -61,8 +61,19 @@ def test_every_record_class_is_covered():
     assert records == set(FROZEN) | {"SearchReport"}
 
 
-@pytest.mark.parametrize("name", sorted(FROZEN))
+@pytest.mark.parametrize("name", sorted(FROZEN) + ["VarSet"])
 def test_frozen_records_reject_assignment(name):
+    if name == "VarSet":
+        # not a Record but as immutable: no item, attribute or former field can be set
+        names = varset("x", "y")
+        with pytest.raises(TypeError):
+            names[0] = "z"
+        with pytest.raises(AttributeError):
+            names.names = ("x", "y")
+        with pytest.raises(AttributeError):
+            names.extra = 1
+        assert names == ("x", "y")
+        return
     record = FROZEN[name]()
     assert type(record).__name__ == name
     first = record._fields[0]
@@ -75,14 +86,19 @@ def test_frozen_records_reject_assignment(name):
 
 
 @pytest.mark.parametrize("make, fields", [
+    (lambda: VarSet(("x", "y")), tuple),
     (lambda: FieldElement(QQ, Fraction(1, 2)), lambda r: (r.field, r.value)),
     (lambda: _grenet_perm_2()[0], lambda r: (r.vars, r.field, r.entries)),
-], ids=["FieldElement", "AffineMatrixMap"])
+], ids=["VarSet", "FieldElement", "AffineMatrixMap"])
 def test_value_records_compare_and_hash_by_class_and_fields(make, fields):
     a, b = make(), make()
     assert a is not b and a == b and not a != b
     assert hash(a) == hash(b) == hash(fields(a))
     assert {a: 1}[b] == 1
+    if isinstance(a, VarSet):
+        # a VarSet is the tuple of its names: it equals that tuple and no other order or names
+        assert a == fields(a) and a != fields(a)[::-1] and a != VarSet(("x", "z"))
+        return
     # a record equals neither its fields nor a record of another class with the same fields
     twin = type("Twin", (Record,), {"__annotations__": dict.fromkeys(a._fields, object)})(*fields(a))
     assert twin._values() == a._values()
@@ -101,10 +117,6 @@ def test_varset_is_the_tuple_of_its_names():
     for bad in ("", "1x", "-x"):
         with pytest.raises(ValueError, match=f"^invalid variable name {bad!r}$"):
             VarSet(("x", bad))
-    with pytest.raises(AttributeError):
-        xy.names = ("x", "y")
-    with pytest.raises(AttributeError):
-        xy.extra = 1
     # the ring checks of Polynomial arithmetic still tell two VarSets apart
     x = parse_polynomial("x", xy)
     for other in (parse_polynomial("x", varset("x", "z")), parse_polynomial("x", varset("y", "x"))):
